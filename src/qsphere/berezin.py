@@ -11,7 +11,7 @@ and their agreement is one of the standing cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 from .gns import GnsContext
@@ -215,8 +215,7 @@ class Berezin:
     # -- slice estimate ------------------------------------------------------
 
     def slice_lip_check(self, x: AlgebraElement, xi: AlgebraElement,
-                        zeta: AlgebraElement, truncation: int,
-                        theta_samples: int = 1) -> SliceCheck:
+                        zeta: AlgebraElement, truncation: int) -> SliceCheck:
         """Finite-truncation check that slicing contracts the Lip seminorm.
 
         The slice pairs the first coproduct leg against the GNS matrix
@@ -239,10 +238,8 @@ class Berezin:
         y = alg.coproduct(x).pair_left(functional)
         _require_sphere(y)
 
-        lip_x = specnorm.lip_norm(self.gns.actions, x, truncation,
-                                  theta_samples=theta_samples)
-        lip_y = specnorm.lip_norm(self.gns.actions, y, truncation,
-                                  theta_samples=theta_samples)
+        lip_x = specnorm.lip_norm(self.gns.actions, x, truncation)
+        lip_y = specnorm.lip_norm(self.gns.actions, y, truncation)
         nx = abs(self.gns.haar_inner(xi, xi).to_complex()) ** 0.5
         nz = abs(self.gns.haar_inner(zeta, zeta).to_complex()) ** 0.5
         bound = nx * nz * lip_x.value.lower_bound

@@ -448,6 +448,25 @@ def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
     }
 
 
+def _read_cell(path: str) -> dict | None:
+    """Cached sweep row; None when the cell is missing or unreadable,
+    so a damaged cell is recomputed and overwritten."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_cell(path: str, row: dict) -> None:
+    """Write through a temp file and rename, so a killed run never
+    leaves half a cell behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(row))
+    os.replace(tmp, path)
+
+
 def _cmd_sweep(ns, cfg: SessionConfig) -> int:
     q_texts = [t.strip() for t in ns.q_list.split(",") if t.strip()]
     if not q_texts:
@@ -473,21 +492,18 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
                 })
                 key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
                 path = os.path.join(cache_dir, f"sweep-{key}.json")
-                if os.path.exists(path):
-                    with open(path, encoding="utf-8") as fh:
-                        rows.append(json.load(fh))
-                    continue
-                try:
-                    row = _sweep_cell(qcfg, N, M)
-                except Exception as exc:  # flagged row, run continues
-                    row = {"q": q_text, "N": N, "M": M,
-                           "dist_lb": "", "dist_heuristic": "",
-                           "max_probe_ratio": "", "mean_lipSlack": "",
-                           "c0": "", "c1": "", "c2": "", "c3": "",
-                           "status": f"error: {exc}"}
-                else:
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(canonical_json(row))
+                row = _read_cell(path)
+                if row is None:
+                    try:
+                        row = _sweep_cell(qcfg, N, M)
+                    except Exception as exc:  # flagged row, run continues
+                        row = {"q": q_text, "N": N, "M": M,
+                               "dist_lb": "", "dist_heuristic": "",
+                               "max_probe_ratio": "", "mean_lipSlack": "",
+                               "c0": "", "c1": "", "c2": "", "c3": "",
+                               "status": f"error: {exc}"}
+                    else:
+                        _write_cell(path, row)
                 rows.append(row)
 
     header = ["q", "N", "M", "dist_lb", "dist_heuristic",

