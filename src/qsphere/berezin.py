@@ -12,7 +12,6 @@ and their agreement is one of the standing cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .gns import GnsContext
 from .qhopf import Algebra, AlgebraElement, Monomial
@@ -23,15 +22,6 @@ class LayerInconsistency(RuntimeError):
 
     This cannot happen when the equivariance conventions are coherent,
     so it signals a convention bug rather than bad input."""
-
-
-@dataclass
-class StateFunctional:
-    """A normalized linear functional packaged with its provenance tag."""
-
-    kind: str            # "haarTwisted" | "counit" | "custom"
-    level: int | None
-    value: Callable[[AlgebraElement], object]
 
 
 @dataclass
@@ -79,14 +69,6 @@ class Berezin:
 
     # -- states ------------------------------------------------------------
 
-    def q_bracket(self, n: int):
-        """Sum of q^(2k) for k = 0..n-1; the quantum integer at q^2."""
-        F = self.alg.field
-        tot = F.zero
-        for k in range(n):
-            tot = tot + F.q_power(2 * k)
-        return tot
-
     def h_twisted(self, x: AlgebraElement, N: int):
         """h_N(x): Haar against the level-N highest weight vector."""
         if N < 0:
@@ -108,24 +90,9 @@ class Berezin:
         mid = AlgebraElement(alg, {m: alg.field.one})
         left = alg.monomial(-N, 0, 0)
         right = alg.monomial(N, 0, 0)
-        val = self.q_bracket(N + 1) * alg.haar(left * mid * right)
+        val = alg.q_bracket(N + 1) * alg.haar(left * mid * right)
         self._hn_cache[key] = val
         return val
-
-    def state_functional(self, kind: str, level: int | None = None,
-                         value: Callable | None = None) -> StateFunctional:
-        if kind == "haarTwisted":
-            if level is None:
-                raise ValueError("haarTwisted needs a level")
-            return StateFunctional(kind, level,
-                                   lambda x, N=level: self.h_twisted(x, N))
-        if kind == "counit":
-            return StateFunctional(kind, None, self.alg.counit)
-        if kind == "custom":
-            if value is None:
-                raise ValueError("custom functional needs a callable")
-            return StateFunctional(kind, level, value)
-        raise ValueError("unknown state kind %r" % (kind,))
 
     # -- the transform, twice ------------------------------------------------
 
@@ -144,6 +111,8 @@ class Berezin:
         are checked to scale by the same constant, which would fail
         loudly if any convention in the stack were off.
         """
+        if N < 0:
+            raise ValueError("level must be non-negative")
         if max_spin < N:
             raise ValueError("need maxSpin >= N")
         F = self.alg.field

@@ -31,10 +31,6 @@ class UsageError(Exception):
     pass
 
 
-class CheckFailure(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -334,8 +330,7 @@ def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
     alg = cfg.build_algebra()
     actions = UqActions(alg)
     x = _parse_expr(alg, ns.expr)
-    res = specnorm.lip_norm(actions, x, cfg.norm_truncation,
-                            theta_grid=cfg.theta_grid)
+    res = specnorm.lip_norm(actions, x, cfg.norm_truncation)
     payload = _norm_payload(res.value)
     payload["components"] = {
         k: exprs.element_to_text(v) for k, v in res.components.items()}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exprs import element_to_obj, obj_to_element, obj_to_scalar, scalar_to_obj
-from .qhopf import Algebra, AlgebraElement, Monomial
+from .qhopf import Algebra, AlgebraElement, monomials
 from .uq_actions import UqActions
 
 
@@ -144,13 +144,6 @@ class OperatorMatrix:
             [[self.entries[i][j] - other.entries[i][j] for j in range(n)]
              for i in range(n)], self.basis)
 
-    def max_abs(self) -> float:
-        worst = 0.0
-        for row in self.entries:
-            for e in row:
-                worst = max(worst, abs(e.to_complex()))
-        return worst
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -222,16 +215,6 @@ class GnsContext:
         cert = 0.0 if self.alg.field.mode == "exact" else self._float_gram_worst
         return FuzzyBasis(N, list(vectors), cert)
 
-    def adopt_basis(self, basis: FuzzyBasis) -> None:
-        """Seed the cache from an imported basis (already verified)."""
-        if self._built_level >= basis.level:
-            return
-        self._columns = {}
-        self._vectors = list(basis.vectors)
-        for v in basis.vectors:
-            self._columns.setdefault(v.weight, []).append((v.element, v.snorm))
-        self._built_level = basis.level
-
     # -- projections -------------------------------------------------------
 
     def phi_projection(self, x: AlgebraElement, N: int) -> AlgebraElement:
@@ -243,11 +226,6 @@ class GnsContext:
             if not coeff.is_zero():
                 out = out + v.element.scale(coeff)
         return out
-
-    def spin_component(self, x: AlgebraElement, n: int) -> AlgebraElement:
-        if n == 0:
-            return self.phi_projection(x, 0)
-        return self.phi_projection(x, n) - self.phi_projection(x, n - 1)
 
     def spin_split(self, x: AlgebraElement, max_spin: int | None = None) -> dict:
         """Spin layer decomposition; layers beyond the element's degree
@@ -341,19 +319,10 @@ class GnsContext:
             return modular_conjugation(alg, xs * modular_conjugation(alg, v))
 
         worst = 0.0
-        for mono in _all_monomials(interior):
+        for mono in monomials(interior):
             xi = AlgebraElement(alg, {mono: alg.field.one})
             r = t_map(y * xi) - y * t_map(xi)
             for c in r.terms.values():
                 worst = max(worst, abs(c.to_complex()))
         return worst
 
-
-def _all_monomials(max_degree: int):
-    out = []
-    for d in range(max_degree + 1):
-        for k in range(-d, d + 1):
-            rem = d - abs(k)
-            for l in range(rem + 1):
-                out.append(Monomial(k, l, rem - l))
-    return out

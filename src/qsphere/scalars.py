@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 import mpmath
 
@@ -336,69 +335,3 @@ class FloatField:
     def describe(self) -> dict:
         return {"mode": "float", "q": repr(self.q_float), "precision": self.precision}
 
-
-def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, field) -> list:
-    """Solve a (possibly overdetermined but consistent) linear system by
-    Gaussian elimination over the scalar field.
-
-    `rows` is a list of coefficient lists, `rhs` the right-hand sides.
-    Raises ValueError when the system is inconsistent or underdetermined;
-    exactness of the scalar field makes both conditions decidable in
-    exact mode.
-    """
-    n_eq = len(rows)
-    if n_eq == 0:
-        return []
-    n_var = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    floaty = getattr(field, "mode", "exact") == "float"
-    if floaty:
-        # scale rows to unit magnitude so the absolute negligible
-        # threshold stays meaningful, and pick pivots by magnitude;
-        # redundant rows of the overdetermined systems fed in here can
-        # otherwise leave roundoff residue far above the threshold
-        for rr in range(n_eq):
-            mag = max((abs(v.to_complex()) for v in aug[rr][:n_var]), default=0)
-            if mag > 0:
-                inv = field.one / field.from_float(float(mag))
-                aug[rr] = [v * inv for v in aug[rr]]
-    piv_rows = []
-    piv_cols = []
-    r = 0
-    for c in range(n_var):
-        pivot = None
-        if floaty:
-            best = field.negligible
-            for rr in range(r, n_eq):
-                mag = abs(aug[rr][c].to_complex())
-                if mag > best:
-                    best = mag
-                    pivot = rr
-        else:
-            for rr in range(r, n_eq):
-                if not aug[rr][c].is_zero():
-                    pivot = rr
-                    break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = field.one / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for rr in range(n_eq):
-            if rr != r and not aug[rr][c].is_zero():
-                factor = aug[rr][c]
-                aug[rr] = [v - factor * w for v, w in zip(aug[rr], aug[r])]
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-        if r == n_eq:
-            break
-    for rr in range(r, n_eq):
-        if not aug[rr][n_var].is_zero():
-            raise ValueError("inconsistent linear system")
-    if len(piv_cols) < n_var:
-        raise ValueError("underdetermined linear system")
-    sol = [field.zero] * n_var
-    for row_idx, col in zip(piv_rows, piv_cols):
-        sol[col] = aug[row_idx][n_var]
-    return sol

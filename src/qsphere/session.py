@@ -60,6 +60,8 @@ class SessionConfig:
             raise ValueError("output_format must be json or csv")
         if self.precision < 15:
             raise ValueError("precision must be at least 15 digits")
+        if self.norm_truncation < 2:
+            raise ValueError("norm truncation must be at least 2")
 
     @property
     def q(self) -> Fraction:

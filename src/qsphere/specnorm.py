@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
-from .qhopf import Algebra, AlgebraElement, Monomial
+from .qhopf import Algebra, AlgebraElement, Monomial, monomials
 from .uq_actions import UqActions
 
 # truncation ladder: double M until successive values agree to _REL_TOL
@@ -303,7 +303,7 @@ def _block_rep(entries: list, trunc: RepTruncation) -> sparse.csr_matrix:
 
 
 def lip_norm(actions: UqActions, x: AlgebraElement, M: int | None = None,
-             theta_grid: int = 16, ladder: bool = True) -> LipResult:
+             ladder: bool = True) -> LipResult:
     """Lip seminorm: dominant singular value of the derivation matrix.
 
     The 2x2 matrix [[-d3(x), d2(x)], [d1(x), d3(x)]] is assembled in the
@@ -324,12 +324,11 @@ def lip_norm(actions: UqActions, x: AlgebraElement, M: int | None = None,
                            notes=("classical-grid",))
         return LipResult(est, components)
 
-    # every entry lies in the sphere subalgebra, so one theta suffices;
-    # keep the grid available for paranoia runs
-    single = all(_single_theta_suffices(e) for row in entries for e in row)
-    thetas = [0.0] if single else _theta_grid(theta_grid)
+    # delta_matrix admits only the sphere subalgebra and left actions keep
+    # the right degree, so every entry is a sphere element and one theta
+    # suffices
     est = _ladder_estimate(lambda trunc: _block_rep(entries, trunc),
-                           x, M, thetas, upper, ladder)
+                           x, M, [0.0], upper, ladder)
     return LipResult(est, components)
 
 
@@ -402,18 +401,12 @@ class _GradedOrtho:
         self.built_degree = -1
 
     def ensure_degree(self, D: int) -> None:
-        alg = self.alg
-        for d in range(self.built_degree + 1, D + 1):
-            layer = []
-            for k in range(-d, d + 1):
-                for l in range(d - abs(k) + 1):
-                    m = k + l - self.rdeg
-                    if m >= 0 and abs(k) + l + m == d:
-                        layer.append(Monomial(k, l, m))
-            layer.sort(key=lambda mo: (mo.a_exp, mo.b_exp))
-            for mono in layer:
+        if D <= self.built_degree:
+            return
+        for mono in monomials(D, self.built_degree + 1):
+            if mono.right_degree() == self.rdeg:
                 self._append(mono)
-            self.built_degree = d
+        self.built_degree = D
 
     def _append(self, mono: Monomial) -> None:
         alg = self.alg

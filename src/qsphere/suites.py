@@ -18,9 +18,9 @@ import numpy as np
 from . import mkdist, specnorm
 from .berezin import Berezin
 from .gns import GnsContext
-from .qhopf import Algebra, AlgebraElement, make_algebra
+from .qhopf import Algebra, AlgebraElement, make_algebra, monomials
 from .session import SessionConfig
-from .uq_actions import UqActions, _degree_monomials, _sphere_monomials
+from .uq_actions import UqActions, _sphere_monomials
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def random_elements(alg: Algebra, count: int, max_degree: int, seed: int,
         pool = _sphere_monomials(alg, max_degree)
     else:
         pool = [AlgebraElement(alg, {m: alg.field.one})
-                for m in _degree_monomials(max_degree)]
+                for m in monomials(max_degree)]
     out = []
     while len(out) < count:
         k = int(rng.integers(1, 4))
@@ -122,11 +122,13 @@ def random_elements(alg: Algebra, count: int, max_degree: int, seed: int,
 
 
 def hopf_suite(cfg: SessionConfig) -> VerificationReport:
-    """Bialgebra and Haar axioms on every monomial of degree <= 5."""
+    """Bialgebra and Haar axioms on every monomial of degree <= 5; Haar
+    invariance also on (b b*)^l up to l = 8, which pins the closed-form
+    weights h((b b*)^l) against invariance."""
     t0 = time.perf_counter()
     alg = cfg.build_algebra()
     col = _Collector()
-    monos = _degree_monomials(5)
+    monos = monomials(5)
     elems = [AlgebraElement(alg, {m: alg.field.one}) for m in monos]
     by_deg: dict = {}
     for x, m in zip(elems, monos):
@@ -188,7 +190,7 @@ def hopf_suite(cfg: SessionConfig) -> VerificationReport:
     col.add("antipode-axiom-deg5", ok, 0.0 if ok else 1.0)
 
     ok = True
-    for x in elems:
+    for x in elems + [alg.monomial(0, l, l) for l in range(3, 9)]:
         t = alg.coproduct(x)
         hval = alg.haar(x)
         left = t.pair_left(lambda m: alg.haar(

@@ -23,26 +23,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exprs import obj_to_scalar, scalar_to_obj
 from .qhopf import (GEN_A, GEN_AS, GEN_B, GEN_BS, UNIT, Algebra,
-                    AlgebraElement, Monomial)
+                    AlgebraElement, Monomial, monomials)
 
 DERIVATION_LABELS = ("delta1", "delta2", "delta3", "delta4",
                      "deltaK", "deltaKinv", "partialE", "partialF", "partialK")
 
 _GENS = (GEN_A, GEN_AS, GEN_B, GEN_BS)
 
-# tables already accepted in this process, keyed by (field signature,
-# serialized table); validation is pure so a repeat load can skip it
+# tables already accepted in this process, keyed by table signature and
+# validation degree; validation is pure so a repeat load can skip it
 _ACCEPTED: set = set()
 
 
 class PairingTable:
     """Pairing of {e, f, k, kinv} against the generator quadruple.
 
-    Stored as raw generator values <eta, g> for g in {a, as, b, bs};
-    the JSON form uses 2x2 matrices against the fundamental
-    corepresentation [[as, -q b], [bs, a]].
+    Stored as raw generator values <eta, g> for g in {a, as, b, bs}.
+    k and kinv must pair diagonally and invertibly against the
+    fundamental corepresentation [[as, -q b], [bs, a]].
     """
 
     def __init__(self, field, values: dict, delta3_limit: str | None = "halfweight"):
@@ -77,36 +76,6 @@ class PairingTable:
                      GEN_B: z, GEN_BS: z},
         }
         return cls(field, values, delta3_limit="halfweight")
-
-    def to_obj(self) -> dict:
-        """JSON form: generator -> 2x2 matrix against [[as,-qb],[bs,a]]."""
-        F = self.field
-        q = F.q
-        obj = {}
-        for eta, row in self.values.items():
-            mat = [[row[GEN_AS], -(q * row[GEN_B])],
-                   [row[GEN_BS], row[GEN_A]]]
-            obj[eta] = [[scalar_to_obj(s, F) for s in r] for r in mat]
-        if self.delta3_limit:
-            obj["delta3Limit"] = self.delta3_limit
-        return obj
-
-    @classmethod
-    def from_obj(cls, field, obj: dict) -> "PairingTable":
-        values = {}
-        q = field.q
-        for eta in ("e", "f", "k", "kinv"):
-            mat = obj.get(eta)
-            if mat is None:
-                raise ValueError("pairing table JSON missing %r" % eta)
-            entries = [[obj_to_scalar(field, cell) for cell in r] for r in mat]
-            values[eta] = {
-                GEN_AS: entries[0][0],
-                GEN_B: -(entries[0][1] / q),
-                GEN_BS: entries[1][0],
-                GEN_A: entries[1][1],
-            }
-        return cls(field, values, delta3_limit=obj.get("delta3Limit"))
 
     def signature(self) -> tuple:
         bits = []
@@ -263,13 +232,6 @@ class UqActions:
 
     # -- public actions ----------------------------------------------------
 
-    def left_action(self, eta: str, x: AlgebraElement) -> AlgebraElement:
-        if eta in ("k", "kinv"):
-            return self._apply_char("left", eta, x)
-        if eta in ("e", "f"):
-            return self._ef("left", eta, x)
-        raise ValueError("unknown generator %r" % eta)
-
     def partial_action(self, eta: str, x: AlgebraElement) -> AlgebraElement:
         if eta in ("k", "kinv"):
             return self._apply_char("right", eta, x)
@@ -368,16 +330,6 @@ def mat2_star(P: list) -> list:
             [P[0][1].star(), P[1][1].star()]]
 
 
-def _degree_monomials(max_degree: int):
-    out = []
-    for d in range(max_degree + 1):
-        for k in range(-d, d + 1):
-            rem = d - abs(k)
-            for l in range(rem + 1):
-                out.append(Monomial(k, l, rem - l))
-    return out
-
-
 def _sphere_monomials(alg: Algebra, max_degree: int):
     out = [alg.unit]
     for d in range(1, max_degree + 1):
@@ -395,7 +347,7 @@ def _run_identity_suite(actions: UqActions, max_degree: int) -> None:
     annihilation, grading, and conjugation by the corepresentation."""
     alg = actions.alg
     F = actions.field
-    monos = _degree_monomials(max_degree)
+    monos = monomials(max_degree)
     elems = {m: AlgebraElement(alg, {m: F.one}) for m in monos}
     der = actions.twisted_derivation
 

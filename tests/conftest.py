@@ -1,7 +1,7 @@
 """Shared fixtures and the acceptance summary hook.
 
-Algebra construction at exact q is cheap but the Haar solver caches per
-instance, so fixtures are session scoped.
+Algebra construction at exact q is cheap but the product, coproduct and
+Haar caches live per instance, so fixtures are session scoped.
 """
 
 import pytest

@@ -83,6 +83,20 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--N", "-1"),
+    ("berezin", "--N", "-1", "--expr", "A"),
+    ("lipnorm", "--trunc", "0", "--expr", "A"),
+    ("lipnorm", "--trunc", "-3", "--expr", "B"),
+])
+def test_bad_input_writes_no_artifact(capsys, tmp_path, argv):
+    out = tmp_path / "artifact.json"
+    code, _, err = run(capsys, *argv, "--q", "1/2", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_print_config(capsys):
     code, out, _ = run(capsys, "haar", "--q", "3/4", "--seed", "5",
                        "--expr", "a", "--print-config")

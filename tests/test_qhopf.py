@@ -87,9 +87,22 @@ def test_haar_weights(alg_half):
     # independent closed form: h((b b*)^l) = (1-q^2)/(1-q^(2l+2))
     alg = alg_half
     q2 = Fraction(1, 4)
-    for l in range(4):
+    for l in range(9):
         want = (1 - q2) / (1 - q2 ** (l + 1))
         assert alg.haar_weight(l).as_fraction() == want
+
+
+def test_haar_weights_float_match_exact():
+    # float mode stores q = 9/10 as the nearest double, so the exact
+    # reference runs at that double's rational value
+    flt = make_algebra(9, 10, mode="float", precision=60)
+    q = Fraction(flt.field.float_q())
+    exact = make_algebra(q.numerator, q.denominator)
+    ctx = flt.field.ctx
+    for l in range(9):
+        want = exact.haar_weight(l).as_fraction()
+        got = flt.haar_weight(l).val
+        assert abs(got - ctx.mpf(want.numerator) / want.denominator) < 1e-45
 
 
 def test_haar_frozen_values(alg_half):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsphere.scalars import (ExactField, FloatField, solve_linear_system,
-                             squarefree_split)
+from qsphere.scalars import ExactField, FloatField, squarefree_split
 
 
 @pytest.fixture(scope="module")
@@ -65,21 +64,6 @@ def test_mul_commutes(a, b, c, d):
     y = fld.from_parts(re=c, im=d)
     assert x * y == y * x
     assert x + y == y + x
-
-
-def test_solve_linear_system(fld):
-    rows = [[fld.from_rational(2), fld.from_rational(1)],
-            [fld.from_rational(1), fld.from_rational(3)]]
-    rhs = [fld.from_rational(5), fld.from_rational(10)]
-    sol = solve_linear_system(rows, rhs, fld)
-    assert sol[0].as_fraction() == 1 and sol[1].as_fraction() == 3
-
-
-def test_solve_inconsistent(fld):
-    rows = [[fld.one], [fld.one]]
-    rhs = [fld.one, fld.zero]
-    with pytest.raises(ValueError):
-        solve_linear_system(rows, rhs, fld)
 
 
 def test_float_field_roundtrip():
