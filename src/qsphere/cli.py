@@ -303,6 +303,8 @@ def _cmd_berezin(ns, cfg: SessionConfig) -> int:
 
 
 def _cmd_spectrum(ns, cfg: SessionConfig) -> int:
+    if ns.max_spin < 0:
+        raise UsageError("--max-spin must be non-negative")
     alg = cfg.build_algebra()
     actions = UqActions(alg)
     ber = Berezin(GnsContext(alg, actions))

@@ -83,6 +83,12 @@ class ExactScalar:
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         a1, b1, c1, d1 = self.re, self.im, self.sre, self.sim
         a2, b2, c2, d2 = other.re, other.im, other.sre, other.sim
+        # a plain rational factor scales componentwise; the Haar weights
+        # and Gram projections are all of this kind
+        if not (b1 or c1 or d1):
+            return ExactScalar(self.field, a1 * a2, a1 * b2, a1 * c2, a1 * d2)
+        if not (b2 or c2 or d2):
+            return ExactScalar(self.field, a1 * a2, b1 * a2, c1 * a2, d1 * a2)
         m = self.field.m
         return ExactScalar(
             self.field,

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
-from .qhopf import Algebra, AlgebraElement, Monomial, monomials
+from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate, monomials
 from .uq_actions import UqActions
 
 # truncation ladder: double M until successive values agree to _REL_TOL
@@ -358,23 +358,55 @@ def delta_block_grid(actions: UqActions, x: AlgebraElement) -> np.ndarray:
 
 
 class _HaarInnerCache:
-    """h(m1* m2) for monomial pairs, with a bidegree prefilter."""
+    """h(m1* m2) for monomial pairs, in closed form.
+
+    The Haar state vanishes unless m1 = a^k b^l1 b*^n1 and
+    m2 = a^k b^l2 b*^n2 share both degrees, that is the a-exponent k and
+    the b-charge l1 - n1 = l2 - n2.  Then m1* m2 = P_k(A) A^s with
+    A = b b*, s = n1 + l2 and
+
+        P_k = prod_{i=1..k} (1 - q^(2i) A)          k >= 0  (a*^k a^k)
+        P_k = prod_{i=0..|k|-1} (1 - q^(-2i) A)     k < 0   (a^|k| a*^|k|),
+
+    so h(m1* m2) = sum_j [P_k]_j h(A^(j+s)), with the weights
+    h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987).  No algebra
+    product is formed; the result is the same field element that
+    alg.haar(m1.star() * m2) gives.
+    """
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self.cache: dict = {}
+        self.polys: dict = {}            # k -> coefficients of P_k
+        self.cache: dict = {}            # (k, s) -> h(P_k(A) A^s)
+
+    def _poly(self, k: int) -> list:
+        coeffs = self.polys.get(k)
+        if coeffs is None:
+            F = self.alg.field
+            exps = range(2, 2 * k + 1, 2) if k >= 0 else range(0, 2 * k, -2)
+            coeffs = [F.one]
+            for e in exps:
+                # multiply by (1 - q^e A)
+                c = F.q_power(e)
+                coeffs = ([coeffs[0]]
+                          + [coeffs[j] - c * coeffs[j - 1]
+                             for j in range(1, len(coeffs))]
+                          + [-(c * coeffs[-1])])
+            self.polys[k] = coeffs
+        return coeffs
 
     def __call__(self, m1: Monomial, m2: Monomial):
         alg = self.alg
         if (m1.left_degree() != m2.left_degree()
                 or m1.right_degree() != m2.right_degree()):
             return alg.field.zero
-        key = (m1, m2)
+        key = (m1.a_exp, m1.bs_exp + m2.b_exp)
         hit = self.cache.get(key)
         if hit is None:
-            e1 = AlgebraElement(alg, {m1: alg.field.one})
-            e2 = AlgebraElement(alg, {m2: alg.field.one})
-            hit = alg.haar(e1.star() * e2)
+            k, s = key
+            hit = alg.field.zero
+            for j, c in enumerate(self._poly(k)):
+                hit = hit + c * alg.haar_weight(j + s)
             self.cache[key] = hit
         return hit
 
@@ -383,18 +415,25 @@ class _GradedOrtho:
     """Orthogonal chains of graded monomials, one per a-exponent.
 
     Monomials of a fixed right degree split into chains sharing the same
-    a-exponent; Haar inner products vanish across chains, so the chains
-    can be orthogonalized independently.  Raw monomial Gram matrices are
-    numerically singular far beyond double precision, which is why the
-    orthogonalization runs in the exact scalar field and only the final
-    whitened operator matrix is floated.
+    a-exponent k; Haar inner products vanish across chains, so the
+    chains can be orthogonalized independently.  Within chain k every
+    inner product is a Jackson sum h(P_k(A) A^s) in A = b b* (see
+    _HaarInnerCache), whose weights are h(A^l) = 1/[l+1]_{q^2} (Podleś,
+    Quantum spheres, 1987), so Gram-Schmidt runs on those closed forms
+    and never multiplies algebra elements.  Each squared norm is read
+    off a projection: <w, w> = <w, mono> because w = mono minus its
+    projection on the earlier, orthogonal vectors.  Raw monomial Gram
+    matrices are numerically singular far beyond double precision, which
+    is why the orthogonalization runs in the exact scalar field and only
+    the final whitened operator matrix is floated.
     """
 
     def __init__(self, alg: Algebra, rdeg: int):
         self.alg = alg
         self.rdeg = rdeg
         self.inner = _HaarInnerCache(alg)
-        # chain key k -> {"monos": [...], "vecs": [(w, snorm)], "proj": [dict]}
+        # chain key k -> {"monos": [...], "index": {mono: pos},
+        # "vecs": [(w, snorm)], "proj": [dict]}
         # proj[alpha][t] = <w_alpha, mono_t> over the chain positions t
         self.chains: dict = {}
         self.order: list = []            # (k, pos) in graded enumeration order
@@ -410,22 +449,24 @@ class _GradedOrtho:
 
     def _append(self, mono: Monomial) -> None:
         alg = self.alg
-        ch = self.chains.setdefault(mono.a_exp,
-                                    {"monos": [], "vecs": [], "proj": []})
+        ch = self.chains.setdefault(
+            mono.a_exp, {"monos": [], "index": {}, "vecs": [], "proj": []})
+        pos = len(ch["monos"])
         vec = AlgebraElement(alg, {mono: alg.field.one})
-        for w, s in ch["vecs"]:
-            c = self._elem_mono_inner(w, mono) / s
-            if not c.is_zero():
-                vec = vec - w.scale(c)
-        snorm = alg.haar(vec.star() * vec)
+        for (w, s), row in zip(ch["vecs"], ch["proj"]):
+            p = self._elem_mono_inner(w, mono)
+            row[pos] = p
+            if not p.is_zero():
+                vec = vec - w.scale(p / s)
+        snorm = self._elem_mono_inner(vec, mono)
         if snorm.is_zero():
             raise RuntimeError("graded monomials degenerated at %r" % (mono,))
-        pos = len(ch["monos"])
         ch["monos"].append(mono)
+        ch["index"][mono] = pos
         ch["vecs"].append((vec, snorm))
         # projections of the new vector onto every chain monomial so far
-        # are zero below the diagonal by orthogonality; record the rest
-        # lazily when queried
+        # are zero below the diagonal by orthogonality; later ones are
+        # recorded as later monomials join the chain
         ch["proj"].append({pos: snorm})
         self.order.append((mono.a_exp, pos))
 
@@ -436,18 +477,8 @@ class _GradedOrtho:
         return tot
 
     def proj_coeff(self, k: int, alpha: int, pos: int):
-        """<w_alpha, mono_pos> within chain k, memoized."""
-        ch = self.chains[k]
-        row = ch["proj"][alpha]
-        hit = row.get(pos)
-        if hit is None:
-            if pos < alpha:
-                hit = self.alg.field.zero
-            else:
-                hit = self._elem_mono_inner(ch["vecs"][alpha][0],
-                                            ch["monos"][pos])
-            row[pos] = hit
-        return hit
+        """<w_alpha, mono_pos> within chain k; zero below the diagonal."""
+        return self.chains[k]["proj"][alpha].get(pos, self.alg.field.zero)
 
     def basis_selection(self, count: int):
         """(chain, position) pairs of the first `count` graded monomials."""
@@ -535,26 +566,24 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
 
     Y = np.zeros((len(rows), len(sel)), dtype=complex)
     for j, (kj, pos_j) in enumerate(sel):
-        wj, sj = ortho.chains[kj]["vecs"][pos_j]
-        image = y * wj
+        image = y * ortho.chains[kj]["vecs"][pos_j][0]
         col: dict = {}
         for t_mono, c in image.terms.items():
             kt = t_mono.a_exp
             ch = cod.chains.get(kt)
-            if ch is None or t_mono not in ch["monos"]:
+            pos_t = None if ch is None else ch["index"].get(t_mono)
+            if pos_t is None:
                 raise RuntimeError("image escaped the graded extension")
-            pos_t = ch["monos"].index(t_mono)
-            cm = c.to_mpc(ctx)
             for alpha in range(pos_t + 1):
                 p = cod.proj_coeff(kt, alpha, pos_t)
-                if p.is_zero():
-                    continue
-                key = (kt, alpha)
-                col[key] = col.get(key, ctx.mpc(0)) + cm * p.to_mpc(ctx)
+                if not p.is_zero():
+                    _accumulate(col, (kt, alpha), c * p)
+        # the projections are huge and cancel; summing them exactly and
+        # rounding once keeps the whitened entries accurate
         rj = root_of(ortho, kj, pos_j)
         for (kt, alpha), val in col.items():
             Y[rows[(kt, alpha)], j] = complex(
-                val / (root_of(cod, kt, alpha) * rj))
+                val.to_mpc(ctx) / (root_of(cod, kt, alpha) * rj))
     if not np.isfinite(Y).all():
         raise RuntimeError("whitened operator matrix overflowed")
     return float(np.linalg.svd(Y, compute_uv=False)[0]) if Y.size else 0.0
@@ -568,7 +597,9 @@ def lip_norm_gram_oracle(actions: UqActions, x: AlgebraElement,
     right-degree +1 / -1 graded subspaces; the seminorm is the larger
     of the two restricted-multiplication compression norms.  No
     representation matrices are involved, so agreement with lip_norm is
-    a genuine cross-check of the whole derivation stack.
+    a genuine cross-check of the whole derivation stack.  A value above
+    the coefficient-sum upper bound can only come from lost precision,
+    so it raises RuntimeError instead of being clipped.
     """
     p1, p2 = actions.dirac_components(x)
     upper = max(coefficient_sum_bound(p1), coefficient_sum_bound(p2))
@@ -589,5 +620,8 @@ def lip_norm_gram_oracle(actions: UqActions, x: AlgebraElement,
         sigma = _mult_op_sigma(alg_hi, y_hi, rdeg, basis_size, ctx)
         vals.append(sigma)
     lower = max(vals)
-    return NormEstimate(min(lower, upper), upper, True, basis_size, 0,
+    if lower > upper * (1 + 1e-9):
+        raise RuntimeError("Gram oracle value %r exceeds the upper bound %r"
+                           % (lower, upper))
+    return NormEstimate(lower, upper, True, basis_size, 0,
                         notes=("gram-oracle",))

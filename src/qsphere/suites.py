@@ -20,7 +20,7 @@ from .berezin import Berezin
 from .gns import GnsContext
 from .qhopf import Algebra, AlgebraElement, make_algebra, monomials
 from .session import SessionConfig
-from .uq_actions import UqActions, _sphere_monomials
+from .uq_actions import UqActions, sphere_monomials
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def random_elements(alg: Algebra, count: int, max_degree: int, seed: int,
     """Seeded random elements with small rational(+imaginary) coefficients."""
     rng = np.random.default_rng([seed, 977 if sphere else 499])
     if sphere:
-        pool = _sphere_monomials(alg, max_degree)
+        pool = sphere_monomials(alg, max_degree)
     else:
         pool = [AlgebraElement(alg, {m: alg.field.one})
                 for m in monomials(max_degree)]

@@ -330,7 +330,10 @@ def mat2_star(P: list) -> list:
             [P[0][1].star(), P[1][1].star()]]
 
 
-def _sphere_monomials(alg: Algebra, max_degree: int):
+def sphere_monomials(alg: Algebra, max_degree: int) -> list:
+    """The unit, then B^i A^j and B*^i A^j (i > 0) for each degree
+    i + j = 1..max_degree.  random_elements(sphere=True) draws from this
+    list by index, so the order is part of its seeded output."""
     out = [alg.unit]
     for d in range(1, max_degree + 1):
         for i in range(d + 1):
@@ -410,7 +413,7 @@ def _run_identity_suite(actions: UqActions, max_degree: int) -> None:
 
     # conjugation by the corepresentation ties left to right actions
     u = alg.fundamental_corep()
-    for x in _sphere_monomials(alg, min(max_degree, 3)):
+    for x in sphere_monomials(alg, min(max_degree, 3)):
         lhs = actions.delta_matrix(x)
         rhs = mat2_mul(mat2_mul(u, actions.partial_matrix(x)), mat2_star(u))
         for i in (0, 1):

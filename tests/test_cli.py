@@ -85,6 +85,7 @@ def test_usage_errors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--N", "-1"),
+    ("spectrum", "--N", "2", "--max-spin", "-1"),
     ("berezin", "--N", "-1", "--expr", "A"),
     ("lipnorm", "--trunc", "0", "--expr", "A"),
     ("lipnorm", "--trunc", "-3", "--expr", "B"),

@@ -66,6 +66,30 @@ def test_mul_commutes(a, b, c, d):
     assert x + y == y + x
 
 
+_parts = st.tuples(*[st.fractions(max_denominator=40)] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_parts, y=_parts, rational=st.sampled_from(["x", "y", "none"]))
+def test_mul_matches_the_general_formula(x, y, rational):
+    # rational factors take a componentwise shortcut; it must give the
+    # product of the full Q(i, sqrt(m)) formula
+    if rational == "x":
+        x = (x[0], 0, 0, 0)
+    elif rational == "y":
+        y = (y[0], 0, 0, 0)
+    fld = ExactField(1, 2)
+    m = fld.m
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    got = fld.from_parts(*x) * fld.from_parts(*y)
+    assert (got.re, got.im, got.sre, got.sim) == (
+        a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
+        a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+        a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
 def test_float_field_roundtrip():
     fld = FloatField(0.5, precision=50)
     z = fld.from_parts(re=Fraction(1, 3), im=Fraction(1, 7))

@@ -7,7 +7,9 @@ import pytest
 
 from qsphere import Berezin, GnsContext, UqActions, make_algebra
 from qsphere.exprs import parse_expression
-from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
+from qsphere.qhopf import AlgebraElement, monomials
+from qsphere.specnorm import (RepTruncation, _HaarInnerCache,
+                              coefficient_sum_bound,
                               delta_block_grid, delta_block_matrix, lip_norm,
                               lip_norm_gram_oracle, lip_upper_bound,
                               operator_norm, relation_residuals,
@@ -107,6 +109,46 @@ def test_gram_oracle_agrees(half):
     lo = lip_norm(act, x, 200, ladder=False).value.lower_bound
     g = lip_norm_gram_oracle(act, x, basis_size=200)
     assert abs(lo - g.lower_bound) / lo < 1e-4
+
+
+def test_gram_oracle_small_q():
+    # the whitened entries are sums of huge cancelling projections; summed
+    # in 80-digit floats they returned the upper bound 8.0 here
+    alg = make_algebra(1, 8)
+    act = UqActions(alg)
+    x = alg.sphere_A
+    lo = lip_norm(act, x, 200, ladder=False).value.lower_bound
+    g = lip_norm_gram_oracle(act, x, basis_size=100)
+    assert abs(lo - g.lower_bound) / lo < 1e-4
+
+
+def _same_bidegree_pairs(max_degree):
+    monos = monomials(max_degree)
+    return [(m1, m2) for m1 in monos for m2 in monos
+            if m1.left_degree() == m2.left_degree()
+            and m1.right_degree() == m2.right_degree()]
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 3), (1, 1)])
+def test_haar_inner_closed_form_exact(q):
+    alg = make_algebra(*q)
+    inner = _HaarInnerCache(alg)
+    pairs = _same_bidegree_pairs(7)
+    assert len(pairs) == 456
+    for m1, m2 in pairs:
+        e1 = AlgebraElement(alg, {m1: alg.field.one})
+        e2 = AlgebraElement(alg, {m2: alg.field.one})
+        assert inner(m1, m2) == alg.haar(e1.star() * e2), (m1, m2)
+
+
+def test_haar_inner_closed_form_float():
+    alg = make_algebra(9, 10, mode="float")
+    inner = _HaarInnerCache(alg)
+    for m1, m2 in _same_bidegree_pairs(7):
+        e1 = AlgebraElement(alg, {m1: alg.field.one})
+        e2 = AlgebraElement(alg, {m2: alg.field.one})
+        diff = inner(m1, m2) - alg.haar(e1.star() * e2)
+        assert abs(diff.val) < 1e-40, (m1, m2)
 
 
 def test_classical_lip():
