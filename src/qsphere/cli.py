@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import exprs, mkdist, specnorm, suites
 from .berezin import Berezin
@@ -416,30 +417,19 @@ def _cmd_verify(ns, cfg: SessionConfig) -> int:
 
 
 def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
+    """One sweep row: the distance-trend row at search level M, plus the
+    first four transform eigenvalues."""
+    row = suites.theoremb_rows(replace(cfg, search_truncation=M), [N])[0]
     alg = cfg.build_algebra()
-    actions = UqActions(alg)
-    ber = Berezin(GnsContext(alg, actions))
-    prob = mkdist.OptimizationProblem(
-        N=N, M=M, norm_truncation=cfg.norm_truncation, mode="certified",
-        restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed)
-    est = mkdist.estimate_distance(ber, prob)
-    ratios, slacks = [], []
-    for p in mkdist.default_probes(alg):
-        rep = mkdist.approx_inequality_check(ber, p, N, est,
-                                             cfg.norm_truncation,
-                                             gap=cfg.estimator_gap)
-        ratios.append(rep.ratio)
-        app = mkdist.theorem_b_approximant(ber, p, N,
-                                           truncation=cfg.norm_truncation)
-        slacks.append(app.lip_slack)
-    spec = ber.spectrum(N, max_spin=max(3, N))
+    spec = Berezin(GnsContext(alg, UqActions(alg))).spectrum(
+        N, max_spin=max(3, N))
     cs = [float(spec.eigenvalue(n).to_complex().real) for n in range(4)]
     return {
         "q": cfg.q_text, "N": N, "M": M,
-        "dist_lb": est.value,
-        "dist_heuristic": est.heuristic_value,
-        "max_probe_ratio": max(ratios),
-        "mean_lipSlack": sum(slacks) / len(slacks),
+        "dist_lb": row["dist_lb"],
+        "dist_heuristic": row["dist_heuristic"],
+        "max_probe_ratio": row["max_probe_ratio"],
+        "mean_lipSlack": row["mean_lipSlack"],
         "c0": cs[0], "c1": cs[1], "c2": cs[2], "c3": cs[3],
         "status": "ok",
     }

@@ -432,27 +432,6 @@ def scalar_to_obj(c, field) -> dict:
     return obj
 
 
-def obj_to_scalar(field, obj):
-    if "re" in obj or "im" in obj:
-        if field.mode != "float":
-            raise ValueError("float scalar in exact-mode context")
-        return field.from_parts(Fraction(float(obj.get("re", 0.0))),
-                                Fraction(float(obj.get("im", 0.0))))
-    surd = obj.get("surd")
-    if surd is not None and field.mode == "exact" and surd != field.m:
-        raise ValueError("scalar surd %r does not match field surd %r"
-                         % (surd, field.m))
-    re = Fraction(obj.get("num", 0), obj.get("den", 1))
-    im = Fraction(obj.get("imNum", 0), obj.get("imDen", 1))
-    sre = Fraction(obj.get("surdNum", 0), obj.get("surdDen", 1))
-    sim = Fraction(obj.get("surdImNum", 0), obj.get("surdImDen", 1))
-    if field.mode == "float":
-        if sre or sim:
-            raise ValueError("surd scalar needs exact mode")
-        return field.from_parts(re, im)
-    return field.from_parts(re, im, sre, sim)
-
-
 def canonical_json(obj) -> str:
     """The one JSON formatting used for every artifact."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -1,31 +1,228 @@
 """The L2 layer over the Haar state.
 
-Everything here happens inside the GNS space of the Haar state: the
-inner product h(x* y), the orthogonal fuzzy bases of the equator
-sphere's degree filtration, projections onto them, matrix compressions
-of the twisted derivations, and the modular conjugation.
+Everything here happens inside the GNS space of the Haar state h: the
+inner product h(x* y), one Gram-Schmidt under it, the fuzzy bases of
+the equator sphere's degree filtration, projections onto them, matrix
+compressions of the twisted derivations, and the modular conjugation.
 
-Fuzzy bases are built by weight-graded Gram-Schmidt over the monomial
-filtration.  In exact mode the construction is square-root-free: the
-stored vectors are orthogonal but unnormalized, with their exact
-squared norms kept beside them, so orthogonality certificates are
-literal zeros and square roots only ever appear in the float layer.
-The level-N basis is a prefix of the level-(N+1) basis, which makes
-incremental caching trivial.
+No inner product multiplies algebra elements.  h(m1* m2) vanishes
+unless the monomials m1 = a^k b^l1 b*^n1 and m2 = a^k b^l2 b*^n2 share
+the a-exponent k and the b-charge; then m1* m2 = P_k(A) A^s with
+A = b b*, and h(m1* m2) is a sum against the closed-form weights
+h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987); see
+_HaarInnerCache.  So the monomials of one right degree split into
+mutually orthogonal chains of fixed a-exponent, and _GradedOrtho
+orthogonalizes each chain on its own.  The Gram oracle in specnorm
+reads its bases off the chains of right degree +-1.
+
+The fuzzy basis is read off the chains of right degree 0: B^i A^j and
+B*^i A^j are single monomials up to a q-power, so the spin-d,
+weight-2k vector is chain k at position d - |k|.  In exact mode the
+construction is square-root-free: the stored vectors are monic and
+orthogonal but unnormalized, with their exact squared norms kept
+beside them, so orthogonality certificates are literal zeros and square
+roots only ever appear in the float layer.  The level-N basis is a
+prefix of the level-(N+1) basis.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exprs import element_to_obj, obj_to_element, obj_to_scalar, scalar_to_obj
-from .qhopf import Algebra, AlgebraElement, monomials
+from .qhopf import Algebra, AlgebraElement, Monomial, monomials
 from .uq_actions import UqActions
 
 
+class _HaarInnerCache:
+    """h(m1* m2) for monomial pairs, in closed form.
+
+    The Haar state vanishes unless m1 = a^k b^l1 b*^n1 and
+    m2 = a^k b^l2 b*^n2 share both degrees, that is the a-exponent k and
+    the b-charge l1 - n1 = l2 - n2.  Then m1* m2 = P_k(A) A^s with
+    A = b b*, s = n1 + l2 and
+
+        P_k = prod_{i=1..k} (1 - q^(2i) A)          k >= 0  (a*^k a^k)
+        P_k = prod_{i=0..|k|-1} (1 - q^(-2i) A)     k < 0   (a^|k| a*^|k|),
+
+    so h(m1* m2) = sum_j [P_k]_j h(A^(j+s)), with the weights
+    h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987).  No algebra
+    product is formed; the result is the same field element that
+    alg.haar(m1.star() * m2) gives.
+    """
+
+    def __init__(self, alg: Algebra):
+        self.alg = alg
+        self.polys: dict = {}            # k -> coefficients of P_k
+        self.cache: dict = {}            # (k, s) -> h(P_k(A) A^s)
+        self.sizes: dict = {}            # (k, s) -> sum_j |[P_k]_j| h(A^(j+s))
+
+    def _poly(self, k: int) -> list:
+        coeffs = self.polys.get(k)
+        if coeffs is None:
+            F = self.alg.field
+            exps = range(2, 2 * k + 1, 2) if k >= 0 else range(0, 2 * k, -2)
+            coeffs = [F.one]
+            for e in exps:
+                # multiply by (1 - q^e A)
+                c = F.q_power(e)
+                coeffs = ([coeffs[0]]
+                          + [coeffs[j] - c * coeffs[j - 1]
+                             for j in range(1, len(coeffs))]
+                          + [-(c * coeffs[-1])])
+            self.polys[k] = coeffs
+        return coeffs
+
+    def __call__(self, m1: Monomial, m2: Monomial):
+        alg = self.alg
+        if (m1.left_degree() != m2.left_degree()
+                or m1.right_degree() != m2.right_degree()):
+            return alg.field.zero
+        key = (m1.a_exp, m1.bs_exp + m2.b_exp)
+        hit = self.cache.get(key)
+        if hit is None:
+            k, s = key
+            hit = alg.field.zero
+            for j, c in enumerate(self._poly(k)):
+                hit = hit + c * alg.haar_weight(j + s)
+            self.cache[key] = hit
+        return hit
+
+    def size(self, m1: Monomial, m2: Monomial):
+        """Float mode: the magnitude of the terms that cancel in
+        self(m1, m2), for a same-bidegree pair."""
+        key = (m1.a_exp, m1.bs_exp + m2.b_exp)
+        hit = self.sizes.get(key)
+        if hit is None:
+            k, s = key
+            hit = sum(abs(c.val) * abs(self.alg.haar_weight(j + s).val)
+                      for j, c in enumerate(self._poly(k)))
+            self.sizes[key] = hit
+        return hit
+
+
+class _GradedOrtho:
+    """Orthogonal chains of graded monomials, one per a-exponent.
+
+    Monomials of a fixed right degree split into chains sharing the same
+    a-exponent k; Haar inner products vanish across chains, so the
+    chains can be orthogonalized independently.  Within chain k every
+    inner product is a closed form (see _HaarInnerCache), so
+    Gram-Schmidt never multiplies algebra elements.  Each chain vector
+    is monic: its chain monomial minus the projection on the earlier,
+    orthogonal vectors, so its squared norm is read off a projection,
+    <w, w> = <w, mono>.  Raw monomial Gram matrices are numerically
+    singular far beyond double precision, which is why the chains run in
+    the exact field (or, for the Gram oracle in float mode, a lifted
+    precision) and only the oracle's final whitened matrix is floated.
+
+    In exact mode a zero squared norm is a degenerate chain.  In float
+    mode the squared norm must also stand above the field's negligible
+    relative to the terms that cancelled in it; below that its digits
+    are gone and the construction raises instead of returning noise.
+    """
+
+    def __init__(self, alg: Algebra, rdeg: int):
+        self.alg = alg
+        self.rdeg = rdeg
+        self.inner = _haar_inner_cache(alg)
+        # chain key k -> {"monos": [...], "index": {mono: pos},
+        # "vecs": [(w, snorm)], "proj": [dict]}
+        # proj[alpha][t] = <w_alpha, mono_t> over the chain positions t
+        self.chains: dict = {}
+        self.order: list = []            # (k, pos) in graded enumeration order
+        self.built_degree = -1
+
+    def ensure_degree(self, D: int) -> None:
+        if D <= self.built_degree:
+            return
+        for mono in monomials(D, self.built_degree + 1):
+            if mono.right_degree() == self.rdeg:
+                self._append(mono)
+        self.built_degree = D
+
+    def _append(self, mono: Monomial) -> None:
+        alg = self.alg
+        ch = self.chains.setdefault(
+            mono.a_exp, {"monos": [], "index": {}, "vecs": [], "proj": []})
+        if mono in ch["index"]:          # kept from a pass that raised
+            return
+        pos = len(ch["monos"])
+        vec = AlgebraElement(alg, {mono: alg.field.one})
+        for (w, s), row in zip(ch["vecs"], ch["proj"]):
+            p = self._elem_mono_inner(w, mono)
+            row[pos] = p
+            if not p.is_zero():
+                vec = vec - w.scale(p / s)
+        snorm = self._elem_mono_inner(vec, mono)
+        if self._degenerate(vec, mono, snorm):
+            raise RuntimeError(
+                "Haar Gram-Schmidt degenerated at %r (squared norm %g lost "
+                "to cancellation)" % (mono, abs(snorm.to_complex())))
+        ch["monos"].append(mono)
+        ch["index"][mono] = pos
+        ch["vecs"].append((vec, snorm))
+        # projections of the new vector onto every chain monomial so far
+        # are zero below the diagonal by orthogonality; later ones are
+        # recorded as later monomials join the chain
+        ch["proj"].append({pos: snorm})
+        self.order.append((mono.a_exp, pos))
+
+    def _elem_mono_inner(self, w: AlgebraElement, mono: Monomial):
+        tot = self.alg.field.zero
+        for m, c in w.terms.items():
+            tot = tot + c.conjugate() * self.inner(m, mono)
+        return tot
+
+    def _degenerate(self, vec: AlgebraElement, mono: Monomial, snorm) -> bool:
+        F = self.alg.field
+        if F.mode == "exact":
+            return snorm.is_zero()
+        size = sum(abs(c.val) * self.inner.size(m, mono)
+                   for m, c in vec.terms.items())
+        return abs(snorm.val) < F.negligible * size
+
+    def proj_coeff(self, k: int, alpha: int, pos: int):
+        """<w_alpha, mono_pos> within chain k; zero below the diagonal."""
+        return self.chains[k]["proj"][alpha].get(pos, self.alg.field.zero)
+
+    def basis_selection(self, count: int):
+        """(chain, position) pairs of the first `count` graded monomials."""
+        d = self.built_degree
+        while len(self.order) < count:
+            d += 1
+            self.ensure_degree(d)
+        return self.order[:count]
+
+
+def _haar_inner_cache(alg: Algebra) -> _HaarInnerCache:
+    inner = getattr(alg, "_haar_inner_cache", None)
+    if inner is None:
+        inner = alg._haar_inner_cache = _HaarInnerCache(alg)
+    return inner
+
+
+def _graded_ortho(alg: Algebra, rdeg: int) -> _GradedOrtho:
+    """The chains of right degree rdeg, built once per algebra."""
+    cache = getattr(alg, "_graded_ortho_cache", None)
+    if cache is None:
+        cache = alg._graded_ortho_cache = {}
+    if rdeg not in cache:
+        cache[rdeg] = _GradedOrtho(alg, rdeg)
+    return cache[rdeg]
+
+
 def haar_inner(alg: Algebra, x: AlgebraElement, y: AlgebraElement):
-    """h(x* y); linear in the second slot."""
-    return alg.haar(x.star() * y)
+    """h(x* y); linear in the second slot.  A sum of closed-form monomial
+    inner products; alg.haar(x.star() * y) is the same value."""
+    inner = _haar_inner_cache(alg)
+    tot = alg.field.zero
+    for m1, c1 in x.terms.items():
+        c1 = c1.conjugate()
+        for m2, c2 in y.terms.items():
+            if (m1.a_exp == m2.a_exp
+                    and m1.right_degree() == m2.right_degree()):
+                tot = tot + c1 * c2 * inner(m1, m2)
+    return tot
 
 
 def modular_conjugation(alg: Algebra, x: AlgebraElement) -> AlgebraElement:
@@ -49,67 +246,12 @@ class FuzzyBasis:
     span of all degree <= N monomials in the sphere generators.
     """
 
-    def __init__(self, level: int, vectors: list, gram_certificate: float):
+    def __init__(self, level: int, vectors: list):
         self.level = level
         self.vectors = vectors
-        self.gram_certificate = gram_certificate
 
     def __len__(self):
         return len(self.vectors)
-
-    def to_obj(self) -> dict:
-        alg = self.vectors[0].element.alg if self.vectors else None
-        return {
-            "level": self.level,
-            "gramCertificate": self.gram_certificate,
-            "vectors": [
-                {
-                    "spin": v.spin,
-                    "weight": v.weight,
-                    "snorm": scalar_to_obj(v.snorm, alg.field),
-                    "element": element_to_obj(v.element),
-                }
-                for v in self.vectors
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, alg: Algebra, obj: dict, verify: bool = True) -> "FuzzyBasis":
-        level = int(obj["level"])
-        vectors = []
-        for row in obj["vectors"]:
-            vectors.append(FuzzyVector(
-                element=obj_to_element(alg, row["element"]),
-                snorm=obj_to_scalar(alg.field, row["snorm"]),
-                spin=int(row["spin"]),
-                weight=int(row["weight"]),
-            ))
-        if len(vectors) != (level + 1) ** 2:
-            raise ValueError("fuzzy basis has %d vectors, expected %d"
-                             % (len(vectors), (level + 1) ** 2))
-        basis = cls(level, vectors, float(obj.get("gramCertificate", 0.0)))
-        if verify:
-            cert = _gram_residual(alg, vectors)
-            if cert > 1e-9:
-                raise ValueError("imported fuzzy basis fails orthogonality "
-                                 "(residual %g)" % cert)
-            basis.gram_certificate = cert
-        return basis
-
-
-def _gram_residual(alg: Algebra, vectors: list) -> float:
-    worst = 0.0
-    by_weight: dict[int, list] = {}
-    for v in vectors:
-        by_weight.setdefault(v.weight, []).append(v)
-    for grp in by_weight.values():
-        for i, vi in enumerate(grp):
-            for j, vj in enumerate(grp):
-                val = haar_inner(alg, vi.element, vj.element)
-                if i == j:
-                    val = val - vi.snorm
-                worst = max(worst, abs(val.to_complex()))
-    return worst
 
 
 class OperatorMatrix:
@@ -149,71 +291,32 @@ class OperatorMatrix:
 
 
 class GnsContext:
-    """Caches fuzzy bases and derivation compressions for one algebra."""
+    """Fuzzy bases, projections and derivation compressions for one
+    algebra; the chains behind the bases are cached on the algebra."""
 
     def __init__(self, alg: Algebra, actions: UqActions | None = None):
         self.alg = alg
         self.actions = actions or UqActions(alg)
-        # per-weight Gram-Schmidt state: weight -> list of (vector, snorm)
-        self._columns: dict[int, list] = {}
-        self._vectors: list[FuzzyVector] = []
-        self._built_level = -1
-        self._float_gram_worst = 0.0
 
     def haar_inner(self, x: AlgebraElement, y: AlgebraElement):
         return haar_inner(self.alg, x, y)
 
     # -- fuzzy basis -------------------------------------------------------
 
-    def _layer_candidates(self, d: int):
-        """Degree-d monomial candidates, weight-descending."""
-        alg = self.alg
-        out = []
-        for i in range(d, -1, -1):
-            out.append((2 * i, (alg.sphere_B ** i) * (alg.sphere_A ** (d - i))))
-        for i in range(1, d + 1):
-            out.append((-2 * i, (alg.sphere_B_star ** i) * (alg.sphere_A ** (d - i))))
-        return out
-
-    def _extend_to_level(self, N: int) -> None:
-        alg = self.alg
-        exact = alg.field.mode == "exact"
-        for d in range(self._built_level + 1, N + 1):
-            for weight, cand in self._layer_candidates(d):
-                col = self._columns.setdefault(weight, [])
-                vec = cand
-                for w_el, snorm in col:
-                    coeff = haar_inner(alg, w_el, vec) / snorm
-                    if not coeff.is_zero():
-                        vec = vec - w_el.scale(coeff)
-                snorm = haar_inner(alg, vec, vec)
-                if exact:
-                    if vec.is_zero() or snorm.is_zero():
-                        raise RuntimeError(
-                            "fuzzy candidate degenerated at degree %d" % d)
-                    # exact orthogonality against the column is automatic
-                    # for Gram-Schmidt over an exact field
-                else:
-                    mag = abs(snorm.to_complex())
-                    if mag < 1e-18:
-                        raise RuntimeError(
-                            "fuzzy Gram matrix numerically singular at "
-                            "degree %d (norm %g)" % (d, mag))
-                    for w_el, sn in col:
-                        self._float_gram_worst = max(
-                            self._float_gram_worst,
-                            abs(haar_inner(alg, w_el, vec).to_complex()))
-                col.append((vec, snorm))
-                self._vectors.append(FuzzyVector(vec, snorm, d, weight))
-            self._built_level = d
-
     def fuzzy_basis(self, N: int) -> FuzzyBasis:
+        """Spin <= N vectors, by spin, then weight descending: the
+        spin-d, weight-2k vector is right-degree-0 chain k at position
+        d - |k|."""
         if N < 0:
             raise ValueError("level must be non-negative")
-        self._extend_to_level(N)
-        vectors = self._vectors[: (N + 1) ** 2]
-        cert = 0.0 if self.alg.field.mode == "exact" else self._float_gram_worst
-        return FuzzyBasis(N, list(vectors), cert)
+        ortho = _graded_ortho(self.alg, 0)
+        ortho.ensure_degree(2 * N)
+        vectors = []
+        for d in range(N + 1):
+            for k in range(d, -d - 1, -1):
+                vec, snorm = ortho.chains[k]["vecs"][d - abs(k)]
+                vectors.append(FuzzyVector(vec, snorm, d, 2 * k))
+        return FuzzyBasis(N, vectors)
 
     # -- projections -------------------------------------------------------
 

@@ -25,7 +25,6 @@ from .berezin import Berezin
 from . import specnorm
 from .specnorm import (
     RepTruncation,
-    coefficient_sum_bound,
     delta_block_grid,
     delta_block_matrix,
     lip_norm,

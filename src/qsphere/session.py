@@ -102,22 +102,3 @@ class SessionConfig:
             "cacheDir": self.cache_dir,
             "outputFormat": self.output_format,
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SessionConfig":
-        return cls(
-            q_text=obj.get("q", "1/2"),
-            scalar_mode=obj.get("scalarMode", "exact"),
-            precision=int(obj.get("precision", 50)),
-            norm_truncation=int(obj.get("normTruncation", 200)),
-            search_truncation=int(obj.get("searchTruncation", 4)),
-            theta_grid=int(obj.get("thetaGrid", 16)),
-            rel_tol=float(obj.get("relTol", 1e-8)),
-            trend_tol=float(obj.get("trendTol", 1e-3)),
-            estimator_gap=float(obj.get("estimatorGap", 0.05)),
-            restarts=int(obj.get("restarts", 8)),
-            max_iters=int(obj.get("maxIters", 150)),
-            seed=int(obj.get("seed", 0)),
-            cache_dir=obj.get("cacheDir", ""),
-            output_format=obj.get("outputFormat", "json"),
-        )

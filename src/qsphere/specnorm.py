@@ -8,10 +8,13 @@ algebra is commutative and elements are evaluated on an angle grid
 instead; that path reports itself as grid-resolution-limited.
 
 Lower bounds come from a dense SVD of the truncated matrix, upper
-bounds from the crude coefficient-sum estimate.  The Gram oracle
-at the bottom reaches the same Lip seminorm through Haar inner products
-alone, with no representation matrices, which is what makes it an
-independent check.
+bounds from the crude coefficient-sum estimate.  The Gram oracle at the
+bottom reaches the same Lip seminorm through Haar inner products alone,
+with no representation matrices, which is what makes it an independent
+check: it whitens each Dirac symbol's multiplication operator against
+the orthogonal monomial chains of gns (right degree +-1 for the domain,
+shifted by the symbol's right degree for the codomain), whose inner
+products are closed-form sums over the Haar weights.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
-from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate, monomials
+from .gns import _graded_ortho
+from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
 from .uq_actions import UqActions
 
 # truncation ladder: double M until successive values agree to _REL_TOL
@@ -355,148 +359,6 @@ def delta_block_grid(actions: UqActions, x: AlgebraElement) -> np.ndarray:
 
 
 # -- Gram dual oracle ----------------------------------------------------------
-
-
-class _HaarInnerCache:
-    """h(m1* m2) for monomial pairs, in closed form.
-
-    The Haar state vanishes unless m1 = a^k b^l1 b*^n1 and
-    m2 = a^k b^l2 b*^n2 share both degrees, that is the a-exponent k and
-    the b-charge l1 - n1 = l2 - n2.  Then m1* m2 = P_k(A) A^s with
-    A = b b*, s = n1 + l2 and
-
-        P_k = prod_{i=1..k} (1 - q^(2i) A)          k >= 0  (a*^k a^k)
-        P_k = prod_{i=0..|k|-1} (1 - q^(-2i) A)     k < 0   (a^|k| a*^|k|),
-
-    so h(m1* m2) = sum_j [P_k]_j h(A^(j+s)), with the weights
-    h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987).  No algebra
-    product is formed; the result is the same field element that
-    alg.haar(m1.star() * m2) gives.
-    """
-
-    def __init__(self, alg: Algebra):
-        self.alg = alg
-        self.polys: dict = {}            # k -> coefficients of P_k
-        self.cache: dict = {}            # (k, s) -> h(P_k(A) A^s)
-
-    def _poly(self, k: int) -> list:
-        coeffs = self.polys.get(k)
-        if coeffs is None:
-            F = self.alg.field
-            exps = range(2, 2 * k + 1, 2) if k >= 0 else range(0, 2 * k, -2)
-            coeffs = [F.one]
-            for e in exps:
-                # multiply by (1 - q^e A)
-                c = F.q_power(e)
-                coeffs = ([coeffs[0]]
-                          + [coeffs[j] - c * coeffs[j - 1]
-                             for j in range(1, len(coeffs))]
-                          + [-(c * coeffs[-1])])
-            self.polys[k] = coeffs
-        return coeffs
-
-    def __call__(self, m1: Monomial, m2: Monomial):
-        alg = self.alg
-        if (m1.left_degree() != m2.left_degree()
-                or m1.right_degree() != m2.right_degree()):
-            return alg.field.zero
-        key = (m1.a_exp, m1.bs_exp + m2.b_exp)
-        hit = self.cache.get(key)
-        if hit is None:
-            k, s = key
-            hit = alg.field.zero
-            for j, c in enumerate(self._poly(k)):
-                hit = hit + c * alg.haar_weight(j + s)
-            self.cache[key] = hit
-        return hit
-
-
-class _GradedOrtho:
-    """Orthogonal chains of graded monomials, one per a-exponent.
-
-    Monomials of a fixed right degree split into chains sharing the same
-    a-exponent k; Haar inner products vanish across chains, so the
-    chains can be orthogonalized independently.  Within chain k every
-    inner product is a Jackson sum h(P_k(A) A^s) in A = b b* (see
-    _HaarInnerCache), whose weights are h(A^l) = 1/[l+1]_{q^2} (Podleś,
-    Quantum spheres, 1987), so Gram-Schmidt runs on those closed forms
-    and never multiplies algebra elements.  Each squared norm is read
-    off a projection: <w, w> = <w, mono> because w = mono minus its
-    projection on the earlier, orthogonal vectors.  Raw monomial Gram
-    matrices are numerically singular far beyond double precision, which
-    is why the orthogonalization runs in the exact scalar field and only
-    the final whitened operator matrix is floated.
-    """
-
-    def __init__(self, alg: Algebra, rdeg: int):
-        self.alg = alg
-        self.rdeg = rdeg
-        self.inner = _HaarInnerCache(alg)
-        # chain key k -> {"monos": [...], "index": {mono: pos},
-        # "vecs": [(w, snorm)], "proj": [dict]}
-        # proj[alpha][t] = <w_alpha, mono_t> over the chain positions t
-        self.chains: dict = {}
-        self.order: list = []            # (k, pos) in graded enumeration order
-        self.built_degree = -1
-
-    def ensure_degree(self, D: int) -> None:
-        if D <= self.built_degree:
-            return
-        for mono in monomials(D, self.built_degree + 1):
-            if mono.right_degree() == self.rdeg:
-                self._append(mono)
-        self.built_degree = D
-
-    def _append(self, mono: Monomial) -> None:
-        alg = self.alg
-        ch = self.chains.setdefault(
-            mono.a_exp, {"monos": [], "index": {}, "vecs": [], "proj": []})
-        pos = len(ch["monos"])
-        vec = AlgebraElement(alg, {mono: alg.field.one})
-        for (w, s), row in zip(ch["vecs"], ch["proj"]):
-            p = self._elem_mono_inner(w, mono)
-            row[pos] = p
-            if not p.is_zero():
-                vec = vec - w.scale(p / s)
-        snorm = self._elem_mono_inner(vec, mono)
-        if snorm.is_zero():
-            raise RuntimeError("graded monomials degenerated at %r" % (mono,))
-        ch["monos"].append(mono)
-        ch["index"][mono] = pos
-        ch["vecs"].append((vec, snorm))
-        # projections of the new vector onto every chain monomial so far
-        # are zero below the diagonal by orthogonality; later ones are
-        # recorded as later monomials join the chain
-        ch["proj"].append({pos: snorm})
-        self.order.append((mono.a_exp, pos))
-
-    def _elem_mono_inner(self, w: AlgebraElement, mono: Monomial):
-        tot = self.alg.field.zero
-        for m, c in w.terms.items():
-            tot = tot + c.conjugate() * self.inner(m, mono)
-        return tot
-
-    def proj_coeff(self, k: int, alpha: int, pos: int):
-        """<w_alpha, mono_pos> within chain k; zero below the diagonal."""
-        return self.chains[k]["proj"][alpha].get(pos, self.alg.field.zero)
-
-    def basis_selection(self, count: int):
-        """(chain, position) pairs of the first `count` graded monomials."""
-        d = self.built_degree
-        while len(self.order) < count:
-            d += 1
-            self.ensure_degree(d)
-        return self.order[:count]
-
-
-def _graded_ortho(alg: Algebra, rdeg: int) -> _GradedOrtho:
-    cache = getattr(alg, "_graded_ortho_cache", None)
-    if cache is None:
-        cache = {}
-        alg._graded_ortho_cache = cache
-    if rdeg not in cache:
-        cache[rdeg] = _GradedOrtho(alg, rdeg)
-    return cache[rdeg]
 
 
 _LIFTED_ALGEBRAS: dict = {}

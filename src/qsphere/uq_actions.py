@@ -12,11 +12,11 @@ twisted Leibniz rule
 with K the k-action, so actions are computed by peeling one generator
 at a time with memoization instead of expanding coproducts.
 
-The table values are not axioms here: a table is accepted only after
-an exhaustive symbolic identity suite (Leibniz, star compatibility,
-Haar annihilation, grading, conjugation by the fundamental
-corepresentation) passes up to a configurable degree.  Custom tables
-must pair k and k^-1 diagonally against the corepresentation.
+The table values are not axioms here: before any action is used, an
+exhaustive symbolic identity suite (Leibniz, star compatibility, Haar
+annihilation, grading, conjugation by the fundamental corepresentation)
+must pass on every monomial up to degree 4, once per scalar field and
+process.
 """
 
 from __future__ import annotations
@@ -29,80 +29,39 @@ from .qhopf import (GEN_A, GEN_AS, GEN_B, GEN_BS, UNIT, Algebra,
 DERIVATION_LABELS = ("delta1", "delta2", "delta3", "delta4",
                      "deltaK", "deltaKinv", "partialE", "partialF", "partialK")
 
-_GENS = (GEN_A, GEN_AS, GEN_B, GEN_BS)
-
-# tables already accepted in this process, keyed by table signature and
-# validation degree; validation is pure so a repeat load can skip it
+# fields whose table passed the identity suite in this process; the
+# suite is pure, so a repeat construction skips it
 _ACCEPTED: set = set()
-
-
-class PairingTable:
-    """Pairing of {e, f, k, kinv} against the generator quadruple.
-
-    Stored as raw generator values <eta, g> for g in {a, as, b, bs}.
-    k and kinv must pair diagonally and invertibly against the
-    fundamental corepresentation [[as, -q b], [bs, a]].
-    """
-
-    def __init__(self, field, values: dict, delta3_limit: str | None = "halfweight"):
-        self.field = field
-        self.values = values
-        self.delta3_limit = delta3_limit
-        for eta in ("e", "f", "k", "kinv"):
-            if eta not in values:
-                raise ValueError("pairing table missing generator %r" % eta)
-        for eta in ("k", "kinv"):
-            row = values[eta]
-            if not row[GEN_B].is_zero() or not row[GEN_BS].is_zero():
-                raise ValueError("pairing of %r must be diagonal against "
-                                 "the corepresentation" % eta)
-            if row[GEN_A].is_zero() or row[GEN_AS].is_zero():
-                raise ValueError("pairing of %r must be invertible" % eta)
-
-    @classmethod
-    def default(cls, field) -> "PairingTable":
-        # The e/f values are pinned by the identity suite: star
-        # compatibility ties <f,bs> = -q conj(<e,b>), and the diagonal
-        # of the corepresentation conjugation forces <e,b> = -1/q.
-        z = field.zero
-        one = field.one
-        q = field.q
-        values = {
-            "e": {GEN_A: z, GEN_AS: z, GEN_B: -(one / q), GEN_BS: z},
-            "f": {GEN_A: z, GEN_AS: z, GEN_B: z, GEN_BS: one},
-            "k": {GEN_A: field.q_half_power(1), GEN_AS: field.q_half_power(-1),
-                  GEN_B: z, GEN_BS: z},
-            "kinv": {GEN_A: field.q_half_power(-1), GEN_AS: field.q_half_power(1),
-                     GEN_B: z, GEN_BS: z},
-        }
-        return cls(field, values, delta3_limit="halfweight")
-
-    def signature(self) -> tuple:
-        bits = []
-        for eta in ("e", "f", "k", "kinv"):
-            for g in _GENS:
-                bits.append(repr(self.values[eta][g]))
-        return (self.field.mode, repr(self.field.describe()), tuple(bits),
-                self.delta3_limit)
+_VALIDATE_DEGREE = 4
 
 
 class UqActions:
-    """Left and right actions bound to one algebra context and table."""
+    """Left and right actions bound to one algebra context.
 
-    def __init__(self, alg: Algebra, table: PairingTable | None = None,
-                 validate: bool = True, validate_degree: int = 4):
+    The pairing table holds the generator values <eta, g> for eta in
+    {e, f, k, kinv} and g in {a, as, b, bs}; k and kinv pair diagonally
+    against the fundamental corepresentation [[as, -q b], [bs, a]].
+    """
+
+    def __init__(self, alg: Algebra):
         self.alg = alg
-        self.field = alg.field
-        self.table = table or PairingTable.default(alg.field)
-        if self.table.field is not alg.field:
-            raise ValueError("pairing table belongs to a different scalar field")
-        F = self.field
-        tv = self.table.values
+        self.field = F = alg.field
+        z, one, q = F.zero, F.one, F.q
+        # The e/f values are pinned by the identity suite: star
+        # compatibility ties <f,bs> = -q conj(<e,b>), and the diagonal
+        # of the corepresentation conjugation forces <e,b> = -1/q.
+        tv = {
+            "e": {GEN_A: z, GEN_AS: z, GEN_B: -(one / q), GEN_BS: z},
+            "f": {GEN_A: z, GEN_AS: z, GEN_B: z, GEN_BS: one},
+            "k": {GEN_A: F.q_half_power(1), GEN_AS: F.q_half_power(-1),
+                  GEN_B: z, GEN_BS: z},
+            "kinv": {GEN_A: F.q_half_power(-1), GEN_AS: F.q_half_power(1),
+                     GEN_B: z, GEN_BS: z},
+        }
         # Images of single generators under each action, from the
         # generator coproducts:
         #   Delta a  = a(x)a - q bs(x)b     Delta b  = b(x)a + as(x)b
         #   Delta as = as(x)as - q b(x)bs   Delta bs = bs(x)as + a(x)bs
-        q = F.q
         self._left_gen_img = {}
         self._right_gen_img = {}
         for eta in ("e", "f"):
@@ -131,11 +90,10 @@ class UqActions:
                                           GEN_B: p[GEN_A], GEN_BS: p[GEN_AS]}
         self._char_cache: dict = {}
         self._ef_cache: dict = {}
-        if validate:
-            key = self.table.signature() + (validate_degree,)
-            if key not in _ACCEPTED:
-                _run_identity_suite(self, validate_degree)
-                _ACCEPTED.add(key)
+        key = (F.mode, repr(F.describe()))
+        if key not in _ACCEPTED:
+            _run_identity_suite(self, _VALIDATE_DEGREE)
+            _ACCEPTED.add(key)
 
     def _combo(self, pairs) -> AlgebraElement:
         out = self.alg.scalar_element(self.field.zero)
@@ -245,9 +203,7 @@ class UqActions:
         den = F.q - (F.one / F.q)
         if not den.is_zero():
             return num / den
-        if self.table.delta3_limit != "halfweight":
-            raise ValueError("delta3 at q = 1 needs limit data "
-                             "(delta3Limit: halfweight) in the pairing table")
+        # q = 1: the half-weight limit of (k - kinv) / (q - 1/q)
         w = mono.left_degree() if side == "left" else mono.right_degree()
         return F.from_rational(Fraction(w, 2))
 

@@ -126,6 +126,20 @@ def test_verify_suite(capsys):
     assert "seconds" not in obj
 
 
+def test_verify_float_projections(capsys):
+    # the level-5 fuzzy basis has squared norms near 1e-21 at q=1/2;
+    # float mode must build it and report, not raise.  The suite's
+    # checks compare residuals with exact zeros, so float residuals may
+    # fail them (exit 2)
+    code, out, err = run(capsys, "verify", "--q", "1/2", "--suite",
+                         "projections", "--scalar-mode", "float")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    obj = json.loads(out)
+    assert obj["suite"] == "projections"
+    assert len(obj["checks"]) == 4
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list-suites")
     assert code == 0

@@ -94,3 +94,24 @@ def test_cli_float_mode(capsys):
     assert obj["config"]["scalarMode"] == "float"
     want = (1 - 0.25 ** 2) / (1 - 0.25 ** 4)
     assert obj["float"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_fuzzy_basis_float_matches_exact(level):
+    # the smallest squared norms are about 1e-21 (level 5) and 5e-30
+    # (level 6); 50 digits resolve them, so they must round to the
+    # exact values
+    flt = GnsContext(make_algebra(1, 2, mode="float")).fuzzy_basis(level)
+    ex = GnsContext(make_algebra(1, 2)).fuzzy_basis(level)
+    assert len(flt) == len(ex) == (level + 1) ** 2
+    for v, w in zip(flt.vectors, ex.vectors):
+        assert (v.spin, v.weight) == (w.spin, w.weight)
+        assert float(v.snorm.to_complex().real) == float(w.snorm.as_fraction())
+
+
+def test_fuzzy_basis_float_raises_when_digits_run_out():
+    # at level 7 the squared norms cancel below 50 digits; the basis
+    # must raise rather than return noise
+    gns = GnsContext(make_algebra(1, 2, mode="float"))
+    with pytest.raises(RuntimeError, match="degenerated"):
+        gns.fuzzy_basis(7)

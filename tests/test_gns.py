@@ -3,7 +3,8 @@
 import pytest
 
 from qsphere import GnsContext, make_algebra
-from qsphere.gns import FuzzyBasis
+from qsphere.gns import haar_inner
+from qsphere.suites import random_elements
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +22,34 @@ def test_basis_count_and_prefix(gns):
         assert v2.weight == v3.weight
 
 
-def test_basis_orthogonal(gns):
-    alg = gns.alg
-    vs = gns.fuzzy_basis(2).vectors
-    for i, v in enumerate(vs):
-        for w in vs[i + 1:]:
-            assert gns.haar_inner(v.element, w.element).is_zero()
-        sn = gns.haar_inner(v.element, v.element)
-        assert sn == v.snorm
-        assert sn.as_fraction() > 0
-    assert vs[0].element == alg.unit
-    assert all(v.spin > 0 for v in vs[1:])
+def test_basis_orthogonal():
+    # the product route h(v* w) is the oracle for the closed-form chains
+    for q in [(1, 2), (9, 10), (1, 3), (1, 1)]:
+        alg = make_algebra(*q)
+        vs = GnsContext(alg).fuzzy_basis(4).vectors
+        assert len(vs) == 25
+        for i, v in enumerate(vs):
+            for w in vs[i + 1:]:
+                assert alg.haar(v.element.star() * w.element).is_zero()
+            sn = alg.haar(v.element.star() * v.element)
+            assert sn == v.snorm
+            assert sn.as_fraction() > 0
+        assert vs[0].element == alg.unit
+        assert all(v.spin > 0 for v in vs[1:])
+
+
+@pytest.mark.parametrize("sphere", [True, False])
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 1)])
+def test_haar_inner_matches_product(q, sphere):
+    alg = make_algebra(*q)
+    elems = random_elements(alg, 30, 4, seed=7, sphere=sphere)
+    nonzero = 0
+    for x in elems:
+        for y in elems:
+            want = alg.haar(x.star() * y)
+            assert haar_inner(alg, x, y) == want, (x, y)
+            nonzero += not want.is_zero()
+    assert nonzero > len(elems)
 
 
 def test_projection_truncates_spin(gns):
@@ -69,16 +87,6 @@ def test_compression_commutes(gns):
     # compressing at N then M equals compressing at M for M <= N
     r = gns.pn_commutation_check("delta1", 1, 3)
     assert r == 0.0
-
-
-def test_basis_round_trip(gns):
-    b = gns.fuzzy_basis(2)
-    obj = b.to_obj()
-    back = FuzzyBasis.from_obj(gns.alg, obj)
-    assert len(back) == len(b)
-    for u, v in zip(back.vectors, b.vectors):
-        assert u.element == v.element
-        assert u.snorm == v.snorm
 
 
 def test_modular_conjugation_involution(gns):

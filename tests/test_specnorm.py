@@ -7,9 +7,9 @@ import pytest
 
 from qsphere import Berezin, GnsContext, UqActions, make_algebra
 from qsphere.exprs import parse_expression
+from qsphere.gns import _HaarInnerCache
 from qsphere.qhopf import AlgebraElement, monomials
-from qsphere.specnorm import (RepTruncation, _HaarInnerCache,
-                              coefficient_sum_bound,
+from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
                               delta_block_grid, delta_block_matrix, lip_norm,
                               lip_norm_gram_oracle, lip_upper_bound,
                               operator_norm, relation_residuals,
