@@ -62,6 +62,10 @@ class SessionConfig:
             raise ValueError("precision must be at least 15 digits")
         if self.norm_truncation < 2:
             raise ValueError("norm truncation must be at least 2")
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
     @property
     def q(self) -> Fraction:

@@ -89,6 +89,8 @@ def test_usage_errors(capsys):
     ("berezin", "--N", "-1", "--expr", "A"),
     ("lipnorm", "--trunc", "0", "--expr", "A"),
     ("lipnorm", "--trunc", "-3", "--expr", "B"),
+    ("dist", "--N", "1", "--M", "2", "--max-iters", "-5"),
+    ("dist", "--N", "1", "--M", "2", "--restarts", "-3"),
 ])
 def test_bad_input_writes_no_artifact(capsys, tmp_path, argv):
     out = tmp_path / "artifact.json"

@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qsphere import make_algebra
-from qsphere.mkdist import (OptimizationProblem, approx_inequality_check,
-                            default_probes, estimate_distance,
-                            objective_value, selfadjoint_basis,
-                            theorem_b_approximant)
+from qsphere import GnsContext, UqActions, make_algebra
+from qsphere.exprs import element_to_text
+from qsphere.mkdist import (OptimizationProblem, _ShiftDenominator,
+                            approx_inequality_check, default_probes,
+                            estimate_distance, objective_value,
+                            selfadjoint_basis, theorem_b_approximant)
 
 
 SMALL = dict(norm_truncation=100, restarts=2, max_iters=40, seed=3)
@@ -20,6 +22,12 @@ def est1(ber_half):
     return estimate_distance(ber_half, prob)
 
 
+@pytest.fixture(scope="module")
+def est1_heur(ber_half):
+    prob = OptimizationProblem(N=1, M=2, mode="heuristic", **SMALL)
+    return estimate_distance(ber_half, prob)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OptimizationProblem(N=0, M=2)
@@ -27,6 +35,10 @@ def test_problem_validation():
         OptimizationProblem(N=1, M=0)
     with pytest.raises(ValueError):
         OptimizationProblem(N=1, M=2, mode="exact")
+    with pytest.raises(ValueError):
+        OptimizationProblem(N=1, M=2, restarts=-3)
+    with pytest.raises(ValueError):
+        OptimizationProblem(N=1, M=2, max_iters=-5)
 
 
 def test_basis_structure(gns_half, alg_half):
@@ -88,11 +100,64 @@ def test_warm_start_never_hurts(ber_half, est1):
     assert warm.value >= est1.value - 1e-12
 
 
-def test_heuristic_mode(ber_half):
-    prob = OptimizationProblem(N=1, M=2, mode="heuristic", **SMALL)
-    est = estimate_distance(ber_half, prob)
+def test_heuristic_mode(est1_heur):
+    est = est1_heur
     assert est.value == est.heuristic_value
     assert est.certified_value <= est.heuristic_value + 1e-12
+
+
+def test_frozen_heuristic_search_path(est1_heur):
+    # recorded before the shift operator moved onto a fixed sparsity
+    # pattern; the coordinates and the rationalized witness move with
+    # roundoff changes in the ascent (a one-ulp change in T(c) or a
+    # tighter power-loop tolerance moves them), so they pin its
+    # floating-point path exactly.  The value's last bits come from
+    # LAPACK's dense SVD and follow the BLAS thread count
+    # (0.4436955995099416 on two threads, 0.44369559950994175 on one),
+    # so it is compared to 1e-14.
+    assert est1_heur.source == "eta-heur"
+    assert est1_heur.coords == (
+        0.002540686114128821, 0.0, 0.7576970436388342,
+        -1.1831993703669672e-08, 0.0, 0.0005760876401008493, 0.0,
+        -0.6526012588848347)
+    assert est1_heur.heuristic_value == pytest.approx(0.4436955995099416,
+                                                      rel=1e-14)
+    assert element_to_text(est1_heur.witness) == (
+        "-10/640379857*as^2*b^2"
+        " + 2910183532675273/707474341428244311*as*b"
+        " - 4666755/1444219174*as*b^2*bs + 66266299/477752547"
+        " + 2804250425/637003396*b*bs - 360050467/74941576*b^2*bs^2"
+        " + 2910183532675273/1414948682856488622*a*bs"
+        " - 4666755/11553753392*a*b*bs^2 - 5/5123038856*a^2*bs^2")
+
+
+def _old_shift_operator(mats, c):
+    # the route the fixed pattern replaced: sequential sparse adds,
+    # skipping zero coefficients after the first term
+    T = mats[0] * c[0]
+    for cr, D in zip(c[1:], mats[1:]):
+        if cr != 0.0:
+            T = T + D * cr
+    return T, T.conj().transpose()
+
+
+def test_shift_operator_assembly_exact():
+    for qn, qd in ((1, 2), (9, 10)):
+        alg = make_algebra(qn, qd)
+        gns = GnsContext(alg, UqActions(alg))
+        for M in (2, 3, 4):
+            basis = selfadjoint_basis(gns, M)
+            denom = _ShiftDenominator(gns.actions, basis, 40)
+            rng = np.random.default_rng([M, qd])
+            for k in range(6):
+                c = rng.standard_normal(len(basis))
+                c[rng.random(len(basis)) < 0.4] = 0.0
+                if k % 2 == 0:
+                    c[0] = 0.0
+                denom.sigma_and_grad(c)
+                T, TH = _old_shift_operator(denom.mats, c)
+                assert np.array_equal(denom.T.toarray(), T.toarray())
+                assert np.array_equal(denom.TH.toarray(), TH.toarray())
 
 
 def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
