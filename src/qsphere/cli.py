@@ -476,6 +476,7 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
                     "cell": [q_text, N, M],
                     "config": {k: v for k, v in qcfg.to_obj().items()
                                if k not in ("cacheDir", "outputFormat")},
+                    "search": mkdist.SEARCH_VERSION,
                 })
                 key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
                 path = os.path.join(cache_dir, f"sweep-{key}.json")

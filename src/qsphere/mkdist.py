@@ -6,7 +6,10 @@ from below by the ratio |h_N(x) - eps(x)| / L(x) at any nonscalar
 selfadjoint x.  This module searches for good witnesses x inside the
 selfadjoint part of a fuzzy-basis span by projected subgradient ascent,
 and packages the smooth-approximant construction (transform the element,
-compare seminorms and norms) as a checkable report.
+compare seminorms and norms) as a checkable report.  The ascent reads
+the truncated seminorm and its gradient off a Lanczos top-singular-triplet
+kernel that stops on its residual, so the value an ascent keeps as its
+best is the one its witness scores.
 
 Only lower bounds are produced; upper bounds would need a dual
 Lipschitz-extension argument and are out of scope.
@@ -34,6 +37,11 @@ from .specnorm import (
 )
 
 _TINY = 1e-300
+
+# raised whenever a change moves the search's floating-point path, hence
+# its values; sweep cache keys carry it, so cells cached by an older
+# search are recomputed rather than served beside new ones
+SEARCH_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -210,18 +218,28 @@ def objective_value(ber: Berezin, x: AlgebraElement, N: int, mode: str,
     return num / den
 
 
+# Lanczos for the top singular triplet: a run of n steps spans the whole
+# space, so runs restart only on matrices larger than the step cap
+_LANCZOS_STEPS = 1000      # Krylov dimension cap of one run
+_LANCZOS_RUNS = 200        # runs, each restarted from the last Ritz vector
+_LANCZOS_TOL = 1e-12       # Ritz residual over Ritz value at the stop
+
+
 class _ShiftDenominator:
     """Truncated-representation seminorm of coordinate combinations.
 
     The one singular-value routine besides specnorm.dominant_sigma.  The
-    ascent calls it thousands of times on slowly moving combinations,
-    and its power loop, warm-started from the previous right vector,
-    costs about 2.1 ms a call against about 33 ms for a dense SVD with
-    singular vectors (400-dimensional block matrix at q = 1/2, search
-    M = 4, norm truncation 200, over four 150-step ascents, one BLAS
-    thread on an AMD EPYC core).  T(c) and its adjoint are written into
-    one sparsity pattern fixed at construction, so a call does no
-    sparse adds.
+    ascent calls it thousands of times on slowly moving combinations.
+    Lanczos on T^H T with full reorthogonalization, from one fixed
+    seeded start vector, stops on the Ritz residual, so sigma(c) is a
+    function of c alone and accurate to roundoff on degenerate leading
+    pairs too.  It costs about 0.55 ms a call, 11 to 12 Lanczos steps,
+    against about 30 ms for a dense SVD with singular vectors
+    (400-dimensional block matrix at q = 1/2, search M = 4, norm
+    truncation 200, over the 1200 calls of the default search at N = 1,
+    one BLAS thread on an AMD EPYC core).  T(c) and the gradient are
+    each one sparse product on a sparsity pattern fixed at construction,
+    and the adjoint is a permutation of T(c)'s data.
     """
 
     def __init__(self, actions, basis: Sequence[AlgebraElement], M: int):
@@ -229,64 +247,97 @@ class _ShiftDenominator:
         trunc = RepTruncation(q, M, 0.0)
         self.mats = [delta_block_matrix(actions, u, trunc) for u in basis]
         n = self.n = self.mats[0].shape[0]
-        # union sparsity pattern, keyed row * n + col in CSR order, each
-        # matrix's scatter index into it, and the permutation taking the
-        # pattern to the CSR order of its transpose
+        # union sparsity pattern, keyed row * n + col in CSR order; S has
+        # one row per pattern entry and one column per basis matrix, so
+        # S @ c is the data of T(c), and the permutation takes the
+        # pattern to the CSR order of the transpose
         keys = [np.repeat(np.arange(n), np.diff(D.indptr)) * n + D.indices
                 for D in self.mats]
         mask = np.zeros(n * n, dtype=bool)
         for k in keys:
             mask[k] = True
         pattern = np.flatnonzero(mask)
-        self.scatter = [np.searchsorted(pattern, k) for k in keys]
-        rows, cols = np.divmod(pattern, n)
-        self.perm = np.argsort(cols * n + rows)
+        self.S = sparse.csr_matrix(
+            (np.concatenate([D.data for D in self.mats]),
+             (np.searchsorted(pattern, np.concatenate(keys)),
+              np.repeat(np.arange(len(keys)), [len(k) for k in keys]))),
+            shape=(len(pattern), len(keys)))
+        self.ST = self.S.T.tocsr()
+        self.rows, self.cols = np.divmod(pattern, n)
+        self.perm = np.argsort(self.cols * n + self.rows)
         self.T = sparse.csr_matrix(
-            (np.zeros(len(pattern), dtype=complex), cols,
-             np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+            (np.zeros(len(pattern), dtype=complex), self.cols,
+             np.searchsorted(self.rows, np.arange(n + 1))), shape=(n, n))
         self.TH = sparse.csr_matrix(
-            (np.zeros(len(pattern), dtype=complex), rows[self.perm],
-             np.searchsorted(cols[self.perm], np.arange(n + 1))),
+            (np.zeros(len(pattern), dtype=complex), self.rows[self.perm],
+             np.searchsorted(self.cols[self.perm], np.arange(n + 1))),
             shape=(n, n))
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        self.start = start / np.linalg.norm(start)
+        steps = min(_LANCZOS_STEPS, n)
+        self.V = np.empty((steps + 1, n), dtype=complex)
+        self.H = np.zeros((steps, steps))
 
-    def sigma_and_grad(self, c: np.ndarray, v0=None):
-        # T(c) = sum_r c_r D_r, accumulated in term order on the fixed
-        # pattern: each entry gets the roundings of sequential sparse
-        # adds, and the entries those adds leave out are explicit zeros
-        # here, which leave every product unchanged bit for bit
+    def sigma_and_grad(self, c: np.ndarray):
+        # T(c) = sum_r c_r D_r: each pattern entry sums its terms in
+        # basis order, the roundings of sequential sparse adds
         T, TH = self.T, self.TH
-        d = T.data
-        d[:] = 0.0
-        d[self.scatter[0]] = self.mats[0].data * c[0]
-        for cr, D, idx in zip(c[1:], self.mats[1:], self.scatter[1:]):
-            if cr != 0.0:
-                d[idx] += D.data * cr
-        np.conjugate(d[self.perm], out=TH.data)
-        v = v0 if v0 is not None else np.ones(self.n, dtype=complex)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            v = np.ones(self.n, dtype=complex)
-            nv = np.linalg.norm(v)
-        v = v / nv
-        sigma = 0.0
-        u = np.zeros(self.n, dtype=complex)
-        for _ in range(500):
-            u = T @ v
-            su = np.linalg.norm(u)
-            if su < _TINY:
-                return 0.0, np.zeros(len(self.mats)), v
-            u = u / su
-            w = TH @ u
-            sw = np.linalg.norm(w)
-            if sw < _TINY:
-                return 0.0, np.zeros(len(self.mats)), v
-            v = w / sw
-            if abs(sw - sigma) <= 1e-12 * max(sw, 1.0):
-                sigma = sw
-                break
-            sigma = sw
-        grad = np.array([np.real(np.vdot(u, D @ v)) for D in self.mats])
-        return float(sigma), grad, v
+        T.data[:] = self.S @ c
+        np.conjugate(T.data[self.perm], out=TH.data)
+        v = self._top_right_vector()
+        u = T @ v
+        sigma = float(np.linalg.norm(u))
+        if sigma < _TINY:
+            return 0.0, np.zeros(len(self.mats)), v
+        u /= sigma
+        # d sigma / d c_r = Re(u^H D_r v), summed over the pattern
+        grad = (self.ST @ (u.conj()[self.rows] * v[self.cols])).real
+        return sigma, grad, v
+
+    def _top_right_vector(self) -> np.ndarray:
+        """Top eigenvector of T^H T by Lanczos with full reorthogonalization.
+
+        Each run starts from the fixed seeded vector or, after a run that
+        used all its steps unconverged, from that run's Ritz vector.  A
+        run stops once the Ritz residual beta_k |y_k| is at most
+        _LANCZOS_TOL times the Ritz value (an invariant subspace gives a
+        zero residual).  The reorthogonalization sums run in numpy's own
+        loops rather than in threaded BLAS, so the path does not follow
+        the BLAS thread count.
+        """
+        T, TH, V, H = self.T, self.TH, self.V, self.H
+        steps = len(H)
+        x = self.start
+        for _ in range(_LANCZOS_RUNS):
+            V[0] = x
+            for k in range(steps):
+                w = TH @ (T @ V[k])
+                Vk = V[:k + 1]
+                H[k, k] = 0.0
+                for _pass in range(2):      # classical Gram-Schmidt, twice
+                    h = np.einsum("ij,j->i", Vk, w.conj()).conj()
+                    w -= np.einsum("i,ij->j", h, Vk)
+                    H[k, k] += h[k].real
+                b = float(np.linalg.norm(w))
+                theta, y = _top_ritz_pair(H[:k + 1, :k + 1])
+                done = b * abs(y[-1]) <= _LANCZOS_TOL * theta
+                if done or k == steps - 1:
+                    x = np.einsum("i,ij->j", y, Vk)
+                    x /= np.linalg.norm(x)
+                    if done:
+                        return x
+                else:
+                    H[k + 1, k] = b
+                    V[k + 1] = w / b
+        raise ArithmeticError("Lanczos did not reach its residual tolerance")
+
+
+def _top_ritz_pair(tri: np.ndarray) -> tuple:
+    """Largest eigenvalue and its unit eigenvector of a symmetric
+    tridiagonal matrix given by its lower triangle."""
+    w, z = np.linalg.eigh(tri)
+    return float(w[-1]), z[:, -1]
 
 
 class _GridDenominator:
@@ -295,7 +346,7 @@ class _GridDenominator:
     def __init__(self, actions, basis: Sequence[AlgebraElement]):
         self.G = np.stack([delta_block_grid(actions, u) for u in basis])
 
-    def sigma_and_grad(self, c: np.ndarray, v0=None):
+    def sigma_and_grad(self, c: np.ndarray):
         T = np.tensordot(c, self.G, axes=1)
         svals = np.linalg.svd(T, compute_uv=False)
         p = int(np.argmax(svals[:, 0]))
@@ -333,7 +384,7 @@ class _UpperDenominator:
             else:
                 self.E.append(np.zeros((self.dim, 0), dtype=complex))
 
-    def sigma_and_grad(self, c: np.ndarray, v0=None):
+    def sigma_and_grad(self, c: np.ndarray):
         sums, zs = [], []
         for E in self.E:
             z = c @ E
@@ -374,12 +425,11 @@ def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int,
     """
     scale, growth = step_schedule
     c = c0 / max(np.linalg.norm(c0), _TINY)
-    v_warm = None
     best_f, best_c = -1.0, c.copy()
     trace = []
     for _ in range(max_iters):
         num = float(eta @ c)
-        sigma, gsig, v_warm = denom.sigma_and_grad(c, v_warm)
+        sigma, gsig, _ = denom.sigma_and_grad(c)
         if sigma < 1e-14:
             f = -1.0
             g = eta.copy()

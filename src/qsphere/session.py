@@ -2,8 +2,12 @@
 
 Each emitted artifact embeds the full configuration, so any number in a
 report can be reproduced from the artifact alone.  Identical config and
-seed must give bit-identical JSON; wall-clock timings are therefore kept
-out of the canonical serialization.
+seed must give bit-identical JSON at a fixed BLAS thread count;
+wall-clock timings are therefore kept out of the canonical serialization.
+Values read off LAPACK's dense SVD (`lowerBound` in a lipnorm artifact,
+`heuristicValue` in a dist artifact, among others) can differ in their
+last bits between thread counts, because threaded BLAS splits the sums
+inside the SVD differently.
 """
 
 from __future__ import annotations

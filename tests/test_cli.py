@@ -1,10 +1,12 @@
 """Command line behaviour: artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
 
 from qsphere.cli import main
+from qsphere.exprs import canonical_json
 
 
 def run(capsys, *argv):
@@ -186,3 +188,33 @@ def test_sweep_cache_resume(capsys, tmp_path):
     assert out3 == out1
     assert cached[0].read_text(encoding="utf-8") == full
     assert list(tmp_path.iterdir()) == cached
+
+
+def test_sweep_ignores_cells_of_an_older_search(capsys, tmp_path):
+    args = ("sweep", "--q-list", "1/2", "--N", "1..1", "--M-range", "1..1",
+            "--trunc", "60", "--restarts", "1", "--max-iters", "10",
+            "--cache-dir", str(tmp_path))
+    code, fresh, _ = run(capsys, *args)
+    assert code == 0
+    (cell,) = tmp_path.glob("sweep-*.json")
+    cell.unlink()
+    # the cell as a sweep from before the search version joined the key
+    # would have cached it, under the key of the config alone
+    code, out, _ = run(capsys, *args, "--print-config")
+    cfg = json.loads(out)["config"]
+    key_src = canonical_json({
+        "cell": ["1/2", 1, 1],
+        "config": {k: v for k, v in cfg.items()
+                   if k not in ("cacheDir", "outputFormat")},
+    })
+    key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
+    old = tmp_path / f"sweep-{key}.json"
+    stale = dict(q="1/2", N=1, M=1, dist_lb=0.125, dist_heuristic=0.25,
+                 max_probe_ratio=0.0, mean_lipSlack=0.0, c0=1.0, c1=0.5,
+                 c2=0.25, c3=0.125, status="ok")
+    old.write_text(canonical_json(stale), encoding="utf-8")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == fresh
+    assert cell.exists()
+    assert json.loads(old.read_text(encoding="utf-8")) == stale

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qsphere import GnsContext, UqActions, make_algebra
+from qsphere import mkdist
+from qsphere.berezin import Berezin
 from qsphere.exprs import element_to_text
 from qsphere.mkdist import (OptimizationProblem, _ShiftDenominator,
                             approx_inequality_check, default_probes,
@@ -107,28 +109,25 @@ def test_heuristic_mode(est1_heur):
 
 
 def test_frozen_heuristic_search_path(est1_heur):
-    # recorded before the shift operator moved onto a fixed sparsity
-    # pattern; the coordinates and the rationalized witness move with
-    # roundoff changes in the ascent (a one-ulp change in T(c) or a
-    # tighter power-loop tolerance moves them), so they pin its
-    # floating-point path exactly.  The value's last bits come from
-    # LAPACK's dense SVD and follow the BLAS thread count
-    # (0.4436955995099416 on two threads, 0.44369559950994175 on one),
-    # so it is compared to 1e-14.
+    # re-recorded when the ascent's singular-value kernel moved from a
+    # warm-started power loop to Lanczos with a residual stop: the old
+    # path was built on sigma values up to 3.9e-9 off inside a 1e-12
+    # stopping rule.  The coordinates and the rationalized witness move
+    # with roundoff changes in the ascent, so they pin its floating-point
+    # path exactly; they are the same with one and with two BLAS threads.
+    # The value's last bits come from LAPACK's dense SVD, which can
+    # follow the BLAS thread count, so it is compared to 1e-14.
     assert est1_heur.source == "eta-heur"
     assert est1_heur.coords == (
-        0.002540686114128821, 0.0, 0.7576970436388342,
-        -1.1831993703669672e-08, 0.0, 0.0005760876401008493, 0.0,
-        -0.6526012588848347)
-    assert est1_heur.heuristic_value == pytest.approx(0.4436955995099416,
+        -6.221075432166233e-12, 9.799022153455215e-12, 0.7577025228783502,
+        -7.81188671700435e-16, 2.1992031681212965e-17,
+        -1.4802869652136395e-12, 2.3559937232206227e-12,
+        -0.6526000971680765)
+    assert est1_heur.heuristic_value == pytest.approx(0.44375529658809226,
                                                       rel=1e-14)
     assert element_to_text(est1_heur.witness) == (
-        "-10/640379857*as^2*b^2"
-        " + 2910183532675273/707474341428244311*as*b"
-        " - 4666755/1444219174*as*b^2*bs + 66266299/477752547"
-        " + 2804250425/637003396*b*bs - 360050467/74941576*b^2*bs^2"
-        " + 2910183532675273/1414948682856488622*a*bs"
-        " - 4666755/11553753392*a*b*bs^2 - 5/5123038856*a^2*bs^2")
+        "72337223/521492211 + 765238115/173830737*b*bs"
+        " - 13362360893/2781291792*b^2*bs^2")
 
 
 def _old_shift_operator(mats, c):
@@ -158,6 +157,96 @@ def test_shift_operator_assembly_exact():
                 T, TH = _old_shift_operator(denom.mats, c)
                 assert np.array_equal(denom.T.toarray(), T.toarray())
                 assert np.array_equal(denom.TH.toarray(), TH.toarray())
+
+
+def _check_against_dense_svd(monkeypatch):
+    """Wrap the kernel so that every call checks sigma against LAPACK's
+    dense SVD and the gradient against sum_r c_r Re(u^H D_r v) = sigma;
+    returns the list of (sigma, dense sigma, c . grad) seen."""
+    seen = []
+    kernel = _ShiftDenominator.sigma_and_grad
+
+    def checked(self, c):
+        sigma, grad, v = kernel(self, c)
+        dense = np.linalg.svd(self.T.toarray(), compute_uv=False)[0]
+        seen.append((sigma, dense, float(c @ grad)))
+        return sigma, grad, v
+
+    monkeypatch.setattr(_ShiftDenominator, "sigma_and_grad", checked)
+    return seen
+
+
+def _assert_exact_sigmas(seen):
+    assert seen
+    for sigma, dense, cg in seen:
+        assert sigma == pytest.approx(dense, rel=1e-12, abs=0)
+        assert cg == pytest.approx(sigma, rel=1e-12, abs=0)
+
+
+def test_shift_sigma_matches_dense_svd(monkeypatch, ber_half):
+    # q = 1/2: leading singular values come in exactly degenerate pairs;
+    # q = 9/10 at truncation 40: pairs split by about 2e-10, with the
+    # next value 1e-3 below
+    seen = _check_against_dense_svd(monkeypatch)
+    estimate_distance(ber_half, OptimizationProblem(
+        N=1, M=2, mode="heuristic", **SMALL))
+    _assert_exact_sigmas(seen)
+    alg = make_algebra(9, 10)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    seen.clear()
+    estimate_distance(ber, OptimizationProblem(
+        N=1, M=3, mode="heuristic", **dict(SMALL, norm_truncation=40)))
+    _assert_exact_sigmas(seen)
+
+
+def test_lanczos_restart_path(monkeypatch, gns_half):
+    # a three-step cap forces every call through restarts from the Ritz
+    # vector; the stop rule, hence the accuracy, is the same
+    monkeypatch.setattr(mkdist, "_LANCZOS_STEPS", 3)
+    basis = selfadjoint_basis(gns_half, 3)
+    denom = _ShiftDenominator(gns_half.actions, basis, 100)
+    assert denom.V.shape == (4, denom.n)
+    steps = []
+    ritz = mkdist._top_ritz_pair
+
+    def counted(tri):
+        steps.append(len(tri))
+        return ritz(tri)
+
+    monkeypatch.setattr(mkdist, "_top_ritz_pair", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        c = rng.standard_normal(len(basis))
+        steps.clear()
+        sigma, grad, _ = denom.sigma_and_grad(c)
+        assert len(steps) > 3
+        dense = np.linalg.svd(denom.T.toarray(), compute_uv=False)[0]
+        assert sigma == pytest.approx(dense, rel=1e-12, abs=0)
+        assert float(c @ grad) == pytest.approx(sigma, rel=1e-12, abs=0)
+
+
+def test_ascent_reports_its_witness(monkeypatch, ber_half, gns_half):
+    # the default q = 1/2 search at N = 1: every ascent on the truncated
+    # ratio keeps as its best value the ratio its own witness scores
+    ascents = []
+    ascend = mkdist._ascend
+
+    def recorded(eta, denom, c0, max_iters, step_schedule):
+        f, c, trace = ascend(eta, denom, c0, max_iters, step_schedule)
+        if isinstance(denom, _ShiftDenominator):
+            ascents.append((f, c))
+        return f, c, trace
+
+    monkeypatch.setattr(mkdist, "_ascend", recorded)
+    estimate_distance(ber_half, OptimizationProblem(
+        N=1, M=4, norm_truncation=200, mode="heuristic", seed=0))
+    assert len(ascents) == 8
+    basis = [mkdist._canonical_rescale(u)
+             for u in selfadjoint_basis(gns_half, 4)]
+    for f, c in ascents:
+        w = mkdist._rationalize(c, basis)
+        assert objective_value(ber_half, w, 1, "heuristic", 200) == \
+            pytest.approx(f, rel=1e-8)
 
 
 def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
