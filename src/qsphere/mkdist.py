@@ -7,9 +7,9 @@ selfadjoint x.  This module searches for good witnesses x inside the
 selfadjoint part of a fuzzy-basis span by projected subgradient ascent,
 and packages the smooth-approximant construction (transform the element,
 compare seminorms and norms) as a checkable report.  The ascent reads
-the truncated seminorm and its gradient off a Lanczos top-singular-triplet
-kernel that stops on its residual, so the value an ascent keeps as its
-best is the one its witness scores.
+the truncated seminorm and its gradient off specnorm's top-singular-triplet
+kernel, the one behind every seminorm value, so the value an ascent keeps
+as its best is the one its witness scores.
 
 Only lower bounds are produced; upper bounds would need a dual
 Lipschitz-extension argument and are out of scope.
@@ -34,6 +34,7 @@ from .specnorm import (
     lip_norm,
     lip_upper_bound,
     operator_norm,
+    top_singular_triplet,
 )
 
 _TINY = 1e-300
@@ -41,7 +42,7 @@ _TINY = 1e-300
 # raised whenever a change moves the search's floating-point path, hence
 # its values; sweep cache keys carry it, so cells cached by an older
 # search are recomputed rather than served beside new ones
-SEARCH_VERSION = 2
+SEARCH_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -218,28 +219,16 @@ def objective_value(ber: Berezin, x: AlgebraElement, N: int, mode: str,
     return num / den
 
 
-# Lanczos for the top singular triplet: a run of n steps spans the whole
-# space, so runs restart only on matrices larger than the step cap
-_LANCZOS_STEPS = 1000      # Krylov dimension cap of one run
-_LANCZOS_RUNS = 200        # runs, each restarted from the last Ritz vector
-_LANCZOS_TOL = 1e-12       # Ritz residual over Ritz value at the stop
-
-
 class _ShiftDenominator:
     """Truncated-representation seminorm of coordinate combinations.
 
-    The one singular-value routine besides specnorm.dominant_sigma.  The
-    ascent calls it thousands of times on slowly moving combinations.
-    Lanczos on T^H T with full reorthogonalization, from one fixed
-    seeded start vector, stops on the Ritz residual, so sigma(c) is a
-    function of c alone and accurate to roundoff on degenerate leading
-    pairs too.  It costs about 0.55 ms a call, 11 to 12 Lanczos steps,
-    against about 30 ms for a dense SVD with singular vectors
-    (400-dimensional block matrix at q = 1/2, search M = 4, norm
-    truncation 200, over the 1200 calls of the default search at N = 1,
-    one BLAS thread on an AMD EPYC core).  T(c) and the gradient are
-    each one sparse product on a sparsity pattern fixed at construction,
-    and the adjoint is a permutation of T(c)'s data.
+    The ascent calls it thousands of times on slowly moving combinations;
+    sigma(c) and its gradient come from specnorm.top_singular_triplet,
+    about 0.55 ms and 11 to 12 Lanczos steps a call against about 30 ms
+    for a dense SVD with vectors (q = 1/2, M = 4, norm truncation 200,
+    one AMD EPYC core).  T(c) and the gradient are each one sparse
+    product on a sparsity pattern fixed at construction, and the adjoint
+    is a permutation of T(c)'s data.
     """
 
     def __init__(self, actions, basis: Sequence[AlgebraElement], M: int):
@@ -272,12 +261,6 @@ class _ShiftDenominator:
             (np.zeros(len(pattern), dtype=complex), self.rows[self.perm],
              np.searchsorted(self.cols[self.perm], np.arange(n + 1))),
             shape=(n, n))
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        self.start = start / np.linalg.norm(start)
-        steps = min(_LANCZOS_STEPS, n)
-        self.V = np.empty((steps + 1, n), dtype=complex)
-        self.H = np.zeros((steps, steps))
 
     def sigma_and_grad(self, c: np.ndarray):
         # T(c) = sum_r c_r D_r: each pattern entry sums its terms in
@@ -285,59 +268,12 @@ class _ShiftDenominator:
         T, TH = self.T, self.TH
         T.data[:] = self.S @ c
         np.conjugate(T.data[self.perm], out=TH.data)
-        v = self._top_right_vector()
-        u = T @ v
-        sigma = float(np.linalg.norm(u))
+        sigma, u, v = top_singular_triplet(T, TH, vectors=True)
         if sigma < _TINY:
             return 0.0, np.zeros(len(self.mats)), v
-        u /= sigma
         # d sigma / d c_r = Re(u^H D_r v), summed over the pattern
         grad = (self.ST @ (u.conj()[self.rows] * v[self.cols])).real
         return sigma, grad, v
-
-    def _top_right_vector(self) -> np.ndarray:
-        """Top eigenvector of T^H T by Lanczos with full reorthogonalization.
-
-        Each run starts from the fixed seeded vector or, after a run that
-        used all its steps unconverged, from that run's Ritz vector.  A
-        run stops once the Ritz residual beta_k |y_k| is at most
-        _LANCZOS_TOL times the Ritz value (an invariant subspace gives a
-        zero residual).  The reorthogonalization sums run in numpy's own
-        loops rather than in threaded BLAS, so the path does not follow
-        the BLAS thread count.
-        """
-        T, TH, V, H = self.T, self.TH, self.V, self.H
-        steps = len(H)
-        x = self.start
-        for _ in range(_LANCZOS_RUNS):
-            V[0] = x
-            for k in range(steps):
-                w = TH @ (T @ V[k])
-                Vk = V[:k + 1]
-                H[k, k] = 0.0
-                for _pass in range(2):      # classical Gram-Schmidt, twice
-                    h = np.einsum("ij,j->i", Vk, w.conj()).conj()
-                    w -= np.einsum("i,ij->j", h, Vk)
-                    H[k, k] += h[k].real
-                b = float(np.linalg.norm(w))
-                theta, y = _top_ritz_pair(H[:k + 1, :k + 1])
-                done = b * abs(y[-1]) <= _LANCZOS_TOL * theta
-                if done or k == steps - 1:
-                    x = np.einsum("i,ij->j", y, Vk)
-                    x /= np.linalg.norm(x)
-                    if done:
-                        return x
-                else:
-                    H[k + 1, k] = b
-                    V[k + 1] = w / b
-        raise ArithmeticError("Lanczos did not reach its residual tolerance")
-
-
-def _top_ritz_pair(tri: np.ndarray) -> tuple:
-    """Largest eigenvalue and its unit eigenvector of a symmetric
-    tridiagonal matrix given by its lower triangle."""
-    w, z = np.linalg.eigh(tri)
-    return float(w[-1]), z[:, -1]
 
 
 class _GridDenominator:

@@ -2,12 +2,14 @@
 
 Each emitted artifact embeds the full configuration, so any number in a
 report can be reproduced from the artifact alone.  Identical config and
-seed must give bit-identical JSON at a fixed BLAS thread count;
-wall-clock timings are therefore kept out of the canonical serialization.
-Values read off LAPACK's dense SVD (`lowerBound` in a lipnorm artifact,
-`heuristicValue` in a dist artifact, among others) can differ in their
-last bits between thread counts, because threaded BLAS splits the sums
-inside the SVD differently.
+seed must give bit-identical JSON; wall-clock timings are therefore kept
+out of the canonical serialization.  The BLAS thread count reaches only
+values read off LAPACK's dense SVD, which threaded BLAS sums differently:
+seminorms whose top singular value is too clustered for the Lanczos
+kernel's step budget (at q = 9/10, `B + 2*Bs` and some level-1
+transforms; at q = 99/100, `B + Bs` at every truncation), and the Gram
+oracle's value behind the normoracles residual.  Those can differ in
+their last bits between thread counts.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ norms that increase monotonically to the true norm.  At q = 1 the
 algebra is commutative and elements are evaluated on an angle grid
 instead; that path reports itself as grid-resolution-limited.
 
-Lower bounds come from a dense SVD of the truncated matrix, upper
-bounds from the crude coefficient-sum estimate.  The Gram oracle at the
+Lower bounds are top singular values of the truncated matrices, from
+one kernel that the distance search shares: Lanczos with a residual
+stop, or a dense SVD on tops too clustered for its step budget.  Upper
+bounds are the crude coefficient-sum estimate.  The Gram oracle at the
 bottom reaches the same Lip seminorm through Haar inner products alone,
 with no representation matrices, which is what makes it an independent
 check: it whitens each Dirac symbol's multiplication operator against
@@ -19,6 +21,7 @@ products are closed-form sums over the Haar weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,15 +164,71 @@ def relation_residuals(trunc: RepTruncation) -> dict:
 
 # -- dominant singular value -------------------------------------------------
 
+_LANCZOS_STEPS = 64        # step budget; past it the dense SVD answers
+_LANCZOS_TOL = 1e-12       # Ritz residual over Ritz value at the stop
+
+
+@functools.lru_cache(maxsize=16)
+def _start_vector(n: int) -> np.ndarray:
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
+    start.flags.writeable = False
+    return start
+
+
+def _dense_top_triplet(T, vectors: bool) -> tuple:
+    if vectors:
+        U, S, Vh = np.linalg.svd(T.toarray())
+        return float(S[0]), U[:, 0], Vh[0].conj()
+    return float(np.linalg.svd(T.toarray(), compute_uv=False)[0]), None, None
+
+
+def top_singular_triplet(T, TH, vectors: bool = False) -> tuple:
+    """(sigma, u, v) with T v = sigma u, the top singular triplet of a
+    sparse T given TH = T^H.
+
+    Lanczos on T^H T with two-pass full reorthogonalization, from one
+    fixed seeded start vector, stops once the Ritz residual is at most
+    _LANCZOS_TOL times the Ritz value; its long sums run in numpy's own
+    loops and scipy's sparse products, so they do not follow the BLAS
+    thread count.  A top too clustered to pass within
+    min(_LANCZOS_STEPS, n) steps goes to LAPACK's dense SVD of T, which
+    returns u and v only if vectors is set.
+    """
+    n = T.shape[1]
+    steps = min(_LANCZOS_STEPS, n)
+    V = np.empty((steps, n), dtype=complex)
+    H = np.zeros((steps, steps))
+    V[0] = _start_vector(n)
+    for k in range(steps):
+        w = TH @ (T @ V[k])
+        Vk = V[:k + 1]
+        for _pass in range(2):      # classical Gram-Schmidt, twice
+            h = np.einsum("ij,j->i", Vk, w.conj()).conj()
+            w -= np.einsum("i,ij->j", h, Vk)
+            H[k, k] += h[k].real
+        b = float(np.linalg.norm(w))
+        ritz, Y = np.linalg.eigh(H[:k + 1, :k + 1])
+        y = Y[:, -1]
+        if b * abs(y[-1]) <= _LANCZOS_TOL * ritz[-1]:
+            v = np.einsum("i,ij->j", y, Vk)
+            v /= np.linalg.norm(v)
+            u = T @ v
+            sigma = float(np.linalg.norm(u))
+            if sigma > 0.0:
+                u /= sigma
+            return sigma, u, v
+        if k + 1 < steps:
+            H[k + 1, k] = b
+            V[k + 1] = w / b
+    return _dense_top_triplet(T, vectors)
+
 
 def dominant_sigma(mat: sparse.csr_matrix) -> tuple:
-    """Largest singular value: dense SVD of the truncated matrix.
-
-    Returns (sigma, converged).  LAPACK's SVD is accurate to roundoff on
-    every spectrum, near-degenerate leading pairs included, so converged
-    is always True.
-    """
-    return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0]), True
+    """Largest singular value: (sigma, converged) from top_singular_triplet,
+    accurate to roundoff on every spectrum, so converged is always True."""
+    return top_singular_triplet(mat, mat.conj().T)[0], True
 
 
 # -- theta reduction ----------------------------------------------------------

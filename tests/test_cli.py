@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsphere
 from qsphere.cli import main
 from qsphere.exprs import canonical_json
 
@@ -119,6 +124,28 @@ def test_reproducible_bytes(capsys, tmp_path):
                          "--out", str(p))
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("expr", ["A*B+Bs*A", "3*A-B+Bs"])
+def test_bytes_independent_of_blas_threads(expr):
+    # seminorms that converge in Lanczos never reach threaded BLAS sums;
+    # LAPACK's dense SVD gave these two different last bits under one and
+    # two OpenBLAS threads
+    src = str(Path(qsphere.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from qsphere.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "lipnorm", "--q", "9/10", "--expr", expr],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_verify_suite(capsys):

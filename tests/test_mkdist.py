@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsphere import GnsContext, UqActions, make_algebra
-from qsphere import mkdist
+from qsphere import mkdist, specnorm
 from qsphere.berezin import Berezin
 from qsphere.exprs import element_to_text
 from qsphere.mkdist import (OptimizationProblem, _ShiftDenominator,
@@ -115,8 +115,9 @@ def test_frozen_heuristic_search_path(est1_heur):
     # stopping rule.  The coordinates and the rationalized witness move
     # with roundoff changes in the ascent, so they pin its floating-point
     # path exactly; they are the same with one and with two BLAS threads.
-    # The value's last bits come from LAPACK's dense SVD, which can
-    # follow the BLAS thread count, so it is compared to 1e-14.
+    # The value is compared to 1e-14: it was recorded when the scoring
+    # seminorm came from LAPACK's dense SVD, and the Lanczos kernel that
+    # scores it now agrees with that SVD to roundoff, not bit for bit.
     assert est1_heur.source == "eta-heur"
     assert est1_heur.coords == (
         -6.221075432166233e-12, 9.799022153455215e-12, 0.7577025228783502,
@@ -199,30 +200,31 @@ def test_shift_sigma_matches_dense_svd(monkeypatch, ber_half):
     _assert_exact_sigmas(seen)
 
 
-def test_lanczos_restart_path(monkeypatch, gns_half):
-    # a three-step cap forces every call through restarts from the Ritz
-    # vector; the stop rule, hence the accuracy, is the same
-    monkeypatch.setattr(mkdist, "_LANCZOS_STEPS", 3)
+def test_shift_sigma_dense_fallback(monkeypatch, gns_half):
+    # a three-step budget sends every call to the dense SVD, with singular
+    # vectors: sigma, the gradient and the returned vector all come from it
+    monkeypatch.setattr(specnorm, "_LANCZOS_STEPS", 3)
+    dense_calls = []
+    dense = specnorm._dense_top_triplet
+
+    def spied(T, vectors):
+        dense_calls.append(vectors)
+        return dense(T, vectors)
+
+    monkeypatch.setattr(specnorm, "_dense_top_triplet", spied)
     basis = selfadjoint_basis(gns_half, 3)
     denom = _ShiftDenominator(gns_half.actions, basis, 100)
-    assert denom.V.shape == (4, denom.n)
-    steps = []
-    ritz = mkdist._top_ritz_pair
-
-    def counted(tri):
-        steps.append(len(tri))
-        return ritz(tri)
-
-    monkeypatch.setattr(mkdist, "_top_ritz_pair", counted)
     rng = np.random.default_rng(11)
-    for _ in range(4):
+    for k in range(4):
         c = rng.standard_normal(len(basis))
-        steps.clear()
-        sigma, grad, _ = denom.sigma_and_grad(c)
-        assert len(steps) > 3
-        dense = np.linalg.svd(denom.T.toarray(), compute_uv=False)[0]
-        assert sigma == pytest.approx(dense, rel=1e-12, abs=0)
+        sigma, grad, v = denom.sigma_and_grad(c)
+        assert dense_calls == [True] * (k + 1)
+        U, S, Vh = np.linalg.svd(denom.T.toarray())
+        assert sigma == pytest.approx(S[0], rel=1e-12, abs=0)
         assert float(c @ grad) == pytest.approx(sigma, rel=1e-12, abs=0)
+        assert np.array_equal(v, Vh[0].conj())
+        want = [np.real(U[:, 0].conj() @ (D @ v)) for D in denom.mats]
+        assert np.allclose(grad, want, rtol=0, atol=1e-12 * sigma)
 
 
 def test_ascent_reports_its_witness(monkeypatch, ber_half, gns_half):

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from qsphere import Berezin, GnsContext, UqActions, make_algebra
+from qsphere import Berezin, GnsContext, UqActions, make_algebra, specnorm
 from qsphere.exprs import parse_expression
 from qsphere.gns import _HaarInnerCache
 from qsphere.qhopf import AlgebraElement, monomials
@@ -190,3 +191,72 @@ def test_lip_matches_dense_svd(nine_tenths, text, level):
     dense = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
     assert est.lower_bound == pytest.approx(dense, rel=1e-10)
     assert est.converged and est.iteration_converged
+
+
+CLUSTERED = ["A*B + Bs*A", "B*A^2 + Bs^2*A", "2*B*A + Bs^2",
+             "A*Bs + 1/2*B^3", "A*B*A", "Bs*A^3 - B^2"]
+
+
+def _spy_dense(monkeypatch):
+    calls = []
+    dense = specnorm._dense_top_triplet
+
+    def spied(T, vectors):
+        calls.append(T.shape)
+        return dense(T, vectors)
+
+    monkeypatch.setattr(specnorm, "_dense_top_triplet", spied)
+    return calls
+
+
+@pytest.mark.parametrize("q, cases, dense_route", [
+    ((1, 2), [("A", 0), ("B + Bs", 0), ("A*B + Bs*A", 1), ("B + 2*Bs", 0)],
+     False),
+    ((9, 10), [("A", 0), ("A*B + Bs*A", 0), ("B*A^2 + Bs^2*A", 2),
+               ("3*A - B + Bs", 1), ("A^3 + B^2*Bs", 1)], False),
+    # tops with 69 to 146 singular values within 1e-12 of the largest:
+    # Lanczos cannot resolve them within its step budget
+    ((9, 10), [(t, 1) for t in CLUSTERED] + [("B + 2*Bs", 0)], True),
+], ids=["converging-q1/2", "converging-q9/10", "clustered-q9/10"])
+def test_dominant_sigma_both_routes(monkeypatch, q, cases, dense_route):
+    alg = make_algebra(*q)
+    act = UqActions(alg)
+    ber = Berezin(GnsContext(alg, act))
+    calls = _spy_dense(monkeypatch)
+    trunc = RepTruncation(q[0] / q[1], 200, 0.0)
+    for text, level in cases:
+        y = parse_expression(alg, text)
+        if level:
+            y = ber.via_coproduct(y, level)
+        mat = delta_block_matrix(act, y, trunc)
+        calls.clear()
+        sigma, converged = specnorm.dominant_sigma(mat)
+        assert converged
+        assert calls == ([mat.shape] if dense_route else []), (text, level)
+        want = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+        assert sigma == pytest.approx(want, rel=1e-12, abs=0), (text, level)
+
+
+def test_dominant_sigma_of_zero(monkeypatch):
+    calls = _spy_dense(monkeypatch)
+    with np.errstate(all="raise"):
+        for n in (1, 2, 40):
+            zero = sparse.csr_matrix((n, n), dtype=complex)
+            assert specnorm.dominant_sigma(zero) == (0.0, True)
+    assert calls == []
+
+
+def test_converging_seminorm_is_never_densified(monkeypatch, half):
+    # the ladder's matrices at q = 1/2 all converge within the Lanczos
+    # budget, so no dense matrix and no dense SVD is ever formed
+    alg, act = half
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("densified a converging input")
+
+    monkeypatch.setattr(sparse.csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(sparse.csc_matrix, "toarray", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    r = lip_norm(act, alg.sphere_A, 200)
+    assert r.value.lower_bound == pytest.approx(math.sqrt(3) / 2, rel=1e-9)
+    assert r.value.converged
