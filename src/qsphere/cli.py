@@ -277,14 +277,11 @@ def _cmd_act(ns, cfg: SessionConfig) -> int:
     return 0
 
 
-def _cmd_berezin(ns, cfg: SessionConfig) -> int:
-    alg = cfg.build_algebra()
-    actions = UqActions(alg)
-    ber = Berezin(GnsContext(alg, actions))
-    x = _parse_expr(alg, ns.expr)
+def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
+                   kind: str, payload: dict) -> int:
+    """Emit the level-N eigenvalues of spins 0..top: as an n,c CSV, or
+    added to payload as the artifact of the given kind."""
     try:
-        y = ber.via_coproduct(x, ns.N)
-        top = max(x.sphere_degree(), 1)
         spec = ber.spectrum(ns.N, max_spin=max(top, ns.N))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -294,39 +291,32 @@ def _cmd_berezin(ns, cfg: SessionConfig) -> int:
         _emit(ns, _csv_text(["n", "c"],
                             [(n, _fmt_float(c)) for n, c in rows]))
         return 0
-    payload = _element_payload(y)
     payload["N"] = ns.N
     payload["spectrum"] = [
-        {"n": n, "c": exprs.scalar_to_obj(spec.eigenvalue(n), alg.field),
+        {"n": n, "c": exprs.scalar_to_obj(spec.eigenvalue(n), ber.alg.field),
          "float": c} for n, c in rows]
-    _emit(ns, canonical_json(_artifact(cfg, "berezin", payload)))
+    _emit(ns, canonical_json(_artifact(cfg, kind, payload)))
     return 0
+
+
+def _cmd_berezin(ns, cfg: SessionConfig) -> int:
+    alg = cfg.build_algebra()
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    x = _parse_expr(alg, ns.expr)
+    try:
+        y = ber.via_coproduct(x, ns.N)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return _emit_spectrum(ns, cfg, ber, max(x.sphere_degree(), 1),
+                          "berezin", _element_payload(y))
 
 
 def _cmd_spectrum(ns, cfg: SessionConfig) -> int:
     if ns.max_spin < 0:
         raise UsageError("--max-spin must be non-negative")
     alg = cfg.build_algebra()
-    actions = UqActions(alg)
-    ber = Berezin(GnsContext(alg, actions))
-    try:
-        spec = ber.spectrum(ns.N, max_spin=max(ns.max_spin, ns.N))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    rows = [(n, float(spec.eigenvalue(n).to_complex().real))
-            for n in range(ns.max_spin + 1)]
-    if cfg.output_format == "csv":
-        _emit(ns, _csv_text(["n", "c"],
-                            [(n, _fmt_float(c)) for n, c in rows]))
-        return 0
-    payload = {
-        "N": ns.N,
-        "spectrum": [
-            {"n": n, "c": exprs.scalar_to_obj(spec.eigenvalue(n), alg.field),
-             "float": c} for n, c in rows],
-    }
-    _emit(ns, canonical_json(_artifact(cfg, "spectrum", payload)))
-    return 0
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    return _emit_spectrum(ns, cfg, ber, ns.max_spin, "spectrum", {})
 
 
 def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
@@ -416,6 +406,13 @@ def _cmd_verify(ns, cfg: SessionConfig) -> int:
     raise UsageError("verify needs --suite NAME or --N RANGE")
 
 
+_SWEEP_COLUMNS = ("q", "N", "M", "dist_lb", "dist_heuristic",
+                  "max_probe_ratio", "mean_lipSlack", "c0", "c1", "c2", "c3",
+                  "status")
+# the float columns: printed with _fmt_float, blank in an error row
+_SWEEP_FLOATS = _SWEEP_COLUMNS[3:-1]
+
+
 def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
     """One sweep row: the distance-trend row at search level M, plus the
     first four transform eigenvalues."""
@@ -485,36 +482,16 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
                     try:
                         row = _sweep_cell(qcfg, N, M)
                     except Exception as exc:  # flagged row, run continues
-                        row = {"q": q_text, "N": N, "M": M,
-                               "dist_lb": "", "dist_heuristic": "",
-                               "max_probe_ratio": "", "mean_lipSlack": "",
-                               "c0": "", "c1": "", "c2": "", "c3": "",
-                               "status": f"error: {exc}"}
+                        row = dict.fromkeys(_SWEEP_FLOATS, "")
+                        row.update(q=q_text, N=N, M=M,
+                                   status=f"error: {exc}")
                     else:
                         _write_cell(path, row)
                 rows.append(row)
 
-    header = ["q", "N", "M", "dist_lb", "dist_heuristic",
-              "max_probe_ratio", "mean_lipSlack", "c0", "c1", "c2", "c3",
-              "status"]
-    csv_rows = []
-    for r in rows:
-        csv_rows.append([
-            r["q"], r["N"], r["M"],
-            _fmt_float(r["dist_lb"]) if r["dist_lb"] != "" else "",
-            _fmt_float(r["dist_heuristic"])
-            if r["dist_heuristic"] != "" else "",
-            _fmt_float(r["max_probe_ratio"])
-            if r["max_probe_ratio"] != "" else "",
-            _fmt_float(r["mean_lipSlack"])
-            if r["mean_lipSlack"] != "" else "",
-            _fmt_float(r["c0"]) if r["c0"] != "" else "",
-            _fmt_float(r["c1"]) if r["c1"] != "" else "",
-            _fmt_float(r["c2"]) if r["c2"] != "" else "",
-            _fmt_float(r["c3"]) if r["c3"] != "" else "",
-            r["status"],
-        ])
-    _emit(ns, _csv_text(header, csv_rows))
+    csv_rows = [[_fmt_float(r[k]) if k in _SWEEP_FLOATS and r[k] != ""
+                 else r[k] for k in _SWEEP_COLUMNS] for r in rows]
+    _emit(ns, _csv_text(list(_SWEEP_COLUMNS), csv_rows))
     return 0
 
 

@@ -6,10 +6,12 @@ from below by the ratio |h_N(x) - eps(x)| / L(x) at any nonscalar
 selfadjoint x.  This module searches for good witnesses x inside the
 selfadjoint part of a fuzzy-basis span by projected subgradient ascent,
 and packages the smooth-approximant construction (transform the element,
-compare seminorms and norms) as a checkable report.  The ascent reads
-the truncated seminorm and its gradient off specnorm's top-singular-triplet
-kernel, the one behind every seminorm value, so the value an ascent keeps
-as its best is the one its witness scores.
+compare seminorms and norms) as a checkable report.  Each start runs one
+ascent on the truncated ratio, reading the seminorm and its gradient off
+specnorm's top-singular-triplet kernel, the one behind every seminorm
+value, so the value an ascent keeps as its best is the one its witness
+scores.  The ascent witnesses and the probe elements are then scored
+both ways, certified and truncated, from one seminorm call each.
 
 Only lower bounds are produced; upper bounds would need a dual
 Lipschitz-extension argument and are out of scope.
@@ -51,10 +53,12 @@ class OptimizationProblem:
 
     N is the level of the twisted state, M the fuzzy truncation whose
     selfadjoint span is searched, norm_truncation the representation
-    size used for seminorm values.  certified mode divides by the crude
-    upper bound of the Lip seminorm, so the reported value is a true
-    lower bound of the distance; heuristic mode divides by the
-    truncated-representation lower bound.
+    size used for seminorm values.  The search is the same in both
+    modes: one truncated-ratio ascent per start, plus the probes.
+    certified mode divides by the crude upper bound of the Lip
+    seminorm, so the reported value is a true lower bound of the
+    distance; heuristic mode divides by the truncated-representation
+    lower bound.
     """
 
     N: int
@@ -203,17 +207,23 @@ def default_probes(alg) -> list:
     return out
 
 
+def _witness_scales(ber: Berezin, x: AlgebraElement, N: int,
+                    norm_truncation: int) -> tuple:
+    """(|h_N(x) - eps(x)|, certified Lip scale, truncated Lip scale).
+
+    Both scales come from one lip_norm call: its upper_bound is the
+    crude certified bound, its lower_bound the truncated seminorm.
+    """
+    num = abs(_real_value(ber.h_twisted(x, N) - ber.alg.counit(x)))
+    est = lip_norm(ber.gns.actions, x, norm_truncation, ladder=False).value
+    return num, est.upper_bound, est.lower_bound
+
+
 def objective_value(ber: Berezin, x: AlgebraElement, N: int, mode: str,
                     norm_truncation: int) -> float:
     """|h_N(x) - eps(x)| over the mode's Lip scale, from the element alone."""
-    alg = ber.alg
-    num = abs(_real_value(ber.h_twisted(x, N) - alg.counit(x)))
-    actions = ber.gns.actions
-    if mode == "certified":
-        den = lip_upper_bound(actions, x)
-    else:
-        den = lip_norm(actions, x, norm_truncation,
-                       ladder=False).value.lower_bound
+    num, upper, lower = _witness_scales(ber, x, N, norm_truncation)
+    den = upper if mode == "certified" else lower
     if den <= 1e-14:
         raise ValueError("scalar element: Lip scale vanishes")
     return num / den
@@ -292,49 +302,6 @@ class _GridDenominator:
         return float(S[0]), grad, None
 
 
-class _UpperDenominator:
-    """Crude certified Lip scale of coordinate combinations.
-
-    2 * max over the four derivation-matrix entries of the coefficient
-    sum; piecewise linear in the coordinates, so subgradient ascent on
-    the certified ratio uses the active entry's sign pattern.
-    """
-
-    def __init__(self, actions, basis: Sequence[AlgebraElement]):
-        per_entry: list = [dict() for _ in range(4)]
-        self.dim = len(basis)
-        for r, u in enumerate(basis):
-            ent = actions.delta_matrix(u)
-            flat = [ent[0][0], ent[0][1], ent[1][0], ent[1][1]]
-            for k, e in enumerate(flat):
-                for mono, coeff in e.terms.items():
-                    col = per_entry[k].setdefault(
-                        mono, np.zeros(self.dim, dtype=complex))
-                    col[r] = complex(coeff.to_complex())
-        self.E = []
-        for k in range(4):
-            monos = sorted(per_entry[k])
-            if monos:
-                self.E.append(np.stack([per_entry[k][m] for m in monos],
-                                       axis=1))
-            else:
-                self.E.append(np.zeros((self.dim, 0), dtype=complex))
-
-    def sigma_and_grad(self, c: np.ndarray):
-        sums, zs = [], []
-        for E in self.E:
-            z = c @ E
-            zs.append(z)
-            sums.append(float(np.abs(z).sum()))
-        k = int(np.argmax(sums))
-        sigma = 2.0 * sums[k]
-        z = zs[k]
-        az = np.abs(z)
-        phase = np.where(az > 1e-300, z / np.where(az > 1e-300, az, 1.0), 0.0)
-        grad = 2.0 * np.real(self.E[k] @ phase.conj())
-        return sigma, grad, None
-
-
 def _rationalize(coords: np.ndarray, basis: Sequence[AlgebraElement],
                  max_den: int = 10 ** 9) -> AlgebraElement:
     alg = basis[0].alg
@@ -393,12 +360,13 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
                       ) -> DistanceEstimate:
     """Search the selfadjoint fuzzy span for a distance witness.
 
-    The ascent itself runs on the truncated-representation ratio; the
-    reported value is recomputed from the exact witness element in the
-    requested mode, so certified values stay true lower bounds.  The
-    candidate pool always contains the probe suite (restricted to the
-    span's degree), so the result dominates the trivial witnesses; if no
-    restart beats them the probe bound is returned with degraded=True.
+    The candidate pool is one truncated-ratio ascent per start (eta, the
+    warm coordinates, seeded restarts) plus the probe suite restricted
+    to the span's degree.  Every candidate is rescored from its exact
+    element both ways, over the certified and over the truncated Lip
+    scale, so certified values stay true lower bounds and the result
+    dominates the trivial witnesses; if no ascent beats them the probe
+    bound is returned with degraded=True.
     """
     gns = ber.gns
     alg = gns.alg
@@ -412,13 +380,10 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
         _real_value(ber.h_twisted(u, problem.N) - alg.counit(u))
         for u in basis
     ])
-    q = alg.field.float_q()
-    if q == 1.0:
-        denom_low = _GridDenominator(actions, basis)
+    if alg.field.float_q() == 1.0:
+        denom = _GridDenominator(actions, basis)
     else:
-        denom_low = _ShiftDenominator(actions, basis,
-                                      problem.norm_truncation)
-    denom_up = _UpperDenominator(actions, basis)
+        denom = _ShiftDenominator(actions, basis, problem.norm_truncation)
 
     starts = []
     if np.linalg.norm(eta) > 0:
@@ -434,22 +399,20 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
         starts.append((f"restart{r}", rng.standard_normal(dim)))
         r += 1
 
-    # both objective flavors run on every start, so the candidate pool,
+    # one ascent per start on the truncated ratio; the candidate pool,
     # hence the certified <= heuristic comparison, does not depend on
     # the requested mode
     candidates = []
     for tag, c0 in starts:
-        for kind, denom in (("heur", denom_low), ("cert", denom_up)):
-            f, c, trace = _ascend(eta, denom, c0, problem.max_iters,
-                                  problem.step_schedule)
-            if f > 0:
-                witness = _rationalize(c, basis)
-                candidates.append((f"{tag}-{kind}", witness, tuple(c),
-                                   tuple(trace)))
+        f, c, trace = _ascend(eta, denom, c0, problem.max_iters,
+                              problem.step_schedule)
+        if f > 0:
+            candidates.append((f"{tag}-heur", _rationalize(c, basis),
+                               tuple(c), tuple(trace)))
 
-    # the denominators hold every basis matrix and the assembly buffers;
-    # release them before the dense SVDs of the scoring below
-    del denom_low, denom_up
+    # the denominator holds every basis matrix and the assembly buffers;
+    # release them before the seminorms of the scoring below
+    del denom
     if probes is None:
         probes = default_probes(alg)
     for j, p in enumerate(probes):
@@ -461,10 +424,8 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
 
     scored = []
     for tag, w, coords, trace in candidates:
-        num = abs(_real_value(ber.h_twisted(w, problem.N) - alg.counit(w)))
-        upper = lip_upper_bound(actions, w)
-        lower = lip_norm(actions, w, problem.norm_truncation,
-                         ladder=False).value.lower_bound
+        num, upper, lower = _witness_scales(ber, w, problem.N,
+                                            problem.norm_truncation)
         if upper <= 1e-14 or lower <= 1e-14:
             continue
         scored.append((tag, w, coords, trace, num / upper, num / lower))

@@ -245,10 +245,6 @@ def _single_theta_suffices(x: AlgebraElement) -> bool:
     return all(m.right_degree() == 0 for m in x.terms)
 
 
-def _theta_grid(g: int) -> list:
-    return [2.0 * math.pi * j / g for j in range(g)]
-
-
 # -- q = 1 commutative grid model ---------------------------------------------
 
 
@@ -302,37 +298,32 @@ def default_truncation(x: AlgebraElement) -> int:
     return max(100, 10 * x.total_degree())
 
 
-def _ladder_estimate(build, x: AlgebraElement, M: int | None, thetas: list,
+def _ladder_estimate(build, x: AlgebraElement, M: int | None,
                      upper: float, ladder: bool) -> NormEstimate:
     """Compression norm of the matrices build(trunc) representing x.
 
-    lower_bound is the max over the theta grid of the dominant singular
-    value at the final truncation; ladder=True doubles the truncation
-    until successive values agree, ladder=False reports the first one
-    as converged.
+    One angle, theta = 0, suffices: x is a sphere element, where the
+    a-phase gauge absorbs theta, or carries one b-charge, where theta is
+    a global phase.  lower_bound is the dominant singular value at the
+    final truncation; ladder=True doubles the truncation until
+    successive values agree, ladder=False reports the first one as
+    converged.
     """
     q = x.alg.field.float_q()
     if M is None:
         M = default_truncation(x)
     M = max(M, x.total_degree() + 2)
 
-    def level(Mcur: int) -> list:
-        return [dominant_sigma(build(RepTruncation(q, Mcur, th)))[0]
-                for th in thetas]
+    def level(Mcur: int) -> float:
+        return dominant_sigma(build(RepTruncation(q, Mcur)))[0]
 
-    vals = level(M)
-    best = max(vals)
+    best = level(M)
     steps = [(M, best)]
-    # a flat theta profile means the gauge argument applies in practice,
-    # so later levels drop to a single angle
-    if len(thetas) > 1 and max(vals) - min(vals) < 1e-12 * max(1.0, best):
-        thetas = [thetas[int(np.argmax(vals))]]
     conv = not ladder
     if ladder:
         for _ in range(_MAX_DOUBLINGS):
             M *= 2
-            vals = level(M)
-            best2 = max(vals)
+            best2 = level(M)
             steps.append((M, best2))
             done = abs(best2 - best) <= _REL_TOL * max(1.0, best2)
             best = best2
@@ -340,13 +331,18 @@ def _ladder_estimate(build, x: AlgebraElement, M: int | None, thetas: list,
                 conv = True
                 break
     lower = min(best, upper)     # guard against roundoff overshoot
-    return NormEstimate(lower, upper, conv, M, len(thetas),
-                        ladder=tuple(steps), theta_values=tuple(vals))
+    return NormEstimate(lower, upper, conv, M, 1,
+                        ladder=tuple(steps), theta_values=(best,))
 
 
 def operator_norm(x: AlgebraElement, M: int | None = None,
-                  theta_grid: int = 16, ladder: bool = True) -> NormEstimate:
-    """Compression norm of one element, with convergence bookkeeping."""
+                  ladder: bool = True) -> NormEstimate:
+    """Compression norm of one element, with convergence bookkeeping.
+
+    For 0 < q < 1 the shift model is read at the one angle theta = 0,
+    so x must be a sphere element or carry one b-charge; other elements
+    raise ValueError.
+    """
     upper = coefficient_sum_bound(x)
     if not x.terms:
         return NormEstimate(0.0, 0.0, True, 0, 0)
@@ -354,9 +350,11 @@ def operator_norm(x: AlgebraElement, M: int | None = None,
         val = _classical_norm(x)
         return NormEstimate(val, upper, True, _ETA_POINTS, 1,
                             notes=("classical-grid",))
-    thetas = [0.0] if _single_theta_suffices(x) else _theta_grid(theta_grid)
+    if not _single_theta_suffices(x):
+        raise ValueError("operator_norm needs a sphere element or one "
+                         "b-charge: the shift model is read at theta = 0")
     return _ladder_estimate(lambda trunc: represent_element(x, trunc),
-                            x, M, thetas, upper, ladder)
+                            x, M, upper, ladder)
 
 
 def _block_rep(entries: list, trunc: RepTruncation) -> sparse.csr_matrix:
@@ -377,7 +375,7 @@ def lip_norm(actions: UqActions, x: AlgebraElement, M: int | None = None,
         "delta1": entries[1][0], "delta2": entries[0][1],
         "delta3": entries[1][1],
     }
-    upper = 2.0 * max(coefficient_sum_bound(e) for row in entries for e in row)
+    upper = _crude_lip_bound(entries)
     if all(e.is_zero() for row in entries for e in row):
         return LipResult(NormEstimate(0.0, 0.0, True, 0, 0), components)
     if x.alg.field.float_q() == 1.0:
@@ -391,14 +389,20 @@ def lip_norm(actions: UqActions, x: AlgebraElement, M: int | None = None,
     # the right degree, so every entry is a sphere element and one theta
     # suffices
     est = _ladder_estimate(lambda trunc: _block_rep(entries, trunc),
-                           x, M, [0.0], upper, ladder)
+                           x, M, upper, ladder)
     return LipResult(est, components)
+
+
+def _crude_lip_bound(entries: list) -> float:
+    """2 x the largest coefficient sum over the derivation-matrix entries:
+    each entry's image is at most its coefficient sum in norm, and a 2x2
+    operator matrix is at most twice its largest entry."""
+    return 2.0 * max(coefficient_sum_bound(e) for row in entries for e in row)
 
 
 def lip_upper_bound(actions: UqActions, x: AlgebraElement) -> float:
     """Certified crude upper bound of the Lip seminorm."""
-    entries = actions.delta_matrix(x)
-    return 2.0 * max(coefficient_sum_bound(e) for row in entries for e in row)
+    return _crude_lip_bound(actions.delta_matrix(x))
 
 
 def delta_block_matrix(actions: UqActions, x: AlgebraElement,

@@ -251,6 +251,31 @@ def test_ascent_reports_its_witness(monkeypatch, ber_half, gns_half):
             pytest.approx(f, rel=1e-8)
 
 
+def test_search_runs_one_ascent_per_start(monkeypatch, ber_half, alg_one,
+                                          est1, est1_heur):
+    # each start runs one ascent, on the truncated ratio: the shift model
+    # below q = 1 and the classical grid at q = 1
+    kinds = []
+    ascend = mkdist._ascend
+
+    def spied(eta, denom, c0, max_iters, step_schedule):
+        kinds.append(type(denom))
+        return ascend(eta, denom, c0, max_iters, step_schedule)
+
+    monkeypatch.setattr(mkdist, "_ascend", spied)
+    estimate_distance(ber_half, OptimizationProblem(N=1, M=4))
+    assert kinds == [_ShiftDenominator] * 8
+    kinds.clear()
+    ber_one = Berezin(GnsContext(alg_one, UqActions(alg_one)))
+    estimate_distance(ber_one, OptimizationProblem(N=1, M=2, **SMALL))
+    assert kinds and set(kinds) == {mkdist._GridDenominator}
+    # the winners' values are the ones their witnesses score
+    for est, mode, want in ((est1, "certified", est1.certified_value),
+                            (est1_heur, "heuristic", est1_heur.heuristic_value)):
+        assert objective_value(ber_half, est.witness, 1, mode, 100) == \
+            pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
     for p in default_probes(alg_half):
         rep = approx_inequality_check(ber_half, p, 1, est1, 100)

@@ -54,6 +54,17 @@ def test_operator_norm_frozen(half):
     assert est.converged
 
 
+def test_operator_norm_one_angle(half):
+    # a and b each carry one b-charge, so the angle theta = 0 gives their
+    # norm; a + b mixes charges off the sphere, which one angle cannot
+    alg, _ = half
+    for x in (alg.a, alg.b):
+        assert operator_norm(x, 150).lower_bound == \
+            pytest.approx(1.0, rel=1e-10)
+    with pytest.raises(ValueError):
+        operator_norm(alg.a + alg.b, 150)
+
+
 def test_cstar_identity(half):
     alg, _ = half
     x = alg.sphere_B + alg.sphere_A.scale(alg.field.from_rational(1, 3))
