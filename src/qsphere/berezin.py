@@ -102,8 +102,8 @@ class Berezin:
         delta = self.alg.coproduct(x)
         return delta.pair_right(lambda m: self._hn_mono(m, N))
 
-    def spectrum(self, N: int, max_spin: int, verify: bool = True,
-                 tol: float = 1e-10) -> BerezinSpectrum:
+    def spectrum(self, N: int, max_spin: int,
+                 verify: bool = True) -> BerezinSpectrum:
         """Eigenvalues c_{N,n} of the transform on spin layers.
 
         Each value is read off the highest weight vector of its layer;
@@ -136,14 +136,13 @@ class Berezin:
         if verify and verified_to < max_spin:
             residual = max(residual,
                            self._verify_layers(N, verified_to + 1, max_spin,
-                                               vals, tol))
+                                               vals))
             self._spec_verified[N] = (max_spin, residual)
             verified_to = max_spin
         eig = {n: vals[n] for n in range(max_spin + 1)}
         return BerezinSpectrum(N, eig, verified_to, residual)
 
-    def _verify_layers(self, N: int, lo: int, hi: int, vals: dict,
-                       tol: float) -> float:
+    def _verify_layers(self, N: int, lo: int, hi: int, vals: dict) -> float:
         exact = self.alg.field.mode == "exact"
         basis = self.gns.fuzzy_basis(hi)
         worst = 0.0
@@ -161,18 +160,17 @@ class Berezin:
                 mag = max((abs(c.to_complex()) for c in r.terms.values()),
                           default=0.0)
                 worst = max(worst, mag)
-                if mag > tol:
+                if mag > 1e-10:
                     raise LayerInconsistency(
                         "spin-%d weight-%d vector off by %g"
                         % (v.spin, v.weight, mag))
         return worst
 
-    def via_spectrum(self, x: AlgebraElement, N: int,
-                     verify_spectrum: bool = False) -> AlgebraElement:
+    def via_spectrum(self, x: AlgebraElement, N: int) -> AlgebraElement:
         """Spectral route: scale each spin layer by its eigenvalue."""
         _require_sphere(x)
         deg = x.sphere_degree()
-        spec = self.spectrum(N, max(N, deg), verify=verify_spectrum)
+        spec = self.spectrum(N, max(N, deg), verify=False)
         layers = self.gns.spin_split(x, deg)
         out = self.alg.scalar_element(self.alg.field.zero)
         for n, layer in layers.items():

@@ -1,9 +1,9 @@
 """Command line surface: one binary, subcommands per operation.
 
 Every artifact embeds the full session configuration and the schema tag
-"qsphere/1"; reruns with identical configuration and seed reproduce the
-bytes.  Wall-clock timings never enter artifacts unless asked for, so
-they do not break reproducibility.
+"qsphere/2" (session.SCHEMA); reruns with identical configuration and
+seed reproduce the bytes.  Wall-clock timings never enter artifacts
+unless asked for, so they do not break reproducibility.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure.
 """
@@ -24,7 +24,7 @@ from .berezin import Berezin
 from .exprs import QExprError, canonical_json
 from .gns import GnsContext
 from .qhopf import Algebra
-from .session import SessionConfig
+from .session import SCHEMA, SessionConfig
 from .uq_actions import UqActions
 
 
@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
                         help="representation size for norm estimates")
     common.add_argument("--M", type=int, default=4, dest="M",
                         help="fuzzy truncation level for search spaces")
-    common.add_argument("--theta-grid", type=int, default=16)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--restarts", type=int, default=8)
     common.add_argument("--max-iters", type=int, default=150)
@@ -140,7 +139,6 @@ def _config_from(ns) -> SessionConfig:
             precision=ns.precision,
             norm_truncation=ns.trunc,
             search_truncation=ns.M,
-            theta_grid=ns.theta_grid,
             estimator_gap=ns.gap,
             restarts=ns.restarts,
             max_iters=ns.max_iters,
@@ -161,7 +159,7 @@ def _emit(ns, text: str) -> None:
 
 
 def _artifact(cfg: SessionConfig, kind: str, payload: dict) -> dict:
-    out = {"schema": "qsphere/1", "kind": kind, "config": cfg.to_obj()}
+    out = {"schema": SCHEMA, "kind": kind, "config": cfg.to_obj()}
     out.update(payload)
     return out
 
@@ -218,11 +216,8 @@ def _norm_payload(est: specnorm.NormEstimate) -> dict:
         "lowerBound": est.lower_bound,
         "upperBound": est.upper_bound,
         "converged": est.converged,
-        "iterationConverged": est.iteration_converged,
         "MUsed": est.M_used,
-        "thetaGridSize": est.theta_grid_size,
         "ladder": list(est.ladder),
-        "thetaValues": list(est.theta_values),
         "notes": list(est.notes),
     }
 
@@ -361,16 +356,6 @@ def _cmd_dist(ns, cfg: SessionConfig) -> int:
     return 0
 
 
-def _trend_check(rows, tol: float) -> bool:
-    dist = [r["dist_lb"] for r in rows]
-    rmax = [r["max_probe_ratio"] for r in rows]
-    ok = all(dist[i + 1] <= dist[i] + tol for i in range(len(dist) - 1))
-    ok = ok and all(rmax[i + 1] <= rmax[i] + tol
-                    for i in range(len(rmax) - 1))
-    ok = ok and not any(r["probe_flagged"] for r in rows)
-    return ok
-
-
 def _cmd_verify(ns, cfg: SessionConfig) -> int:
     if ns.list_suites:
         _emit(ns, "\n".join(sorted(suites.SUITES)) + "\n")
@@ -386,7 +371,7 @@ def _cmd_verify(ns, cfg: SessionConfig) -> int:
         if len(reports) == 1:
             obj = reports[0].to_obj(include_timings=ns.timings)
         else:
-            obj = {"schema": "qsphere/1",
+            obj = {"schema": SCHEMA,
                    "kind": "verify-all",
                    "config": cfg.to_obj(),
                    "suites": [r.to_obj(include_timings=ns.timings)
@@ -402,7 +387,8 @@ def _cmd_verify(ns, cfg: SessionConfig) -> int:
               _fmt_float(r["max_probe_ratio"]),
               _fmt_float(r["mean_lipSlack"])) for r in rows])
         _emit(ns, text)
-        return 0 if _trend_check(rows, cfg.trend_tol) else 2
+        checks = suites.trend_checks(rows, cfg.trend_tol)
+        return 0 if all(ok for _name, ok, _res in checks) else 2
     raise UsageError("verify needs --suite NAME or --N RANGE")
 
 
@@ -518,7 +504,7 @@ def main(argv=None) -> int:
         cfg = _config_from(ns)
         if ns.print_config:
             _emit(ns, canonical_json(
-                {"schema": "qsphere/1", "kind": "config",
+                {"schema": SCHEMA, "kind": "config",
                  "config": cfg.to_obj()}))
             return 0
         return _COMMANDS[ns.command](ns, cfg)

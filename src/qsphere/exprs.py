@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .qhopf import Algebra, AlgebraElement
+from .qhopf import Algebra, AlgebraElement, _mono_str
 from .scalars import FloatScalar, squarefree_split
 
 
@@ -304,20 +304,6 @@ def _coeff_str(c, field):
     return "(" + "".join(bits) + ")", True, False, False
 
 
-def _mono_text(mono) -> str:
-    k, l, m = mono
-    parts = []
-    if k > 0:
-        parts.append("a" if k == 1 else "a^%d" % k)
-    elif k < 0:
-        parts.append("as" if k == -1 else "as^%d" % -k)
-    if l:
-        parts.append("b" if l == 1 else "b^%d" % l)
-    if m:
-        parts.append("bs" if m == 1 else "bs^%d" % m)
-    return "*".join(parts)
-
-
 def element_to_text(x: AlgebraElement) -> str:
     """Canonical, re-parseable rendering; terms in basis order."""
     if x.is_zero():
@@ -326,9 +312,9 @@ def element_to_text(x: AlgebraElement) -> str:
     terms = []
     for mono in sorted(x.terms):
         c = x.terms[mono]
-        mono_txt = _mono_text(mono)
+        mono_txt = _mono_str(mono)
         ctext, composite, is_one, is_minus_one = _coeff_str(c, field)
-        if not mono_txt:
+        if mono.is_unit():
             terms.append(ctext)
         elif is_one:
             terms.append(mono_txt)

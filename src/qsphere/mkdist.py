@@ -28,7 +28,6 @@ from scipy import sparse
 
 from .qhopf import AlgebraElement
 from .berezin import Berezin
-from . import specnorm
 from .specnorm import (
     RepTruncation,
     delta_block_grid,
@@ -67,7 +66,6 @@ class OptimizationProblem:
     mode: str = "certified"
     restarts: int = 8
     max_iters: int = 150
-    step_schedule: tuple = (1.0, 0.05)
     seed: int = 0
 
     def __post_init__(self):
@@ -89,8 +87,8 @@ class DistanceEstimate:
 
     value is |h_N(witness) - eps(witness)| divided by the mode's
     seminorm scale, recomputed from the exact witness element after the
-    search.  coords are the float coordinates of the search optimum in
-    the canonical selfadjoint basis; they seed warm starts at larger M.
+    search.  coords are the float coordinates of the winning ascent's
+    optimum in the canonical selfadjoint basis, empty for a probe.
     """
 
     value: float
@@ -302,13 +300,13 @@ class _GridDenominator:
         return float(S[0]), grad, None
 
 
-def _rationalize(coords: np.ndarray, basis: Sequence[AlgebraElement],
-                 max_den: int = 10 ** 9) -> AlgebraElement:
+def _rationalize(coords: np.ndarray,
+                 basis: Sequence[AlgebraElement]) -> AlgebraElement:
     alg = basis[0].alg
     scale = float(np.abs(coords).max())
     out = None
     for cr, u in zip(coords, basis):
-        fr = Fraction(float(cr) / scale).limit_denominator(max_den)
+        fr = Fraction(float(cr) / scale).limit_denominator(10 ** 9)
         if fr == 0:
             continue
         term = u.scale(alg.field.from_rational(fr.numerator, fr.denominator))
@@ -318,15 +316,14 @@ def _rationalize(coords: np.ndarray, basis: Sequence[AlgebraElement],
     return out
 
 
-def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int,
-            step_schedule: tuple) -> tuple:
+def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int) -> tuple:
     """Projected subgradient ascent on |eta . c| / sigma(c).
 
     Polyak-style steps against a moving target slightly above the best
     value seen; coordinates are renormalized every step, which is the
     projection implementing scale invariance of the ratio.
     """
-    scale, growth = step_schedule
+    scale, growth = 1.0, 0.05
     c = c0 / max(np.linalg.norm(c0), _TINY)
     best_f, best_c = -1.0, c.copy()
     trace = []
@@ -353,27 +350,22 @@ def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int,
     return best_f, best_c, trace
 
 
-def estimate_distance(ber: Berezin, problem: OptimizationProblem,
-                      warm: DistanceEstimate | None = None,
-                      basis: Sequence[AlgebraElement] | None = None,
-                      probes: Sequence[AlgebraElement] | None = None
-                      ) -> DistanceEstimate:
+def estimate_distance(ber: Berezin,
+                      problem: OptimizationProblem) -> DistanceEstimate:
     """Search the selfadjoint fuzzy span for a distance witness.
 
-    The candidate pool is one truncated-ratio ascent per start (eta, the
-    warm coordinates, seeded restarts) plus the probe suite restricted
-    to the span's degree.  Every candidate is rescored from its exact
-    element both ways, over the certified and over the truncated Lip
-    scale, so certified values stay true lower bounds and the result
-    dominates the trivial witnesses; if no ascent beats them the probe
-    bound is returned with degraded=True.
+    The candidate pool is one truncated-ratio ascent per start (eta and
+    seeded restarts) plus the probe suite restricted to the span's
+    degree.  Every candidate is rescored from its exact element both
+    ways, over the certified and over the truncated Lip scale, so
+    certified values stay true lower bounds and the result dominates the
+    trivial witnesses; if no ascent beats them the probe bound is
+    returned with degraded=True.
     """
     gns = ber.gns
     alg = gns.alg
     actions = gns.actions
-    if basis is None:
-        basis = selfadjoint_basis(gns, problem.M)
-    basis = [_canonical_rescale(u) for u in basis]
+    basis = [_canonical_rescale(u) for u in selfadjoint_basis(gns, problem.M)]
     dim = len(basis)
 
     eta = np.array([
@@ -388,11 +380,6 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
     starts = []
     if np.linalg.norm(eta) > 0:
         starts.append(("eta", eta.copy()))
-    if warm is not None and warm.coords and len(warm.coords) <= dim:
-        c = np.zeros(dim)
-        c[:len(warm.coords)] = warm.coords
-        if np.linalg.norm(c) > 0:
-            starts.append(("warm", c))
     r = 0
     while len(starts) < problem.restarts:
         rng = np.random.default_rng([problem.seed, r])
@@ -404,8 +391,7 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
     # the requested mode
     candidates = []
     for tag, c0 in starts:
-        f, c, trace = _ascend(eta, denom, c0, problem.max_iters,
-                              problem.step_schedule)
+        f, c, trace = _ascend(eta, denom, c0, problem.max_iters)
         if f > 0:
             candidates.append((f"{tag}-heur", _rationalize(c, basis),
                                tuple(c), tuple(trace)))
@@ -413,9 +399,7 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
     # the denominator holds every basis matrix and the assembly buffers;
     # release them before the seminorms of the scoring below
     del denom
-    if probes is None:
-        probes = default_probes(alg)
-    for j, p in enumerate(probes):
+    for j, p in enumerate(default_probes(alg)):
         if p.sphere_degree() <= problem.M:
             candidates.append((f"probe{j}", p, (), ()))
 
@@ -489,7 +473,7 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
 
 
 def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
-                          truncation: int | None = None) -> ApproximantReport:
+                          truncation: int) -> ApproximantReport:
     """Smooth approximant of x at level N with seminorm and norm slacks.
 
     The approximant is the level-N transform; its Lip seminorm never
@@ -498,8 +482,6 @@ def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
     """
     actions = ber.gns.actions
     y = ber.via_coproduct(x, N)
-    if truncation is None:
-        truncation = specnorm.default_truncation(x)
     lx = lip_norm(actions, x, truncation, ladder=False).value
     ly = lip_norm(actions, y, truncation, ladder=False).value
     diff = x - y

@@ -215,6 +215,7 @@ class AlgebraElement:
 
 
 def _mono_str(mono: Monomial) -> str:
+    """Monomial text such as 'as^2*b*bs^3'; '1' for the unit."""
     k, l, m = mono
     parts = []
     if k > 0:
@@ -225,7 +226,7 @@ def _mono_str(mono: Monomial) -> str:
         parts.append("b" if l == 1 else "b^%d" % l)
     if m:
         parts.append("bs" if m == 1 else "bs^%d" % m)
-    return " ".join(parts) if parts else "1"
+    return "*".join(parts) if parts else "1"
 
 
 class TensorElement:

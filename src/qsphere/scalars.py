@@ -209,8 +209,8 @@ class ExactField:
     def from_parts(self, re=0, im=0, sre=0, sim=0) -> ExactScalar:
         return ExactScalar(self, Fraction(re), Fraction(im), Fraction(sre), Fraction(sim))
 
-    def from_float(self, x: float, max_den: int = 10 ** 12) -> ExactScalar:
-        return self.from_rational(Fraction(x).limit_denominator(max_den))
+    def from_float(self, x: float) -> ExactScalar:
+        return self.from_rational(Fraction(x).limit_denominator(10 ** 12))
 
     def q_power(self, j: int) -> ExactScalar:
         return self.from_rational(self.q_fraction ** j)
@@ -326,7 +326,7 @@ class FloatField:
 
         return FloatScalar(self, self.ctx.mpc(cvt(re), cvt(im)))
 
-    def from_float(self, x: float, max_den: int = 10 ** 12) -> FloatScalar:
+    def from_float(self, x: float) -> FloatScalar:
         return FloatScalar(self, self.ctx.mpc(x))
 
     def q_power(self, j: int) -> FloatScalar:

@@ -20,6 +20,9 @@ from fractions import Fraction
 
 from .qhopf import Algebra, make_algebra, make_algebra_float
 
+# schema tag of every artifact; raised whenever an artifact's keys change
+SCHEMA = "qsphere/2"
+
 
 def parse_q(text: str) -> Fraction:
     """Deformation parameter from 'p/r' or a decimal literal."""
@@ -48,8 +51,6 @@ class SessionConfig:
     precision: int = 50
     norm_truncation: int = 200
     search_truncation: int = 4
-    theta_grid: int = 16
-    rel_tol: float = 1e-8
     trend_tol: float = 1e-3
     estimator_gap: float = 0.05
     restarts: int = 8
@@ -102,8 +103,6 @@ class SessionConfig:
             "precision": self.precision,
             "normTruncation": self.norm_truncation,
             "searchTruncation": self.search_truncation,
-            "thetaGrid": self.theta_grid,
-            "relTol": self.rel_tol,
             "trendTol": self.trend_tol,
             "estimatorGap": self.estimator_gap,
             "restarts": self.restarts,

@@ -19,7 +19,7 @@ from . import mkdist, specnorm
 from .berezin import Berezin
 from .gns import GnsContext
 from .qhopf import Algebra, AlgebraElement, make_algebra, monomials
-from .session import SessionConfig
+from .session import SCHEMA, SessionConfig
 from .uq_actions import UqActions, sphere_monomials
 
 
@@ -54,7 +54,7 @@ class VerificationReport:
                 obj["seconds"] = round(c.seconds, 3)
             checks.append(obj)
         out = {
-            "schema": "qsphere/1",
+            "schema": SCHEMA,
             "suite": self.suite,
             "passed": self.passed,
             "checks": checks,
@@ -200,7 +200,7 @@ def hopf_suite(cfg: SessionConfig) -> VerificationReport:
         target = alg.unit.scale(hval)
         if left != target or right != target:
             ok = False
-    col.add("haar-bi-invariance-deg5", ok, 0.0 if ok else 1.0)
+    col.add("haar-bi-invariance-deg5-bbs8", ok, 0.0 if ok else 1.0)
 
     return VerificationReport("hopf", tuple(col.checks), cfg,
                               time.perf_counter() - t0)
@@ -439,29 +439,32 @@ def theoremb_rows(cfg: SessionConfig, n_values) -> list:
     return rows
 
 
+def trend_checks(rows: list, tol: float) -> list:
+    """(name, ok, residual) of each distance-trend check on theoremb_rows
+    output: the theoremb suite records them, `verify --N` exits on them."""
+    out = []
+    for key, name in (("dist_lb", "dist-lb-non-increasing"),
+                      ("max_probe_ratio", "probe-ratio-non-increasing")):
+        vals = [r[key] for r in rows]
+        up = max((vals[i + 1] - vals[i] for i in range(len(vals) - 1)),
+                 default=0.0)
+        out.append((name, up <= tol, max(up, 0.0)))
+    flagged = any(r["probe_flagged"] for r in rows)
+    out.append(("probe-ratios-within-gap", not flagged,
+                1.0 if flagged else 0.0))
+    worst_slack = min(r["min_lipSlack"] for r in rows)
+    out.append(("approximant-lip-slack", worst_slack >= -1e-6,
+                max(-worst_slack, 0.0)))
+    return out
+
+
 def theoremb_suite(cfg: SessionConfig) -> VerificationReport:
     """Distance and defect-ratio trends over levels 1..5."""
     t0 = time.perf_counter()
     col = _Collector()
     rows = theoremb_rows(cfg, range(1, 6))
-    tol = cfg.trend_tol
-
-    dist = [r["dist_lb"] for r in rows]
-    up = max((dist[i + 1] - dist[i] for i in range(len(dist) - 1)),
-             default=0.0)
-    col.add("dist-lb-non-increasing", up <= tol, max(up, 0.0))
-
-    rmax = [r["max_probe_ratio"] for r in rows]
-    up = max((rmax[i + 1] - rmax[i] for i in range(len(rmax) - 1)),
-             default=0.0)
-    col.add("probe-ratio-non-increasing", up <= tol, max(up, 0.0))
-
-    flagged = any(r["probe_flagged"] for r in rows)
-    col.add("probe-ratios-within-gap", not flagged, 1.0 if flagged else 0.0)
-
-    worst_slack = min(r["min_lipSlack"] for r in rows)
-    col.add("approximant-lip-slack", worst_slack >= -1e-6,
-            max(-worst_slack, 0.0))
+    for name, ok, residual in trend_checks(rows, cfg.trend_tol):
+        col.add(name, ok, residual)
     return VerificationReport("theoremb", tuple(col.checks), cfg,
                               time.perf_counter() - t0)
 

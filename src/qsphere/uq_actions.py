@@ -258,11 +258,8 @@ class UqActions:
     def partial_matrix(self, x: AlgebraElement) -> list:
         """Right-action analog of delta_matrix on the degree-0 part,
         where the diagonal vanishes."""
-        self._require_degree_zero(x)
-        F = self.field
-        p1 = self._ef("right", "e", x).scale(F.q_half_power(1))
-        p2 = self._ef("right", "f", x).scale(F.q_half_power(-1))
-        zero = self.alg.scalar_element(F.zero)
+        p1, p2 = self.dirac_components(x)
+        zero = self.alg.scalar_element(self.field.zero)
         return [[zero, p2], [p1, zero]]
 
     def dirac_components(self, x: AlgebraElement) -> tuple:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qsphere
+from qsphere import suites
 from qsphere.cli import main
 from qsphere.exprs import canonical_json
 
@@ -24,7 +25,7 @@ def test_haar_example(capsys):
     code, out, _ = run(capsys, "haar", "--q", "1/2", "--expr", "b*bs")
     assert code == 0
     obj = json.loads(out)
-    assert obj["schema"] == "qsphere/1"
+    assert obj["schema"] == "qsphere/2"
     assert obj["kind"] == "haar"
     assert obj["scalar"] == {"num": 4, "den": 5}
     assert obj["config"]["q"] == "1/2"
@@ -66,15 +67,28 @@ def test_berezin_artifact(capsys):
     assert obj["spectrum"][1]["c"] == {"num": 16, "den": 21}
 
 
+_CONFIG_KEYS = {"q", "scalarMode", "precision", "normTruncation",
+                "searchTruncation", "trendTol", "estimatorGap", "restarts",
+                "maxIters", "seed", "cacheDir", "outputFormat"}
+
+
 def test_lipnorm_artifact(capsys):
     code, out, _ = run(capsys, "lipnorm", "--q", "1/2", "--expr", "A",
                        "--trunc", "80")
     assert code == 0
     obj = json.loads(out)
-    for key in ("lowerBound", "upperBound", "converged", "MUsed",
-                "thetaGridSize", "ladder", "notes"):
-        assert key in obj
+    assert set(obj) == {"schema", "kind", "config", "lowerBound",
+                        "upperBound", "converged", "MUsed", "ladder",
+                        "notes", "components"}
+    assert set(obj["config"]) == _CONFIG_KEYS
     assert obj["lowerBound"] <= obj["upperBound"]
+
+
+def test_theta_grid_is_not_an_option(capsys):
+    code, out, err = run(capsys, "lipnorm", "--theta-grid", "3",
+                         "--expr", "A")
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
 
 
 def test_usage_errors(capsys):
@@ -113,6 +127,7 @@ def test_print_config(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "config"
+    assert set(obj["config"]) == _CONFIG_KEYS
     assert obj["config"]["q"] == "3/4"
     assert obj["config"]["seed"] == 5
 
@@ -188,6 +203,18 @@ def test_trend_csv_single_level(capsys):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) > 0
+
+
+def test_trend_exit_code_follows_every_theoremb_check(capsys, monkeypatch):
+    # a negative approximant seminorm slack fails the theoremb suite's
+    # approximant-lip-slack check, so the level trend must fail too
+    row = {"N": 1, "dist_lb": 0.1, "dist_heuristic": 0.2,
+           "max_probe_ratio": 0.05, "mean_lipSlack": -1.0,
+           "min_lipSlack": -1.0, "probe_flagged": False, "degraded": False}
+    monkeypatch.setattr(suites, "theoremb_rows", lambda cfg, levels: [row])
+    code, out, _ = run(capsys, "verify", "--q", "1/2", "--N", "1..1")
+    assert code == 2
+    assert out.strip().split("\n")[1] == "1,0.1,0.05,-1.0"
 
 
 def test_sweep_cache_resume(capsys, tmp_path):

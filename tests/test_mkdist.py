@@ -95,13 +95,6 @@ def test_monotone_in_search_space(ber_half, est1):
     assert small.value <= est1.value + 1e-12
 
 
-def test_warm_start_never_hurts(ber_half, est1):
-    prob = OptimizationProblem(N=1, M=2, norm_truncation=100,
-                               restarts=0, max_iters=25, seed=9)
-    warm = estimate_distance(ber_half, prob, warm=est1)
-    assert warm.value >= est1.value - 1e-12
-
-
 def test_heuristic_mode(est1_heur):
     est = est1_heur
     assert est.value == est.heuristic_value
@@ -233,8 +226,8 @@ def test_ascent_reports_its_witness(monkeypatch, ber_half, gns_half):
     ascents = []
     ascend = mkdist._ascend
 
-    def recorded(eta, denom, c0, max_iters, step_schedule):
-        f, c, trace = ascend(eta, denom, c0, max_iters, step_schedule)
+    def recorded(eta, denom, c0, max_iters):
+        f, c, trace = ascend(eta, denom, c0, max_iters)
         if isinstance(denom, _ShiftDenominator):
             ascents.append((f, c))
         return f, c, trace
@@ -258,9 +251,9 @@ def test_search_runs_one_ascent_per_start(monkeypatch, ber_half, alg_one,
     kinds = []
     ascend = mkdist._ascend
 
-    def spied(eta, denom, c0, max_iters, step_schedule):
+    def spied(eta, denom, c0, max_iters):
         kinds.append(type(denom))
-        return ascend(eta, denom, c0, max_iters, step_schedule)
+        return ascend(eta, denom, c0, max_iters)
 
     monkeypatch.setattr(mkdist, "_ascend", spied)
     estimate_distance(ber_half, OptimizationProblem(N=1, M=4))
