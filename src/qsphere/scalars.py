@@ -5,8 +5,8 @@ Two scalar modes are supported, chosen once per algebra context:
 * exact mode, used whenever the deformation parameter q is rational.
   Scalars live in the field Q(i, sqrt(m)) where m is the squarefree part
   of q_num * q_den, so that sqrt(q) itself is representable.  Every value
-  is stored as four `fractions.Fraction` components
-  ``(re + i*im) + (surd_re + i*surd_im) * sqrt(m)``
+  is stored as four integer numerators over one shared denominator,
+  ``(a + b*i + (c + d*i) * sqrt(m)) / den``,
   and all ring operations are closed and decidable.  Half-integer powers
   of q, which the twisted calculus produces everywhere, stay exact.
 
@@ -23,7 +23,7 @@ mpmath directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -51,44 +51,62 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 
 class ExactScalar:
-    """Element of Q(i, sqrt(m)); immutable."""
+    """Element of Q(i, sqrt(m)); immutable.
 
-    __slots__ = ("re", "im", "sre", "sim", "field")
+    Stored as five ints, the value (a + b*i + (c + d*i)*sqrt(m)) / den, in
+    canonical form: den > 0, gcd(a, b, c, d, den) == 1, and c == d == 0
+    when m == 1.  Equal values therefore have equal representations, and
+    each ring operation is integer arithmetic followed by one gcd.
+    """
 
-    def __init__(self, field: "ExactField", re, im, sre, sim):
-        # Invariant: when the field has m == 1 the surd components are
-        # folded into the rational ones, so representations are unique.
-        if field.m == 1:
-            re = re + sre
-            im = im + sim
-            sre = Fraction(0)
-            sim = Fraction(0)
-        self.field = field
-        self.re = re
-        self.im = im
-        self.sre = sre
-        self.sim = sim
+    __slots__ = ("a", "b", "c", "d", "den", "field")
+
+    def __init__(self, field: "ExactField", a: int, b: int, c: int, d: int,
+                 den: int = 1):
+        if (c or d) and field.m == 1:
+            a, b, c, d = a + c, b + d, 0, 0
+        g = gcd(a, b, c, d, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        self.field, self.a, self.b, self.c, self.d, self.den = (
+            field, a, b, c, d, den)
+
+    # the four components as Fractions, for serialization and tests
+    re = property(lambda self: Fraction(self.a, self.den))
+    im = property(lambda self: Fraction(self.b, self.den))
+    sre = property(lambda self: Fraction(self.c, self.den))
+    sim = property(lambda self: Fraction(self.d, self.den))
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.field, self.re + other.re, self.im + other.im,
-                           self.sre + other.sre, self.sim + other.sim)
+        e, f = self.den, other.den
+        return ExactScalar(self.field, self.a * f + other.a * e,
+                           self.b * f + other.b * e, self.c * f + other.c * e,
+                           self.d * f + other.d * e, e * f)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.field, self.re - other.re, self.im - other.im,
-                           self.sre - other.sre, self.sim - other.sim)
+        e, f = self.den, other.den
+        return ExactScalar(self.field, self.a * f - other.a * e,
+                           self.b * f - other.b * e, self.c * f - other.c * e,
+                           self.d * f - other.d * e, e * f)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(self.field, -self.re, -self.im, -self.sre, -self.sim)
+        return ExactScalar(self.field, -self.a, -self.b, -self.c, -self.d,
+                           self.den)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        a1, b1, c1, d1 = self.re, self.im, self.sre, self.sim
-        a2, b2, c2, d2 = other.re, other.im, other.sre, other.sim
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        den = self.den * other.den
         # a plain rational factor scales componentwise; the Haar weights
         # and Gram projections are all of this kind
         if not (b1 or c1 or d1):
-            return ExactScalar(self.field, a1 * a2, a1 * b2, a1 * c2, a1 * d2)
+            return ExactScalar(self.field, a1 * a2, a1 * b2, a1 * c2, a1 * d2,
+                               den)
         if not (b2 or c2 or d2):
-            return ExactScalar(self.field, a1 * a2, b1 * a2, c1 * a2, d1 * a2)
+            return ExactScalar(self.field, a1 * a2, b1 * a2, c1 * a2, d1 * a2,
+                               den)
         m = self.field.m
         return ExactScalar(
             self.field,
@@ -96,41 +114,40 @@ class ExactScalar:
             a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
             a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
             a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            den,
         )
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
+        a, b, c, d, f = other.a, other.b, other.c, other.d, other.den
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("division by zero scalar")
+            return ExactScalar(self.field, self.a * f, self.b * f,
+                               self.c * f, self.d * f, self.den * a)
         m = self.field.m
         # Multiply by the surd conjugate to clear sqrt(m), then by the
         # complex conjugate to clear i.
-        a, b, c, d = other.re, other.im, other.sre, other.sim
         # g + h*i = (a+bi)^2 - m*(c+di)^2
         g = a * a - b * b - m * (c * c - d * d)
         h = 2 * a * b - m * 2 * c * d
         num = self * ExactScalar(self.field, a, b, -c, -d)
-        denom = g * g + h * h
-        if denom == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return ExactScalar(
-            self.field,
-            (num.re * g + num.im * h) / denom,
-            (num.im * g - num.re * h) / denom,
-            (num.sre * g + num.sim * h) / denom,
-            (num.sim * g - num.sre * h) / denom,
-        )
+        p, r, s, t = num.a, num.b, num.c, num.d
+        return ExactScalar(self.field, (p * g + r * h) * f, (r * g - p * h) * f,
+                           (s * g + t * h) * f, (t * g - s * h) * f,
+                           num.den * (g * g + h * h))
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.field, self.re, -self.im, self.sre, -self.sim)
+        return ExactScalar(self.field, self.a, -self.b, self.c, -self.d,
+                           self.den)
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im or self.sre or self.sim)
+        return not (self.a or self.b or self.c or self.d)
 
     def is_real(self) -> bool:
-        return not (self.im or self.sim)
+        return not (self.b or self.d)
 
     def is_rational(self) -> bool:
-        return not (self.im or self.sre or self.sim)
+        return not (self.b or self.c or self.d)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -138,39 +155,49 @@ class ExactScalar:
         return self.re
 
     def to_complex(self) -> complex:
-        root = self.field.sqrt_m_float
-        return complex(float(self.re) + float(self.sre) * root,
-                       float(self.im) + float(self.sim) * root)
+        # int / int true division rounds correctly, as float(Fraction) does
+        den, root = self.den, self.field.sqrt_m_float
+        return complex(self.a / den + self.c / den * root,
+                       self.b / den + self.d / den * root)
 
     def to_mpc(self, ctx):
         """Lossless lift into an mpmath context; safe for components
         whose float conversion would overflow."""
-        def cvt(f: Fraction):
-            return ctx.mpf(f.numerator) / ctx.mpf(f.denominator)
+        den = self.den
 
-        root = ctx.sqrt(ctx.mpf(self.field.m))
-        return ctx.mpc(cvt(self.re) + cvt(self.sre) * root,
-                       cvt(self.im) + cvt(self.sim) * root)
+        def cvt(num: int):
+            # each component in lowest terms, so mpmath rounds the same
+            # numerator and denominator whatever the shared den
+            g = gcd(num, den)
+            return ctx.mpf(num // g) / ctx.mpf(den // g)
+
+        def part(x: int, y: int):
+            # a zero component adds an exact zero, so it is skipped
+            val = cvt(x) if x else ctx.zero
+            return val + cvt(y) * root if y else val
+
+        root = self.field.mp_sqrt_m(ctx)
+        return ctx.mpc(part(self.a, self.c), part(self.b, self.d))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return (self.field.m == other.field.m and self.re == other.re
-                and self.im == other.im and self.sre == other.sre
-                and self.sim == other.sim)
+        return (self.field.m == other.field.m and self.a == other.a
+                and self.b == other.b and self.c == other.c
+                and self.d == other.d and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.re, self.im, self.sre, self.sim))
+        return hash((self.a, self.b, self.c, self.d, self.den))
 
     def __repr__(self):
         parts = []
-        if self.re or not (self.im or self.sre or self.sim):
+        if self.a or self.is_zero():
             parts.append(str(self.re))
-        if self.im:
+        if self.b:
             parts.append("%s*i" % (self.im,))
-        if self.sre:
+        if self.c:
             parts.append("%s*sqrt(%d)" % (self.sre, self.field.m))
-        if self.sim:
+        if self.d:
             parts.append("%s*i*sqrt(%d)" % (self.sim, self.field.m))
         return "(" + " + ".join(parts) + ")"
 
@@ -188,39 +215,48 @@ class ExactField:
         p, r = frac.numerator, frac.denominator
         d, m = squarefree_split(p * r)
         self.m = m
-        # sqrt(q) = (d/r) * sqrt(m)
-        self._sqrt_q_rat = Fraction(d, r)
         self.sqrt_m_float = isqrt(m) if isqrt(m) ** 2 == m else m ** 0.5
-        self.zero = ExactScalar(self, Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-        self.one = ExactScalar(self, Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        self.i_unit = ExactScalar(self, Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-        self.q = ExactScalar(self, frac, Fraction(0), Fraction(0), Fraction(0))
-        if m == 1:
-            self.sqrt_q = ExactScalar(self, self._sqrt_q_rat, Fraction(0),
-                                      Fraction(0), Fraction(0))
-        else:
-            self.sqrt_q = ExactScalar(self, Fraction(0), Fraction(0),
-                                      self._sqrt_q_rat, Fraction(0))
+        self._mp_roots: dict = {}
+        self.zero = ExactScalar(self, 0, 0, 0, 0)
+        self.one = ExactScalar(self, 1, 0, 0, 0)
+        self.i_unit = ExactScalar(self, 0, 1, 0, 0)
+        self.q = ExactScalar(self, p, 0, 0, 0, r)
+        # sqrt(q) = (d/r) * sqrt(m); folded to d/r when m == 1
+        self.sqrt_q = ExactScalar(self, 0, 0, d, 0, r)
         self._q_half_cache: dict[int, ExactScalar] = {0: self.one}
 
+    def mp_sqrt_m(self, ctx):
+        """sqrt(m) in an mpmath context, rounded at its precision."""
+        raw = self._mp_roots.get(ctx.prec)
+        if raw is None:
+            raw = self._mp_roots[ctx.prec] = ctx.sqrt(ctx.mpf(self.m))._mpf_
+        return ctx.make_mpf(raw)
+
     def from_rational(self, num, den=1) -> ExactScalar:
-        return ExactScalar(self, Fraction(num, den), Fraction(0), Fraction(0), Fraction(0))
+        if type(num) is int and type(den) is int and den:
+            return ExactScalar(self, num, 0, 0, 0, den)
+        f = Fraction(num, den)
+        return ExactScalar(self, f.numerator, 0, 0, 0, f.denominator)
 
     def from_parts(self, re=0, im=0, sre=0, sim=0) -> ExactScalar:
-        return ExactScalar(self, Fraction(re), Fraction(im), Fraction(sre), Fraction(sim))
+        parts = [Fraction(x) for x in (re, im, sre, sim)]
+        den = lcm(*(f.denominator for f in parts))
+        return ExactScalar(self, *(f.numerator * (den // f.denominator)
+                                   for f in parts), den)
 
     def from_float(self, x: float) -> ExactScalar:
         return self.from_rational(Fraction(x).limit_denominator(10 ** 12))
 
     def q_power(self, j: int) -> ExactScalar:
-        return self.from_rational(self.q_fraction ** j)
+        num, den = (self.q.a, self.q.den) if j >= 0 else (self.q.den, self.q.a)
+        return ExactScalar(self, num ** abs(j), 0, 0, 0, den ** abs(j))
 
     def q_half_power(self, j: int) -> ExactScalar:
         """q**(j/2) for any integer j, exact."""
         val = self._q_half_cache.get(j)
         if val is None:
             whole, rem = divmod(j, 2)
-            val = self.from_rational(self.q_fraction ** whole)
+            val = self.q_power(whole)
             if rem:
                 val = val * self.sqrt_q
             self._q_half_cache[j] = val
@@ -285,8 +321,8 @@ class FloatScalar:
             return NotImplemented
         return abs(self.val - other.val) < self.field.negligible
 
-    def __hash__(self):
-        return hash(complex(self.val))
+    # equality has a tolerance, which no hash can respect
+    __hash__ = None
 
     def __repr__(self):
         return "FloatScalar(%s)" % (self.val,)

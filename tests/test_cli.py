@@ -67,6 +67,40 @@ def test_berezin_artifact(capsys):
     assert obj["spectrum"][1]["c"] == {"num": 16, "den": 21}
 
 
+# an element whose coefficients use all four components of Q(i, sqrt(10))
+_SURD_EXPR = ("(1/3 + 2/5*i + 3/7*sqrt(10) - 1/2*i*sqrt(10))*B*A"
+              " + (2 - i)*Bs + sqrt(10)*A")
+
+
+@pytest.mark.parametrize("argv,sha256,text", [
+    (("berezin", "--N", "2"),
+     "69c774e220b09e775b6eb5541648da1942ecad297eab75fd0bd698cfa0fe1c0a",
+     "(200000/149049-100000/149049*i)*as*b + 656100/2997541*sqrt(10)"
+     " + 10000/16561*sqrt(10)*b*bs + (488700000000/5677124396581"
+     "+586440000000/5677124396581*i+4398300000000/39739870776067*sqrt(10)"
+     "-733050000000/5677124396581*i*sqrt(10))*a*bs"
+     " + (1000000000000/17031373189743+400000000000/5677124396581*i"
+     "+3000000000000/39739870776067*sqrt(10)"
+     "-500000000000/5677124396581*i*sqrt(10))*a*b*bs^2"),
+    (("act", "--action", "partialE"),
+     "816575a670b3b207132ec49e3c64e48b9aacc26f206df0116580a17a42fc1ab9",
+     "(-20/27*sqrt(10)+10/27*i*sqrt(10))*as^2 - 100/27*as*bs"
+     " + (-1000/567+500/243*i-100/729*sqrt(10)-40/243*i*sqrt(10))*bs^2"
+     " + (1810/567-905/243*i+181/729*sqrt(10)+362/1215*i*sqrt(10))*b*bs^3"),
+    (("coproduct",),
+     "2cd3060736ba589a58b500553e2fdd5cb9fc7f08131b92931e8afbdc1427845e",
+     None),
+], ids=["berezin", "act", "coproduct"])
+def test_frozen_surd_artifacts(capsys, argv, sha256, text):
+    # complex and sqrt(10) coefficients at q = 9/10; the digests are the
+    # artifact bytes written by the four-Fraction scalar representation
+    code, out, _ = run(capsys, *argv, "--q", "9/10", "--expr", _SURD_EXPR)
+    assert code == 0
+    if text is not None:
+        assert json.loads(out)["text"] == text
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 _CONFIG_KEYS = {"q", "scalarMode", "precision", "normTruncation",
                 "searchTruncation", "trendTol", "estimatorGap", "restarts",
                 "maxIters", "seed", "cacheDir", "outputFormat"}

@@ -1,7 +1,9 @@
 """Scalar field arithmetic, exact and floating."""
 
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,3 +107,154 @@ def test_float_field_roundtrip():
 def test_float_negligible():
     fld = FloatField(0.5, precision=50)
     assert float(fld.negligible) < 1e-39
+
+
+# -- differential tests against the four-Fraction formulas --------------------
+#
+# An exact scalar used to be four Fractions (re, im, sre, sim) meaning
+# re + im*i + (sre + sim*i)*sqrt(m), with the surd parts folded into the
+# rational ones when m == 1.  The functions below are those formulas; the
+# integer representation must agree with them component for component.
+
+_FIELDS = {"1/4": ExactField(1, 4), "1": ExactField(1, 1),
+           "1/2": ExactField(1, 2), "9/10": ExactField(9, 10)}
+_WIDE = 1 << 260
+
+_component = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=40),
+    st.builds(Fraction, st.integers(-_WIDE, _WIDE), st.integers(1, _WIDE)))
+_components = st.tuples(_component, _component, _component, _component)
+
+
+def _ref_fold(m, x):
+    re, im, sre, sim = x
+    return (re + sre, im + sim, Fraction(0), Fraction(0)) if m == 1 else x
+
+
+def _ref_mul(m, x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return _ref_fold(m, (a1 * a2 - b1 * b2 + m * (c1 * c2 - d1 * d2),
+                         a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
+                         a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                         a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2))
+
+
+def _ref_div(m, x, y):
+    a, b, c, d = y
+    g = a * a - b * b - m * (c * c - d * d)
+    h = 2 * a * b - m * 2 * c * d
+    n0, n1, n2, n3 = _ref_mul(m, x, (a, b, -c, -d))
+    denom = g * g + h * h
+    return _ref_fold(m, ((n0 * g + n1 * h) / denom, (n1 * g - n0 * h) / denom,
+                         (n2 * g + n3 * h) / denom, (n3 * g - n2 * h) / denom))
+
+
+def _ref_to_complex(m, x):
+    re, im, sre, sim = x
+    root = m ** 0.5
+    return complex(float(re) + float(sre) * root,
+                   float(im) + float(sim) * root)
+
+
+def _ref_to_mpc(m, x, ctx):
+    def cvt(f):
+        return ctx.mpf(f.numerator) / ctx.mpf(f.denominator)
+
+    re, im, sre, sim = x
+    root = ctx.sqrt(ctx.mpf(m))
+    return ctx.mpc(cvt(re) + cvt(sre) * root, cvt(im) + cvt(sim) * root)
+
+
+def _parts(z):
+    return (z.re, z.im, z.sre, z.sim)
+
+
+def _assert_canonical(z):
+    assert z.den > 0
+    assert gcd(z.a, z.b, z.c, z.d, z.den) == 1
+    if z.field.m == 1:
+        assert z.c == 0 and z.d == 0
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components)
+def test_ring_ops_match_the_fraction_formulas(q, x, y):
+    fld = _FIELDS[q]
+    m = fld.m
+    rx, ry = _ref_fold(m, x), _ref_fold(m, y)
+    sx, sy = fld.from_parts(*x), fld.from_parts(*y)
+    assert _parts(sx) == rx and _parts(sy) == ry
+    got = {"add": sx + sy, "sub": sx - sy, "neg": -sx, "mul": sx * sy,
+           "conj": sx.conjugate()}
+    want = {"add": tuple(u + v for u, v in zip(rx, ry)),
+            "sub": tuple(u - v for u, v in zip(rx, ry)),
+            "neg": tuple(-u for u in rx), "mul": _ref_mul(m, rx, ry),
+            "conj": (rx[0], -rx[1], rx[2], -rx[3])}
+    if not sy.is_zero():
+        got["div"], want["div"] = sx / sy, _ref_div(m, rx, ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            sx / sy
+    for op, z in got.items():
+        assert _parts(z) == want[op], op
+        _assert_canonical(z)
+        assert z.is_zero() == (want[op] == (0, 0, 0, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components)
+def test_equal_scalars_hash_equal(q, x, y):
+    fld = _FIELDS[q]
+    sx, sy = fld.from_parts(*x), fld.from_parts(*y)
+    # the same value reached along different routes
+    routes = [sx, (sx + sy) - sy, -(-sx), sx.conjugate().conjugate()]
+    if not sy.is_zero():
+        routes.append((sx * sy) / sy)
+    for z in routes:
+        assert z == sx
+        assert hash(z) == hash(sx)
+        _assert_canonical(z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components)
+def test_float_lifts_match_the_fraction_route(q, x, y):
+    fld = _FIELDS[q]
+    m = fld.m
+    rx, ry = _ref_fold(m, x), _ref_fold(m, y)
+    pairs = [(fld.from_parts(*x), rx),
+             (fld.from_parts(*x) * fld.from_parts(*y), _ref_mul(m, rx, ry))]
+    for z, ref in pairs:
+        assert (_outcome(z.to_complex) == _outcome(
+            lambda: _ref_to_complex(m, ref)))
+        for dps in (50, 80):
+            ctx = mpmath.mp.clone()
+            ctx.dps = dps
+            got, want = z.to_mpc(ctx), _ref_to_mpc(m, ref, ctx)
+            assert (got.real, got.imag) == (want.real, want.imag)
+
+
+def test_from_rational_is_canonical():
+    fld = ExactField(9, 10)
+    for num, den in [(6, -4), (0, 7), (-3, 9), (Fraction(2, 3), 4)]:
+        z = fld.from_rational(num, den)
+        assert z.as_fraction() == Fraction(num, den)
+        _assert_canonical(z)
+    with pytest.raises(ZeroDivisionError):
+        fld.from_rational(1, 0)
+
+
+def test_float_scalars_are_unhashable():
+    # FloatScalar equality has a tolerance, so no hash can agree with it
+    fld = FloatField(0.5, precision=50)
+    with pytest.raises(TypeError):
+        hash(fld.one)
