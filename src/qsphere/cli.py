@@ -25,7 +25,7 @@ from .exprs import QExprError, canonical_json
 from .gns import GnsContext
 from .qhopf import Algebra
 from .session import SCHEMA, SessionConfig
-from .uq_actions import UqActions
+from .uq_actions import ACTIONS, UqActions
 
 
 class UsageError(Exception):
@@ -35,11 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-_ACTION_LABELS = ("delta1", "delta2", "delta3", "delta4", "deltaK",
-                  "deltaKinv", "partialE", "partialF", "partialK",
-                  "partialKinv")
 
 
 def _build_parser() -> _Parser:
@@ -88,7 +83,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("act", parents=[common],
                         help="apply a derivation or character action")
     sp.add_argument("--expr", required=True)
-    sp.add_argument("--action", required=True, choices=_ACTION_LABELS)
+    sp.add_argument("--action", required=True, choices=tuple(ACTIONS))
 
     sp = sub.add_parser("berezin", parents=[common],
                         help="level-N transform of a sphere expression")
@@ -262,11 +257,7 @@ def _cmd_act(ns, cfg: SessionConfig) -> int:
     alg = cfg.build_algebra()
     actions = UqActions(alg)
     x = _parse_expr(alg, ns.expr)
-    if ns.action == "partialKinv":
-        y = actions.partial_action("kinv", x)
-    else:
-        y = actions.twisted_derivation(ns.action, x)
-    payload = _element_payload(y)
+    payload = _element_payload(actions.twisted_derivation(ns.action, x))
     payload["action"] = ns.action
     _emit(ns, canonical_json(_artifact(cfg, "action", payload)))
     return 0
@@ -437,6 +428,18 @@ def _write_cell(path: str, row: dict) -> None:
     os.replace(tmp, path)
 
 
+def _package_digest() -> str:
+    """sha256 over the names and bytes of the package's source files, so
+    a sweep cell is keyed by the code that computed it."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(b"%s\0%s\0" % (name.encode(), fh.read()))
+    return h.hexdigest()
+
+
 def _cmd_sweep(ns, cfg: SessionConfig) -> int:
     q_texts = [t.strip() for t in ns.q_list.split(",") if t.strip()]
     if not q_texts:
@@ -446,6 +449,7 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
 
     cache_dir = cfg.resolved_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
+    code = _package_digest()
 
     rows = []
     for q_text in q_texts:
@@ -459,7 +463,7 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
                     "cell": [q_text, N, M],
                     "config": {k: v for k, v in qcfg.to_obj().items()
                                if k not in ("cacheDir", "outputFormat")},
-                    "search": mkdist.SEARCH_VERSION,
+                    "code": code,
                 })
                 key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
                 path = os.path.join(cache_dir, f"sweep-{key}.json")

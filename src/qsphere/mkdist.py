@@ -40,11 +40,6 @@ from .specnorm import (
 
 _TINY = 1e-300
 
-# raised whenever a change moves the search's floating-point path, hence
-# its values; sweep cache keys carry it, so cells cached by an older
-# search are recomputed rather than served beside new ones
-SEARCH_VERSION = 3
-
 
 @dataclass(frozen=True)
 class OptimizationProblem:
@@ -115,6 +110,7 @@ class InequalityReport:
     lip_upper: float
     N: int
     truncation: int
+    approximant: ApproximantReport
 
 
 @dataclass(frozen=True)
@@ -447,17 +443,16 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
     the certified upper bound of Lip(x).  An r(x) above the heuristic
     estimate plus the gap marks an estimator-quality event; it is never
     a contradiction, because both numbers are approximations from the
-    same side.
+    same side.  The norm is the dist_slack of theorem_b_approximant for
+    the same x, N and truncation, whose report comes along.
     """
-    alg = ber.alg
     if all(m.is_unit() for m in x.terms) or x.is_zero():
         raise ValueError("scalar elements have no Lip scale")
     upper = lip_upper_bound(ber.gns.actions, x)
     if upper <= 1e-14:
         raise ValueError("scalar elements have no Lip scale")
-    y = ber.via_coproduct(x, N)
-    diff = x - y
-    norm_lower = operator_norm(diff, trunc, ladder=False).lower_bound
+    app = theorem_b_approximant(ber, x, N, trunc)
+    norm_lower = app.dist_slack
     ratio = norm_lower / upper
     reference = d_estimate.heuristic_value
     return InequalityReport(
@@ -469,6 +464,7 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
         lip_upper=upper,
         N=N,
         truncation=trunc,
+        approximant=app,
     )
 
 

@@ -74,6 +74,13 @@ GEN_B = Monomial(0, 1, 0)
 GEN_BS = Monomial(0, 0, 1)
 
 
+def generator_word(mono: Monomial) -> tuple:
+    """The letters of a^k b^l b*^m from left to right: |k| copies of a
+    (of a* when k < 0), then l of b, then m of b*."""
+    k, l, m = mono
+    return (GEN_A if k > 0 else GEN_AS,) * abs(k) + (GEN_B,) * l + (GEN_BS,) * m
+
+
 class AlgebraElement:
     """Finite scalar combination of ordered monomials.
 
@@ -436,13 +443,8 @@ class Algebra:
         hit = self._prod_cache.get(key)
         if hit is not None:
             return hit
-        k2, l2, m2b = m2
-        gens = []
-        gens.extend([GEN_A if k2 > 0 else GEN_AS] * abs(k2))
-        gens.extend([GEN_B] * l2)
-        gens.extend([GEN_BS] * m2b)
         acc = {m1: self.field.one}
-        for gen in gens:
+        for gen in generator_word(m2):
             nxt: dict = {}
             for mono, c in acc.items():
                 for n, s in self._mono_times_gen(mono, gen).items():
@@ -470,13 +472,8 @@ class Algebra:
         hit = self._coprod_cache.get(mono)
         if hit is not None:
             return hit
-        k, l, m = mono
-        factors = []
-        factors.extend([GEN_A if k > 0 else GEN_AS] * abs(k))
-        factors.extend([GEN_B] * l)
-        factors.extend([GEN_BS] * m)
         acc = TensorElement(self, {(UNIT, UNIT): self.field.one})
-        for gen in factors:
+        for gen in generator_word(mono):
             acc = acc * TensorElement(self, self._coprod_gen[gen])
         self._coprod_cache[mono] = acc.terms
         return acc.terms

@@ -7,9 +7,10 @@ out of the canonical serialization.  The BLAS thread count reaches only
 values read off LAPACK's dense SVD, which threaded BLAS sums differently:
 seminorms whose top singular value is too clustered for the Lanczos
 kernel's step budget (at q = 9/10, `B + 2*Bs` and some level-1
-transforms; at q = 99/100, `B + Bs` at every truncation), and the Gram
-oracle's value behind the normoracles residual.  Those can differ in
-their last bits between thread counts.
+transforms; at q = 99/100, `B + Bs` at every truncation), and Gram
+oracle values with such a top (every oracle matrix of the normoracles
+suite at q = 9/10).  Those can differ in their last bits between thread
+counts.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ with no representation matrices, which is what makes it an independent
 check: it whitens each Dirac symbol's multiplication operator against
 the orthogonal monomial chains of gns (right degree +-1 for the domain,
 shifted by the symbol's right degree for the codomain), whose inner
-products are closed-form sums over the Haar weights.
+products are closed-form sums over the Haar weights, and takes the top
+singular value of the whitened matrix from the same kernel.
 """
 
 from __future__ import annotations
@@ -481,7 +482,7 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
             sqrt_s[key] = ctx.sqrt(s.to_mpc(ctx).real)
         return sqrt_s[key]
 
-    Y = np.zeros((len(rows), len(sel)), dtype=complex)
+    data, row_idx, col_idx = [], [], []
     for j, (kj, pos_j) in enumerate(sel):
         image = y * ortho.chains[kj]["vecs"][pos_j][0]
         col: dict = {}
@@ -499,11 +500,17 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
         # rounding once keeps the whitened entries accurate
         rj = root_of(ortho, kj, pos_j)
         for (kt, alpha), val in col.items():
-            Y[rows[(kt, alpha)], j] = complex(
-                val.to_mpc(ctx) / (root_of(cod, kt, alpha) * rj))
-    if not np.isfinite(Y).all():
+            data.append(complex(
+                val.to_mpc(ctx) / (root_of(cod, kt, alpha) * rj)))
+            row_idx.append(rows[(kt, alpha)])
+            col_idx.append(j)
+    if not np.isfinite(data).all():
         raise RuntimeError("whitened operator matrix overflowed")
-    return float(np.linalg.svd(Y, compute_uv=False)[0]) if Y.size else 0.0
+    if not (rows and sel):
+        return 0.0
+    Y = sparse.csr_matrix((data, (row_idx, col_idx)),
+                          shape=(len(rows), len(sel)), dtype=complex)
+    return top_singular_triplet(Y, Y.conj().T)[0]
 
 
 def lip_norm_gram_oracle(actions: UqActions, x: AlgebraElement,

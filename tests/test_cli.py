@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,34 @@ def test_sweep_cache_resume(capsys, tmp_path):
     assert out3 == out1
     assert cached[0].read_text(encoding="utf-8") == full
     assert list(tmp_path.iterdir()) == cached
+
+
+def test_sweep_cells_keyed_by_package_sources(tmp_path):
+    # two copies of the package that differ by one comment share one
+    # cache directory: each computes its own cell
+    src = Path(qsphere.__file__).resolve().parent
+    cache = tmp_path / "cache"
+    outs = []
+    for name, extra in (("one", ""), ("two", "# one more comment\n")):
+        pkg = tmp_path / name / "qsphere"
+        shutil.copytree(src, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with open(pkg / "session.py", "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(tmp_path / name))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from qsphere.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "sweep", "--q-list", "1/2", "--N", "1..1", "--M-range", "1..1",
+             "--trunc", "60", "--restarts", "1", "--max-iters", "10",
+             "--cache-dir", str(cache)],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(list(cache.glob("sweep-*.json"))) == 2
 
 
 def test_sweep_ignores_cells_of_an_older_search(capsys, tmp_path):

@@ -274,6 +274,9 @@ def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
         rep = approx_inequality_check(ber_half, p, 1, est1, 100)
         assert rep.ratio <= est1.heuristic_value + 0.05
         assert not rep.flagged
+        # the defect norm is the approximant report's, not a second one
+        assert rep.norm_lower == rep.approximant.dist_slack
+        assert rep.approximant.approximant == ber_half.via_coproduct(p, 1)
 
 
 def test_inequality_rejects_scalar(ber_half, alg_half, est1):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsphere import UqActions, make_algebra, make_algebra_float
+from qsphere import UqActions, make_algebra, make_algebra_float, uq_actions
+from qsphere.qhopf import GEN_A, GEN_AS, GEN_B, GEN_BS, generator_word, monomials
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +118,9 @@ def test_delta4_is_negated_delta3(ctx):
 def test_partial_action_characters(ctx):
     alg, act = ctx
     # k acts diagonally by half-integer powers of q
-    x = act.partial_action("k", alg.a)
+    x = act.twisted_derivation("partialK", alg.a)
     assert x == alg.a.scale(alg.field.q_half_power(1))
-    y = act.partial_action("kinv", alg.a)
+    y = act.twisted_derivation("partialKinv", alg.a)
     assert y == alg.a.scale(alg.field.q_half_power(-1))
 
 
@@ -128,7 +129,87 @@ def test_unknown_label(ctx):
     with pytest.raises(ValueError):
         act.twisted_derivation("delta9", alg.a)
     with pytest.raises(ValueError):
-        act.partial_action("x", alg.a)
+        act.twisted_derivation("partialX", alg.a)
+
+
+def _word_pairing(alg):
+    """<eta, w> on basis words, from the generator values and the
+    coproducts Delta k = k (x) k, Delta e = e (x) k + k^-1 (x) e and the
+    same for f, so <e, g w> = <e, g><k, w> + <k^-1, g><e, w>."""
+    F = alg.field
+    z, one = F.zero, F.one
+    gen = {
+        "e": {GEN_B: -(one / F.q)},
+        "f": {GEN_BS: one},
+        "k": {GEN_A: F.q_half_power(1), GEN_AS: F.q_half_power(-1)},
+        "kinv": {GEN_A: F.q_half_power(-1), GEN_AS: F.q_half_power(1)},
+    }
+
+    def pair(eta, word):
+        if not word:
+            return z if eta in ("e", "f") else one
+        g, rest = word[0], word[1:]
+        head = gen[eta].get(g, z)
+        if eta in ("k", "kinv"):
+            return head * pair(eta, rest)
+        return (head * pair("k", rest)
+                + gen["kinv"].get(g, z) * pair(eta, rest))
+
+    return lambda eta: (lambda mono: pair(eta, generator_word(mono)))
+
+
+# label -> (leg paired, generator, power of q^(1/2) scaling the image)
+_PAIRING_LABELS = {
+    "delta1": ("left", "e", 1), "delta2": ("left", "f", -1),
+    "deltaK": ("left", "k", 0), "deltaKinv": ("left", "kinv", 0),
+    "partialE": ("right", "e", 0), "partialF": ("right", "f", 0),
+    "partialK": ("right", "k", 0), "partialKinv": ("right", "kinv", 0),
+}
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 1)])
+def test_actions_match_their_pairing_definition(q):
+    # delta_eta = (<eta,.> (x) 1) Delta and partial_eta = (1 (x) <eta,.>)
+    # Delta on every monomial of degree <= 4; delta3 = (delta_k -
+    # delta_kinv)/(q - 1/q) off q = 1
+    alg = make_algebra(*q)
+    act = UqActions(alg)
+    F = alg.field
+    pairing = _word_pairing(alg)
+    for mono in monomials(4):
+        x = alg.monomial(*mono)
+        cop = alg.coproduct(x)
+        images = {}
+        for label, (leg, eta, half) in _PAIRING_LABELS.items():
+            img = (cop.pair_left if leg == "left" else cop.pair_right)(
+                pairing(eta))
+            images[label] = img.scale(F.q_half_power(half))
+            assert act.twisted_derivation(label, x) == images[label], \
+                (label, mono)
+        if q != (1, 1):
+            d3 = (images["deltaK"] - images["deltaKinv"]).scale(
+                F.one / (F.q - F.one / F.q))
+            assert act.twisted_derivation("delta3", x) == d3, mono
+            assert act.twisted_derivation("delta4", x) == -d3, mono
+
+
+@pytest.mark.parametrize("eta,gen,value", [
+    ("e", GEN_B, lambda F: F.one / F.q),             # sign of <e,b>
+    ("f", GEN_BS, lambda F: -F.one),                 # sign of <f,bs>
+    ("k", GEN_A, lambda F: F.q_half_power(-1)),      # <k,a> = q^(-1/2)
+])
+def test_planted_pairing_fault_is_rejected(monkeypatch, eta, gen, value):
+    good = uq_actions._pairing_table
+
+    def planted(F):
+        table = good(F)
+        table[eta][gen] = value(F)
+        return table
+
+    monkeypatch.setattr(uq_actions, "_pairing_table", planted)
+    monkeypatch.setattr(uq_actions, "_ACCEPTED", set())
+    with pytest.raises(ValueError, match="pairing table rejected"):
+        UqActions(make_algebra(1, 2))
 
 
 def test_classical_limit_diagonal():
