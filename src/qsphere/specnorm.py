@@ -2,10 +2,11 @@
 
 For 0 < q < 1 every element is represented on the weighted-shift model
 (a acts as a raising shift with weights sqrt(1 - q^(2n+2)), b as the
-diagonal e^(i theta) q^n); truncating to M dimensions gives compression
-norms that increase monotonically to the true norm.  At q = 1 the
-algebra is commutative and elements are evaluated on an angle grid
-instead; that path reports itself as grid-resolution-limited.
+diagonal e^(i theta) q^n), where each monomial is one offset diagonal.
+Truncated to M dimensions, each matrix is one CSR assembled once, and
+its compression norm increases to the true norm.  At q = 1 the algebra
+is commutative and elements are evaluated on an angle grid instead;
+that path reports itself as grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
 one kernel that the distance search shares: Lanczos with a residual
@@ -86,68 +87,70 @@ def coefficient_sum_bound(x: AlgebraElement) -> float:
 # -- weighted-shift model (0 < q < 1) ---------------------------------------
 
 
-def _shift_weights(q: float, M: int) -> np.ndarray:
-    n = np.arange(M, dtype=float)
-    return np.sqrt(np.maximum(0.0, 1.0 - q ** (2 * n)))
-
-
-def represent_monomial(m: Monomial, trunc: RepTruncation) -> sparse.csr_matrix:
-    """Single offset-diagonal matrix of a normal-ordered monomial."""
+def _diagonals(terms, trunc: RepTruncation) -> dict:
+    """{k: diagonal} of (monomial, complex) pairs, summed in their order
+    from zeros.  a^k b^l b*^m maps e_n into C e_(n+k), so it is the one
+    diagonal at offset k; a shift by M or more leaves the truncation."""
     q, M, theta = trunc.q, trunc.M, trunc.theta
-    k, l, mm = m.a_exp, m.b_exp, m.bs_exp
     n = np.arange(M, dtype=float)
-    # b^l b*^m acts first: diagonal q^(n(l+m)) e^(i theta (l-m))
-    diag = (q ** (n * (l + mm))) * np.exp(1j * theta * (l - mm))
-    w = _shift_weights(q, M)   # w[n] = sqrt(1 - q^(2n))
-    if k >= 0:
-        # a^k raises by k: factor prod_{j=1..k} w[n+j]
+    w = np.sqrt(np.maximum(0.0, 1.0 - q ** (2 * n)))   # shift weights
+    out = {}
+    for m, c in terms:
+        k, l, mm = m.a_exp, m.b_exp, m.bs_exp
+        if abs(k) >= M:
+            continue
+        # b^l b*^m acts first, as q^(n(l+m)) e^(i theta (l-m)); then a^k
+        # raises by weights w[n+1..n+k], or a*^|k| lowers by w[n-|k|+1..n]
+        diag = (q ** (n * (l + mm))) * np.exp(1j * theta * (l - mm))
         amp = np.ones(M)
         for j in range(1, k + 1):
-            idx = n.astype(int) + j
-            amp = amp * np.where(idx < M, w[np.minimum(idx, M - 1)], 0.0)
-        vals = diag * amp
-        rows = np.arange(k, M)
-        cols = np.arange(0, M - k)
-        data = vals[: M - k] if k else vals
-    else:
-        kk = -k
-        amp = np.ones(M)
-        for j in range(kk):
-            idx = n.astype(int) - j
-            amp = amp * np.where(idx >= 1, w[np.maximum(idx, 0)], 0.0)
-        vals = diag * amp
-        rows = np.arange(0, M - kk)
-        cols = np.arange(kk, M)
-        data = vals[kk:]
-    return sparse.csr_matrix((data, (rows, cols)), shape=(M, M))
+            amp[:M - j] *= w[j:]
+        for j in range(-k):
+            amp[j:] *= w[:M - j]
+        vals = (diag * amp)[max(-k, 0):M - max(k, 0)]
+        out[k] = out.get(k, 0.0) + vals * c
+    return out
+
+
+def _csr(grid: list, trunc: RepTruncation) -> sparse.csr_matrix:
+    """One CSR of a square grid of M x M blocks, each given by its
+    (monomial, complex) pairs.  Offset k of block column j puts row r's
+    entry in column j*M + r - k, so sorting by j*M - k orders each row.
+    Sums start at +0, so never hold -0, and exact zeros are left out:
+    bit for bit the arrays of per-term sparse sums stacked by bmat."""
+    M, rows = trunc.M, len(grid)
+    diags = [sorted((j * M - k, k, d) for j, terms in enumerate(row)
+                    for k, d in _diagonals(terms, trunc).items())
+             for row in grid]
+    V = np.zeros((rows, M, max(map(len, diags))), dtype=complex)
+    shift = np.zeros((rows, 1, V.shape[2]), dtype=np.int64)
+    for b, row in enumerate(diags):
+        for i, (s, k, d) in enumerate(row):
+            V[b, max(k, 0):M + min(k, 0), i] = d
+            shift[b, 0, i] = s
+    keep = V != 0   # block row, row, diagonal: CSR order
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2).ravel())))
+    return sparse.csr_matrix((V[keep], (np.arange(M)[:, None] + shift)[keep],
+                              indptr), shape=(M * rows,) * 2)
 
 
 def represent_generator(name: str, trunc: RepTruncation) -> sparse.csr_matrix:
-    table = {
-        "a": Monomial(1, 0, 0), "as": Monomial(-1, 0, 0),
-        "b": Monomial(0, 1, 0), "bs": Monomial(0, 0, 1),
-    }
-    if name not in table:
+    exps = {"a": (1, 0, 0), "as": (-1, 0, 0), "b": (0, 1, 0), "bs": (0, 0, 1)}
+    if name not in exps:
         raise ValueError("unknown generator %r" % (name,))
-    return represent_monomial(table[name], trunc)
+    return _csr([[[(Monomial(*exps[name]), 1.0)]]], trunc)
 
 
 def represent_element(x: AlgebraElement, trunc: RepTruncation) -> sparse.csr_matrix:
-    out = sparse.csr_matrix((trunc.M, trunc.M), dtype=complex)
-    for m, c in x.terms.items():
-        out = out + represent_monomial(m, trunc) * complex(c.to_complex())
-    return out
+    """M x M compression of x, one CSR assembled once."""
+    return _block_rep([[x]], trunc)
 
 
 def relation_residuals(trunc: RepTruncation) -> dict:
     """Defining-relation residuals on interior basis vectors."""
-    a = represent_generator("a", trunc)
-    b = represent_generator("b", trunc)
-    astar = a.getH()
-    bstar = b.getH()
-    M = trunc.M
-    eye = sparse.identity(M, format="csr", dtype=complex)
-    q = trunc.q
+    a, b = represent_generator("a", trunc), represent_generator("b", trunc)
+    astar, bstar, q = a.getH(), b.getH(), trunc.q
+    eye = sparse.identity(trunc.M, format="csr", dtype=complex)
     rels = {
         "ba=qab": b @ a - q * (a @ b),
         "b*a=qab*": bstar @ a - q * (a @ bstar),
@@ -155,12 +158,9 @@ def relation_residuals(trunc: RepTruncation) -> dict:
         "a*a+q2bb*=1": astar @ a + q * q * (b @ bstar) - eye,
         "aa*+bb*=1": a @ astar + b @ bstar - eye,
     }
-    out = {}
-    interior = M - 2
-    for name, mat in rels.items():
-        dense = np.abs(mat.toarray())
-        out[name] = float(dense[:interior, :interior].max()) if interior > 0 else 0.0
-    return out
+    k = trunc.M - 2   # the last two rows feel the cut
+    return {name: float(np.abs(mat.toarray())[:k, :k].max()) if k else 0.0
+            for name, mat in rels.items()}
 
 
 # -- dominant singular value -------------------------------------------------
@@ -351,9 +351,10 @@ def operator_norm(x: AlgebraElement, M: int,
 
 
 def _block_rep(entries: list, trunc: RepTruncation) -> sparse.csr_matrix:
-    """2x2 operator-valued matrix to a 2M x 2M sparse matrix."""
-    blocks = [[represent_element(e, trunc) for e in row] for row in entries]
-    return sparse.bmat(blocks, format="csr")
+    """Square grid of elements, such as a 2x2 operator-valued matrix,
+    to one CSR."""
+    return _csr([[((m, complex(c.to_complex())) for m, c in e.terms.items())
+                  for e in row] for row in entries], trunc)
 
 
 def lip_norm(actions: UqActions, x: AlgebraElement, M: int,
@@ -407,11 +408,9 @@ def delta_block_matrix(actions: UqActions, x: AlgebraElement,
 def delta_block_grid(actions: UqActions, x: AlgebraElement) -> np.ndarray:
     """Pointwise 2x2 derivation matrices on the classical grid (q = 1),
     stacked as an array of shape (points, 2, 2)."""
-    entries = actions.delta_matrix(x)
-    flat = [entries[0][0], entries[0][1], entries[1][0], entries[1][1]]
+    flat = [e for row in actions.delta_matrix(x) for e in row]
     pts = _classical_points(flat, sphere_only=True)
-    stack = np.stack([p.reshape(-1) for p in pts], axis=1)
-    return stack.reshape(-1, 2, 2)
+    return np.stack(pts, axis=1).reshape(-1, 2, 2)
 
 
 # -- Gram dual oracle ----------------------------------------------------------

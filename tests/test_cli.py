@@ -156,6 +156,18 @@ def test_bad_input_writes_no_artifact(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+def test_dist_norm_truncation_below_shift(capsys, tmp_path):
+    # a norm truncation of 2 is shorter than some derivation entries'
+    # shifts; those entries compress to zero instead of failing
+    out = tmp_path / "dist.json"
+    code, _, err = run(capsys, "dist", "--q", "1/2", "--N", "1", "--M", "3",
+                       "--trunc", "2", "--out", str(out))
+    assert code == 0, err
+    obj = json.loads(out.read_text())
+    assert obj["kind"] == "distance" and obj["normTruncation"] == 2
+    assert 0 < obj["certifiedValue"] <= obj["heuristicValue"]
+
+
 def test_print_config(capsys):
     code, out, _ = run(capsys, "haar", "--q", "3/4", "--seed", "5",
                        "--expr", "a", "--print-config")

@@ -1,6 +1,7 @@
 """Norm and seminorm estimators against independent routes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,3 +272,117 @@ def test_converging_seminorm_is_never_densified(monkeypatch, half):
     r = lip_norm(act, alg.sphere_A, 200)
     assert r.value.lower_bound == pytest.approx(math.sqrt(3) / 2, rel=1e-9)
     assert r.value.converged
+
+
+# -- one-pass assembly against the per-monomial sparse route ------------------
+
+
+def _reference_monomial(m, trunc):
+    """The per-monomial sparse route: one COO matrix per monomial."""
+    q, M, theta = trunc.q, trunc.M, trunc.theta
+    k, l, mm = m.a_exp, m.b_exp, m.bs_exp
+    n = np.arange(M, dtype=float)
+    diag = (q ** (n * (l + mm))) * np.exp(1j * theta * (l - mm))
+    w = np.sqrt(np.maximum(0.0, 1.0 - q ** (2 * n)))
+    amp = np.ones(M)
+    if k >= 0:
+        for j in range(1, k + 1):
+            idx = n.astype(int) + j
+            amp = amp * np.where(idx < M, w[np.minimum(idx, M - 1)], 0.0)
+        rows, cols = np.arange(k, M), np.arange(0, M - k)
+        data = (diag * amp)[:M - k]
+    else:
+        for j in range(-k):
+            idx = n.astype(int) - j
+            amp = amp * np.where(idx >= 1, w[np.maximum(idx, 0)], 0.0)
+        rows, cols = np.arange(0, M + k), np.arange(-k, M)
+        data = (diag * amp)[-k:]
+    return sparse.csr_matrix((data, (rows, cols)), shape=(M, M))
+
+
+def _reference_element(x, trunc):
+    out = sparse.csr_matrix((trunc.M, trunc.M), dtype=complex)
+    for m, c in x.terms.items():
+        out = out + _reference_monomial(m, trunc) * complex(c.to_complex())
+    return out
+
+
+def _assert_same_csr(got, want):
+    assert got.has_canonical_format
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _random_coeff(alg, rng):
+    def part():
+        return Fraction(int(rng.choice([-1, 1])) * int(rng.integers(1, 10)),
+                        int(rng.integers(1, 8)))
+    return alg.field.from_parts(re=part(), im=part())
+
+
+def _shuffled(x, rng):
+    """x with its terms in a random summation order."""
+    items = list(x.terms.items())
+    order = rng.permutation(len(items))
+    return AlgebraElement(x.alg, dict(items[i] for i in order))
+
+
+def _random_element(alg, rng, max_shift):
+    # several terms share each offset, so the summation order shows
+    words = [m for m in monomials(4) if abs(m.a_exp) <= max_shift]
+    picks = rng.choice(len(words), size=min(len(words), 8), replace=False)
+    return AlgebraElement(alg, {words[i]: _random_coeff(alg, rng)
+                                for i in picks})
+
+
+def _random_sphere_element(alg, rng, degree):
+    gens = [alg.sphere_A, alg.sphere_B, alg.sphere_B_star]
+    x = alg.scalar_element(_random_coeff(alg, rng))
+    for _ in range(3):
+        word = alg.unit
+        for _ in range(int(rng.integers(1, degree + 1))):
+            word = word * gens[int(rng.integers(3))]
+        x = x + word.scale(_random_coeff(alg, rng))
+    return _shuffled(x, rng)
+
+
+@pytest.mark.parametrize("M", [2, 5, 60, 200])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("q", [(1, 2), (9, 10)])
+def test_assembly_bit_identical(q, theta, M):
+    # the one-pass CSR has the arrays of the per-monomial sparse sums and
+    # sparse.bmat, which the Lanczos kernel's bits depend on
+    alg = make_algebra(*q)
+    act = UqActions(alg)
+    trunc = RepTruncation(q[0] / q[1], M, theta)
+    rng = np.random.default_rng([M, int(10 * theta), q[1]])
+    for _ in range(4):
+        x = _random_element(alg, rng, M - 1)
+        _assert_same_csr(represent_element(x, trunc),
+                         _reference_element(x, trunc))
+        y = _random_sphere_element(alg, rng, 1 if M == 2 else 3)
+        entries = act.delta_matrix(y)
+        if any(abs(m.a_exp) >= M for row in entries for e in row
+               for m in e.terms):
+            continue
+        want = sparse.bmat([[_reference_element(e, trunc) for e in row]
+                            for row in entries], format="csr")
+        _assert_same_csr(delta_block_matrix(act, y, trunc), want)
+
+
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_shift_beyond_truncation_is_zero(half, M):
+    # a^k and a*^k with k >= M move every basis vector out of the
+    # truncation, so their compression is the zero matrix
+    alg, _ = half
+    trunc = RepTruncation(0.5, M, 0.3)
+    for k in (M, M + 1, 2 * M + 3):
+        for x in (alg.a ** k, alg.a_star ** k):
+            mat = represent_element(x, trunc)
+            assert mat.shape == (M, M) and mat.nnz == 0
+    # the in-range terms of a mixed element are untouched
+    x = alg.a ** (M + 1) + alg.b
+    _assert_same_csr(represent_element(x, trunc),
+                     _reference_element(alg.b, trunc))
