@@ -10,8 +10,9 @@ that path reports itself as grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
 one kernel that the distance search shares: Lanczos with a residual
-stop, or a dense SVD on tops too clustered for its step budget.  Upper
-bounds are the crude coefficient-sum estimate.  The Gram oracle at the
+stop; a seminorm top too clustered for its step budget is certified at
+the character norm by banded Cholesky, else taken from a dense SVD.
+Upper bounds are the crude coefficient-sum estimate.  The Gram oracle at the
 bottom reaches the same Lip seminorm through Haar inner products alone,
 with no representation matrices, which is what makes it an independent
 check: it whitens each Dirac symbol's multiplication operator against
@@ -32,7 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from .gns import _graded_ortho
-from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
+from .qhopf import UNIT, Algebra, AlgebraElement, Monomial, _accumulate
 from .uq_actions import UqActions
 
 # truncation ladder: double M until successive values agree to _REL_TOL
@@ -62,8 +63,8 @@ class NormEstimate:
     converged: bool
     M_used: int
     ladder: tuple = ()
-    # always True since dominant_sigma is exact to roundoff; the
-    # benchmark's contraction workload still reads it
+    # always True: dominant_sigma is exact to roundoff or certified to
+    # 2e-12; the benchmark's contraction workload still reads it
     iteration_converged: bool = True
     notes: tuple = ()
 
@@ -165,8 +166,8 @@ def relation_residuals(trunc: RepTruncation) -> dict:
 
 # -- dominant singular value -------------------------------------------------
 
-_LANCZOS_STEPS = 64        # step budget; past it the dense SVD answers
-_LANCZOS_TOL = 1e-12       # Ritz residual over Ritz value at the stop
+_LANCZOS_STEPS = 64        # step budget; past it a certificate or dense SVD
+_LANCZOS_TOL = 1e-12       # Ritz residual / Ritz value at the stop; delta
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,7 +186,43 @@ def _dense_top_triplet(T, vectors: bool) -> tuple:
     return float(np.linalg.svd(T.toarray(), compute_uv=False)[0]), None, None
 
 
-def top_singular_triplet(T, TH, vectors: bool = False) -> tuple:
+def _site_gram_blocks(T, TH, M: int) -> tuple:
+    """T^H T for T an r x r grid of M x M blocks, its unknowns ordered
+    site by site (site s of block column j is unknown s r + j) and cut
+    into b x b blocks, b its bandwidth: then it is block tridiagonal, with
+    diagonal blocks D and the blocks U right of them, zero-padded."""
+    G = (TH @ T).tocoo()
+    n, r = G.shape[0], G.shape[0] // M
+    i, j = G.row % M * r + G.row // M, G.col % M * r + G.col // M
+    b = max(1, int(np.abs(i - j).max(initial=0)))
+    D = np.zeros((-(-n // b), b, b), dtype=complex)
+    U = np.zeros_like(D)
+    for out, keep in ((D, i // b == j // b), (U, j // b == i // b + 1)):
+        out[i[keep] // b, i[keep] % b, j[keep] % b] = G.data[keep]
+    return D, U
+
+
+def _norm_below(D: np.ndarray, U: np.ndarray, t: float) -> bool:
+    """True when t^2 I - G is positive definite, G of _site_gram_blocks:
+    its block Cholesky factorization L_k L_k^H = t^2 I - D_k - W^H W,
+    W = L_(k-1)^-1 U_(k-1), runs through (padding meets t^2 I alone).
+    The backward error of banded Cholesky, and of forming T^H T, grows
+    with the bandwidth b, not with n (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10): about (b + 1)^2 u t^2, u = 1.1e-16, so
+    2e-13 t^2 even at b = 40, below the gap 2 delta c^2 = 2e-12 c^2 that
+    top_singular_triplet leaves between t^2 and c^2 at either end."""
+    W = np.zeros_like(D[0])
+    for A, Uk in zip(t * t * np.eye(D.shape[1]) - D, U):
+        try:
+            L = np.linalg.cholesky(A - W.conj().T @ W)
+        except np.linalg.LinAlgError:
+            return False
+        W = np.linalg.solve(L, Uk)
+    return True
+
+
+def top_singular_triplet(T, TH, vectors: bool = False,
+                         candidate: float = 0.0, M: int = 0) -> tuple:
     """(sigma, u, v) with T v = sigma u, the top singular triplet of a
     sparse T given TH = T^H.
 
@@ -194,8 +231,11 @@ def top_singular_triplet(T, TH, vectors: bool = False) -> tuple:
     _LANCZOS_TOL times the Ritz value; its long sums run in numpy's own
     loops and scipy's sparse products, so they do not follow the BLAS
     thread count.  A top too clustered to pass within
-    min(_LANCZOS_STEPS, n) steps goes to LAPACK's dense SVD of T, which
-    returns u and v only if vectors is set.
+    min(_LANCZOS_STEPS, n) steps of an r x r grid T of M x M blocks, with
+    no vectors asked, is certified at a candidate c the Ritz value does
+    not exceed: c (1 - delta) <= ||T|| < c (1 + delta), delta =
+    _LANCZOS_TOL, so sigma = c (1 - delta).  Anything else goes to
+    LAPACK's dense SVD of T, which returns u and v only if vectors is set.
     """
     n = T.shape[1]
     steps = min(_LANCZOS_STEPS, n)
@@ -223,13 +263,20 @@ def top_singular_triplet(T, TH, vectors: bool = False) -> tuple:
         if k + 1 < steps:
             H[k + 1, k] = b
             V[k + 1] = w / b
+    hi, lo = candidate * (1 + _LANCZOS_TOL), candidate * (1 - _LANCZOS_TOL)
+    if candidate and not vectors and ritz[-1] <= hi * hi:
+        D, U = _site_gram_blocks(T, TH, M)
+        if _norm_below(D, U, hi) and not _norm_below(D, U, lo):
+            return lo, None, None
     return _dense_top_triplet(T, vectors)
 
 
-def dominant_sigma(mat: sparse.csr_matrix) -> tuple:
+def dominant_sigma(mat, candidate: float = 0.0, M: int = 0) -> tuple:
     """Largest singular value: (sigma, converged) from top_singular_triplet,
-    accurate to roundoff on every spectrum, so converged is always True."""
-    return top_singular_triplet(mat, mat.conj().T)[0], True
+    accurate to roundoff, or certified within 2e-12 below a clustered top
+    at the candidate; so converged is always True."""
+    return top_singular_triplet(mat, mat.conj().T, candidate=candidate,
+                                M=M)[0], True
 
 
 # -- theta reduction ----------------------------------------------------------
@@ -294,8 +341,8 @@ def _classical_norm(x: AlgebraElement) -> float:
 # -- public norm API -----------------------------------------------------------
 
 
-def _ladder_estimate(build, x: AlgebraElement, M: int,
-                     upper: float, ladder: bool) -> NormEstimate:
+def _ladder_estimate(build, x: AlgebraElement, M: int, upper: float,
+                     ladder: bool, candidate: float = 0.0) -> NormEstimate:
     """Compression norm of the matrices build(trunc) representing x.
 
     One angle, theta = 0, suffices: x is a sphere element, where the
@@ -303,13 +350,14 @@ def _ladder_estimate(build, x: AlgebraElement, M: int,
     a global phase.  lower_bound is the dominant singular value at the
     final truncation; ladder=True doubles the truncation until
     successive values agree, ladder=False reports the first one as
-    converged.
+    converged.  candidate goes to dominant_sigma at every truncation.
     """
     q = x.alg.field.float_q()
     M = max(M, x.total_degree() + 2)
 
     def level(Mcur: int) -> float:
-        return dominant_sigma(build(RepTruncation(q, Mcur)))[0]
+        return dominant_sigma(build(RepTruncation(q, Mcur)), candidate,
+                              Mcur)[0]
 
     best = level(M)
     steps = [(M, best)]
@@ -383,8 +431,20 @@ def lip_norm(actions: UqActions, x: AlgebraElement, M: int,
     # the right degree, so every entry is a sphere element and one theta
     # suffices
     est = _ladder_estimate(lambda trunc: _block_rep(entries, trunc),
-                           x, M, upper, ladder)
+                           x, M, upper, ladder, _character_norm(entries))
     return LipResult(est, components)
+
+
+def _character_norm(entries: list) -> float:
+    """||C||, C the 2x2 matrix of the entries' unit coefficients: the
+    characters send a sphere element to its unit coefficient, so this is
+    the derivation matrix's essential norm.  sigma^2 = (|C|_F^2 +
+    sqrt(|C|_F^4 - 4 |det C|^2)) / 2, via C C^H = [[p, z], [z*, r]]."""
+    (a, b), (c, d) = [[complex(e.terms[UNIT].to_complex()) if UNIT in e.terms
+                       else 0j for e in row] for row in entries]
+    p, r = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
+    z = a * c.conjugate() + b * d.conjugate()
+    return math.sqrt((p + r) / 2 + math.hypot((p - r) / 2, abs(z)))
 
 
 def _crude_lip_bound(entries: list) -> float:

@@ -274,6 +274,120 @@ def test_converging_seminorm_is_never_densified(monkeypatch, half):
     assert r.value.converged
 
 
+# -- clustered tops certified at the character norm ---------------------------
+
+DELTA = specnorm._LANCZOS_TOL
+# the 7 seminorms of a q = 9/10 contraction round that Lanczos cannot resolve
+FALLBACK = [(t, 1) for t in CLUSTERED] + [("B + 2*Bs", 0)]
+
+
+@pytest.fixture(scope="module")
+def fallback_images(nine_tenths):
+    alg, act = nine_tenths
+    ber = Berezin(GnsContext(alg, act))
+    out = []
+    for text, level in FALLBACK:
+        y = parse_expression(alg, text)
+        out.append(ber.via_coproduct(y, level) if level else y)
+    return out
+
+
+def test_clustered_seminorm_is_never_densified(monkeypatch, nine_tenths,
+                                               fallback_images):
+    _alg, act = nine_tenths
+    calls = _spy_dense(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("densified a certified input")
+
+    monkeypatch.setattr(sparse.csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(sparse.csc_matrix, "toarray", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for y in fallback_images:
+        est = lip_norm(act, y, 200, ladder=False).value
+        assert est.converged and est.lower_bound > 0
+    assert calls == []
+
+
+def test_certified_value_is_within_two_delta_below_dense(nine_tenths,
+                                                         fallback_images):
+    _alg, act = nine_tenths
+    roundoff = 1e-14     # the dense SVD's own relative error, generously
+    for (text, level), y in zip(FALLBACK, fallback_images):
+        lo = lip_norm(act, y, 200, ladder=False).value.lower_bound
+        mat = delta_block_matrix(act, y, RepTruncation(0.9, 200, 0.0))
+        dense = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+        assert lo <= dense * (1 + roundoff), (text, level)
+        assert dense <= lo * (1 + 2 * DELTA + roundoff), (text, level)
+
+
+def _interleaved_banded(rng, M, r, width):
+    """Seeded r x r grid of complex M x M blocks with offsets
+    -width..width: banded once its unknowns go site by site."""
+    offsets = range(-width, width + 1)
+    return sparse.bmat([[sparse.diags(
+        [rng.standard_normal(M - abs(k)) + 1j * rng.standard_normal(M - abs(k))
+         for k in offsets], offsets, shape=(M, M)) for _ in range(r)]
+        for _ in range(r)], format="csr")
+
+
+@pytest.mark.parametrize("M, r, width, partial", [
+    (2, 2, 1, True), (37, 2, 2, True), (48, 1, 3, False), (23, 3, 1, True)])
+def test_block_cholesky_matches_eigvalsh(M, r, width, partial):
+    T = _interleaved_banded(np.random.default_rng([M, r, width]), M, r, width)
+    G = (T.conj().T @ T).toarray()
+    D, U = specnorm._site_gram_blocks(T, T.conj().T, M)
+    nb, b, n = D.shape[0], D.shape[1], M * r
+    assert nb == -(-n // b) and bool(n % b) == partial
+    # the blocks are G in the site-by-site order, zero-padded
+    order = [j * M + s for s in range(M) for j in range(r)]
+    full = np.zeros((nb * b, nb * b), dtype=complex)
+    for k in range(nb):
+        full[k * b:(k + 1) * b, k * b:(k + 1) * b] = D[k]
+        if k + 1 < nb:
+            full[k * b:(k + 1) * b, (k + 1) * b:(k + 2) * b] = U[k]
+            full[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = U[k].conj().T
+    assert np.array_equal(full[:n, :n], G[np.ix_(order, order)])
+    assert not full[n:].any()
+    sigma = math.sqrt(np.linalg.eigvalsh(G)[-1])
+    assert specnorm._norm_below(D, U, sigma * (1 + 1e-10))
+    assert not specnorm._norm_below(D, U, sigma * (1 - 1e-10))
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9])
+def test_off_candidate_is_refused(monkeypatch, nine_tenths, fallback_images,
+                                  factor):
+    # a candidate 1e-9 away from the character norm cannot be certified
+    # at delta = 1e-12, so the dense SVD answers
+    _alg, act = nine_tenths
+    calls = _spy_dense(monkeypatch)
+    for (text, level), y in zip(FALLBACK, fallback_images):
+        c = specnorm._character_norm(act.delta_matrix(y))
+        mat = delta_block_matrix(act, y, RepTruncation(0.9, 200, 0.0))
+        calls.clear()
+        sigma, converged = specnorm.dominant_sigma(mat, c * factor, 200)
+        assert converged and calls == [mat.shape], (text, level)
+        assert sigma == np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+
+
+def test_top_below_character_norm_keeps_dense_value(monkeypatch):
+    # B + Bs at q = 99/100, M = 100: sigma 1.0100240... lies below the
+    # character norm 1/q, so the certificate refuses and the dense SVD
+    # gives the value it gave before the certificate existed
+    alg = make_algebra(99, 100)
+    act = UqActions(alg)
+    y = parse_expression(alg, "B + Bs")
+    assert specnorm._character_norm(act.delta_matrix(y)) == pytest.approx(
+        100 / 99, rel=1e-15)
+    calls = _spy_dense(monkeypatch)
+    est = lip_norm(act, y, 100, ladder=False).value
+    assert calls == [(200, 200)]
+    assert est.lower_bound == pytest.approx(1.0100240205873896, rel=1e-13)
+    mat = delta_block_matrix(act, y, RepTruncation(0.99, 100, 0.0))
+    assert est.lower_bound == np.linalg.svd(mat.toarray(),
+                                            compute_uv=False)[0]
+
+
 # -- one-pass assembly against the per-monomial sparse route ------------------
 
 
