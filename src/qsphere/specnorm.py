@@ -10,8 +10,9 @@ that path reports itself as grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
 one kernel that the distance search shares: Lanczos with a residual
-stop; a seminorm top too clustered for its step budget is certified at
-the character norm by banded Cholesky, else taken from a dense SVD.
+stop; a seminorm top seen by step 16 to stall below the character norm,
+or left unresolved by the step budget, is certified at the character
+norm by banded Cholesky, else taken from a dense SVD.
 Upper bounds are the crude coefficient-sum estimate.  The Gram oracle at the
 bottom reaches the same Lip seminorm through Haar inner products alone,
 with no representation matrices, which is what makes it an independent
@@ -166,7 +167,7 @@ def relation_residuals(trunc: RepTruncation) -> dict:
 
 # -- dominant singular value -------------------------------------------------
 
-_LANCZOS_STEPS = 64        # step budget; past it a certificate or dense SVD
+_LANCZOS_STEPS = 64        # step budget; a stalled top is certified at 1/4
 _LANCZOS_TOL = 1e-12       # Ritz residual / Ritz value at the stop; delta
 
 
@@ -230,18 +231,28 @@ def top_singular_triplet(T, TH, vectors: bool = False,
     fixed seeded start vector, stops once the Ritz residual is at most
     _LANCZOS_TOL times the Ritz value; its long sums run in numpy's own
     loops and scipy's sparse products, so they do not follow the BLAS
-    thread count.  A top too clustered to pass within
-    min(_LANCZOS_STEPS, n) steps of an r x r grid T of M x M blocks, with
-    no vectors asked, is certified at a candidate c the Ritz value does
-    not exceed: c (1 - delta) <= ||T|| < c (1 + delta), delta =
-    _LANCZOS_TOL, so sigma = c (1 - delta).  Anything else goes to
-    LAPACK's dense SVD of T, which returns u and v only if vectors is set.
+    thread count.  With a candidate c and no vectors asked, T an r x r
+    grid of M x M blocks, the top is certified at c at most once per
+    call, as c (1 - delta) <= ||T|| < c (1 + delta), delta =
+    _LANCZOS_TOL, so sigma = c (1 - delta): after step 16
+    (_LANCZOS_STEPS // 4) if the Ritz value is still below
+    c^2 (1 - sqrt(delta)), else after the last step if it is at most
+    c^2 (1 + delta)^2.  A refusal at step 16 lets Lanczos go on; the
+    same matrix at the same t would refuse again.  The gap keeps bits: a
+    top at c that Lanczos resolves (the q = 1/2 distance round's, in
+    21-25 steps) is within 3.3e-12 of c^2 at step 16, and a top
+    certified there would be certified, as c (1 - delta), after the full
+    budget.  Anything else goes to LAPACK's dense SVD of T, which
+    returns u and v only if vectors is set.
     """
     n = T.shape[1]
     steps = min(_LANCZOS_STEPS, n)
     V = np.empty((steps, n), dtype=complex)
     H = np.zeros((steps, steps))
     V[0] = _start_vector(n)
+    hi, lo = candidate * (1 + _LANCZOS_TOL), candidate * (1 - _LANCZOS_TOL)
+    stall = (1 - math.sqrt(_LANCZOS_TOL)) * candidate * candidate
+    certify = bool(candidate) and not vectors    # at most once per call
     for k in range(steps):
         w = TH @ (T @ V[k])
         Vk = V[:k + 1]
@@ -260,14 +271,16 @@ def top_singular_triplet(T, TH, vectors: bool = False,
             if sigma > 0.0:
                 u /= sigma
             return sigma, u, v
+        if certify and ritz[-1] <= hi * hi and (
+                k + 1 == steps
+                or k + 1 == _LANCZOS_STEPS // 4 and ritz[-1] < stall):
+            certify = False
+            D, U = _site_gram_blocks(T, TH, M)
+            if _norm_below(D, U, hi) and not _norm_below(D, U, lo):
+                return lo, None, None
         if k + 1 < steps:
             H[k + 1, k] = b
             V[k + 1] = w / b
-    hi, lo = candidate * (1 + _LANCZOS_TOL), candidate * (1 - _LANCZOS_TOL)
-    if candidate and not vectors and ritz[-1] <= hi * hi:
-        D, U = _site_gram_blocks(T, TH, M)
-        if _norm_below(D, U, hi) and not _norm_below(D, U, lo):
-            return lo, None, None
     return _dense_top_triplet(T, vectors)
 
 

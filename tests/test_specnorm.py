@@ -292,6 +292,68 @@ def fallback_images(nine_tenths):
     return out
 
 
+def _spy_norm_below(monkeypatch):
+    calls = []
+    below = specnorm._norm_below
+
+    def spied(D, U, t):
+        calls.append(t)
+        return below(D, U, t)
+
+    monkeypatch.setattr(specnorm, "_norm_below", spied)
+    return calls
+
+
+def test_certified_calls_stop_early(monkeypatch, nine_tenths,
+                                    fallback_images):
+    # their Ritz values are still 1.4e-5 to 1.4e-4 below c^2 at step 16, so
+    # the certificate runs there, once, instead of after the 64-step budget
+    _alg, act = nine_tenths
+    steps = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        steps.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    factored = _spy_norm_below(monkeypatch)
+    for (text, level), y in zip(FALLBACK, fallback_images):
+        c = specnorm._character_norm(act.delta_matrix(y))
+        steps.clear()
+        factored.clear()
+        est = lip_norm(act, y, 200, ladder=False).value
+        assert len(steps) <= specnorm._LANCZOS_STEPS // 4, (text, level)
+        assert len(factored) == 2, (text, level)
+        assert est.lower_bound == c * (1 - DELTA), (text, level)
+
+
+# q = 1/2 seminorms the distance round scores whose top sits at the
+# character norm to 1e-14: Lanczos resolves them in 25 steps, and at step 16
+# their Ritz values are already within 3.3e-12 of c^2; the frozen values
+# are those of the residual stop
+AT_CHARACTER_NORM = [
+    ("B + Bs", 0, 1.9999999999999851), ("B + Bs", 1, 1.5238095238095122),
+    ("B + Bs", 2, 1.8823529411764564), ("i*(B - Bs)", 0, 1.999999999999981),
+    ("i*(B - Bs)", 1, 1.523809523809509),
+    ("i*(B - Bs)", 2, 1.8823529411764521)]
+
+
+def test_converging_top_at_character_norm_is_not_certified(monkeypatch,
+                                                           half):
+    # certified at step 16, these would read c (1 - delta) instead
+    alg, act = half
+    ber = Berezin(GnsContext(alg, act))
+    factored = _spy_norm_below(monkeypatch)
+    for text, level, frozen in AT_CHARACTER_NORM:
+        y = parse_expression(alg, text)
+        if level:
+            y = ber.via_coproduct(y, level)
+        est = lip_norm(act, y, 200, ladder=False).value
+        assert est.lower_bound == frozen, (text, level)
+    assert factored == []
+
+
 def test_clustered_seminorm_is_never_densified(monkeypatch, nine_tenths,
                                                fallback_images):
     _alg, act = nine_tenths
@@ -380,8 +442,12 @@ def test_top_below_character_norm_keeps_dense_value(monkeypatch):
     assert specnorm._character_norm(act.delta_matrix(y)) == pytest.approx(
         100 / 99, rel=1e-15)
     calls = _spy_dense(monkeypatch)
+    factored = _spy_norm_below(monkeypatch)
     est = lip_norm(act, y, 100, ladder=False).value
     assert calls == [(200, 200)]
+    # refused at step 16, and not tried again at the end of the step budget:
+    # the same matrix at the same t would give the same answer
+    assert len(factored) == 2
     assert est.lower_bound == pytest.approx(1.0100240205873896, rel=1e-13)
     mat = delta_block_matrix(act, y, RepTruncation(0.99, 100, 0.0))
     assert est.lower_bound == np.linalg.svd(mat.toarray(),
