@@ -238,6 +238,7 @@ class _ShiftDenominator:
     def __init__(self, actions, basis: Sequence[AlgebraElement], M: int):
         q = basis[0].alg.field.float_q()
         trunc = RepTruncation(q, M, 0.0)
+        self.M = M
         self.mats = [delta_block_matrix(actions, u, trunc) for u in basis]
         n = self.n = self.mats[0].shape[0]
         # union sparsity pattern, keyed row * n + col in CSR order; S has
@@ -272,7 +273,7 @@ class _ShiftDenominator:
         T, TH = self.T, self.TH
         T.data[:] = self.S @ c
         np.conjugate(T.data[self.perm], out=TH.data)
-        sigma, u, v = top_singular_triplet(T, TH, vectors=True)
+        sigma, u, v = top_singular_triplet(T, TH, M=self.M)
         if sigma < _TINY:
             return 0.0, np.zeros(len(self.mats)), v
         # d sigma / d c_r = Re(u^H D_r v), summed over the pattern

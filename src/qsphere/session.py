@@ -3,14 +3,14 @@
 Each emitted artifact embeds the full configuration, so any number in a
 report can be reproduced from the artifact alone.  Identical config and
 seed must give bit-identical JSON; wall-clock timings are therefore kept
-out of the canonical serialization.  The BLAS thread count reaches only
-values read off LAPACK's dense SVD, which threaded BLAS sums differently:
-seminorms whose top singular value is too clustered for the Lanczos
-kernel's step budget (at q = 9/10, `B + 2*Bs` and some level-1
-transforms; at q = 99/100, `B + Bs` at every truncation), and Gram
-oracle values with such a top (every oracle matrix of the normoracles
-suite at q = 9/10).  Those can differ in their last bits between thread
-counts.
+out of the canonical serialization.  No value is read off a dense SVD:
+LAPACK sees only the Cholesky factorizations of b x b blocks behind the
+character-norm certificate and the bisection bracket (b = 3-4 for the
+seminorms, up to about 100 for Gram oracle matrices) and the 2 x 2 SVDs
+of the q = 1 grid.  `lipnorm --q 99/100 --expr "B + Bs" --trunc 100`
+and `verify --q 9/10 --suite normoracles` give the same bytes under one
+and two OpenBLAS threads; a factorization that rounded differently near
+a bisection point could still move a bracketed value, by at most 1e-12.
 """
 
 from __future__ import annotations

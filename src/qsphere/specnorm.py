@@ -10,9 +10,9 @@ that path reports itself as grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
 one kernel that the distance search shares: Lanczos with a residual
-stop; a seminorm top seen by step 16 to stall below the character norm,
-or left unresolved by the step budget, is certified at the character
-norm by banded Cholesky, else taken from a dense SVD.
+stop; a seminorm top seen by step 16 to stall below the character norm
+is certified there by banded Cholesky, and any other top the step
+budget leaves unresolved is bracketed to 1e-12 by the same factorization.
 Upper bounds are the crude coefficient-sum estimate.  The Gram oracle at the
 bottom reaches the same Lip seminorm through Haar inner products alone,
 with no representation matrices, which is what makes it an independent
@@ -180,13 +180,6 @@ def _start_vector(n: int) -> np.ndarray:
     return start
 
 
-def _dense_top_triplet(T, vectors: bool) -> tuple:
-    if vectors:
-        U, S, Vh = np.linalg.svd(T.toarray())
-        return float(S[0]), U[:, 0], Vh[0].conj()
-    return float(np.linalg.svd(T.toarray(), compute_uv=False)[0]), None, None
-
-
 def _site_gram_blocks(T, TH, M: int) -> tuple:
     """T^H T for T an r x r grid of M x M blocks, its unknowns ordered
     site by site (site s of block column j is unknown s r + j) and cut
@@ -222,28 +215,44 @@ def _norm_below(D: np.ndarray, U: np.ndarray, t: float) -> bool:
     return True
 
 
-def top_singular_triplet(T, TH, vectors: bool = False,
-                         candidate: float = 0.0, M: int = 0) -> tuple:
-    """(sigma, u, v) with T v = sigma u, the top singular triplet of a
-    sparse T given TH = T^H.
+def _bracket(D: np.ndarray, U: np.ndarray, lo: float) -> tuple:
+    """(lo, hi), lo <= ||T|| <= hi <= lo (1 + delta) up to the backward
+    error of _norm_below, for T^H T in _site_gram_blocks' blocks and a
+    lower bound lo: hi steps up from lo by 1 + s, s = delta, 4 delta,
+    16 delta ..., then bisection halves [lo, hi], each factorization
+    moving one end.  T's largest column norm is a lower bound too, so a
+    start from lo = 0 moves."""
+    lo = max(lo, math.sqrt(D.diagonal(axis1=1, axis2=2).real.max()))
+    s, hi = _LANCZOS_TOL, lo * (1 + _LANCZOS_TOL)
+    while lo and not _norm_below(D, U, hi):
+        lo, s = hi, 4 * s
+        hi = lo * (1 + s)
+    while hi - lo > _LANCZOS_TOL * lo:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _norm_below(D, U, mid) else (mid, hi)
+    return lo, hi
+
+
+def top_singular_triplet(T, TH, candidate: float = 0.0, M: int = 0) -> tuple:
+    """(sigma, u, v), the top singular value of a sparse T given TH = T^H,
+    T an r x r grid of M x M blocks (M = 0: one block column), v the
+    Ritz vector and T v = ||T v|| u; delta = _LANCZOS_TOL.
 
     Lanczos on T^H T with two-pass full reorthogonalization, from one
-    fixed seeded start vector, stops once the Ritz residual is at most
-    _LANCZOS_TOL times the Ritz value; its long sums run in numpy's own
-    loops and scipy's sparse products, so they do not follow the BLAS
-    thread count.  With a candidate c and no vectors asked, T an r x r
-    grid of M x M blocks, the top is certified at c at most once per
-    call, as c (1 - delta) <= ||T|| < c (1 + delta), delta =
-    _LANCZOS_TOL, so sigma = c (1 - delta): after step 16
-    (_LANCZOS_STEPS // 4) if the Ritz value is still below
-    c^2 (1 - sqrt(delta)), else after the last step if it is at most
-    c^2 (1 + delta)^2.  A refusal at step 16 lets Lanczos go on; the
-    same matrix at the same t would refuse again.  The gap keeps bits: a
-    top at c that Lanczos resolves (the q = 1/2 distance round's, in
-    21-25 steps) is within 3.3e-12 of c^2 at step 16, and a top
-    certified there would be certified, as c (1 - delta), after the full
-    budget.  Anything else goes to LAPACK's dense SVD of T, which
-    returns u and v only if vectors is set.
+    fixed seeded start vector, ends in one of three exits:
+    1. the Ritz residual is at most delta times the Ritz value: sigma =
+       ||T v||, exact to roundoff;
+    2. a candidate c is given and the Ritz value after step 16
+       (_LANCZOS_STEPS // 4) is still below c^2 (1 - sqrt(delta)): the
+       top is certified at c, as c (1 - delta) <= ||T|| < c (1 + delta),
+       and sigma = c (1 - delta), u = v = None.  A refusal lets Lanczos
+       go on.  The gap keeps bits: a top at c that Lanczos resolves (the
+       q = 1/2 distance round's, in 21-25 steps) is within 3.3e-12 of
+       c^2 at step 16;
+    3. the step budget runs out: sigma is the lower end of _bracket from
+       ||T v||, at most delta below ||T||.
+    The long sums run in numpy's own loops and scipy's sparse products,
+    the bracket's in LAPACK on b x b blocks, b the bandwidth.
     """
     n = T.shape[1]
     steps = min(_LANCZOS_STEPS, n)
@@ -252,7 +261,6 @@ def top_singular_triplet(T, TH, vectors: bool = False,
     V[0] = _start_vector(n)
     hi, lo = candidate * (1 + _LANCZOS_TOL), candidate * (1 - _LANCZOS_TOL)
     stall = (1 - math.sqrt(_LANCZOS_TOL)) * candidate * candidate
-    certify = bool(candidate) and not vectors    # at most once per call
     for k in range(steps):
         w = TH @ (T @ V[k])
         Vk = V[:k + 1]
@@ -263,31 +271,31 @@ def top_singular_triplet(T, TH, vectors: bool = False,
         b = float(np.linalg.norm(w))
         ritz, Y = np.linalg.eigh(H[:k + 1, :k + 1])
         y = Y[:, -1]
-        if b * abs(y[-1]) <= _LANCZOS_TOL * ritz[-1]:
-            v = np.einsum("i,ij->j", y, Vk)
-            v /= np.linalg.norm(v)
-            u = T @ v
-            sigma = float(np.linalg.norm(u))
-            if sigma > 0.0:
-                u /= sigma
-            return sigma, u, v
-        if certify and ritz[-1] <= hi * hi and (
-                k + 1 == steps
-                or k + 1 == _LANCZOS_STEPS // 4 and ritz[-1] < stall):
-            certify = False
-            D, U = _site_gram_blocks(T, TH, M)
+        resolved = b * abs(y[-1]) <= _LANCZOS_TOL * ritz[-1]
+        if resolved:
+            break
+        if candidate and k + 1 == _LANCZOS_STEPS // 4 and ritz[-1] < stall:
+            D, U = _site_gram_blocks(T, TH, M or n)
             if _norm_below(D, U, hi) and not _norm_below(D, U, lo):
                 return lo, None, None
         if k + 1 < steps:
             H[k + 1, k] = b
             V[k + 1] = w / b
-    return _dense_top_triplet(T, vectors)
+    v = np.einsum("i,ij->j", y, Vk)
+    v /= np.linalg.norm(v)
+    u = T @ v
+    sigma = float(np.linalg.norm(u))
+    if sigma > 0.0:
+        u /= sigma
+    if not resolved:
+        sigma = _bracket(*_site_gram_blocks(T, TH, M or n), sigma)[0]
+    return sigma, u, v
 
 
 def dominant_sigma(mat, candidate: float = 0.0, M: int = 0) -> tuple:
     """Largest singular value: (sigma, converged) from top_singular_triplet,
-    accurate to roundoff, or certified within 2e-12 below a clustered top
-    at the candidate; so converged is always True."""
+    accurate to roundoff, or certified within 2e-12 below a top the
+    Lanczos steps leave unresolved; so converged is always True."""
     return top_singular_triplet(mat, mat.conj().T, candidate=candidate,
                                 M=M)[0], True
 

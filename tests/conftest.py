@@ -4,7 +4,9 @@ Algebra construction at exact q is cheap but the product, coproduct and
 Haar caches live per instance, so fixtures are session scoped.
 """
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from acceptance_log import ACCEPTANCE
 from qsphere import GnsContext, UqActions, make_algebra
@@ -40,6 +42,18 @@ def ber_half(gns_half):
 @pytest.fixture(scope="session")
 def cfg_half():
     return SessionConfig(q_text="1/2")
+
+
+@pytest.fixture
+def no_densify(monkeypatch):
+    """Make forming a dense matrix from a sparse one, or a dense SVD,
+    raise for the rest of the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("densified a sparse input")
+
+    for owner, name in ((sparse.csr_matrix, "toarray"),
+                        (sparse.csc_matrix, "toarray"), (np.linalg, "svd")):
+        monkeypatch.setattr(owner, name, refuse)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

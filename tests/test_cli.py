@@ -188,12 +188,19 @@ def test_reproducible_bytes(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("expr", ["A*B+Bs*A", "3*A-B+Bs", "B+2*Bs"])
-def test_bytes_independent_of_blas_threads(expr):
-    # seminorms that converge in Lanczos never reach threaded BLAS sums,
-    # and B + 2*Bs, whose clustered top Lanczos cannot resolve, is
-    # certified at its character norm; read off LAPACK's dense SVD, each
-    # of these differed in the last bits under one and two OpenBLAS threads
+@pytest.mark.parametrize("args", [
+    ("--q", "9/10", "--expr", "A*B+Bs*A"),
+    ("--q", "9/10", "--expr", "3*A-B+Bs"),
+    ("--q", "9/10", "--expr", "B+2*Bs"),
+    ("--q", "99/100", "--expr", "B + Bs", "--trunc", "100"),
+], ids=["A*B+Bs*A", "3*A-B+Bs", "B+2*Bs", "q99/100-B+Bs-trunc100"])
+def test_bytes_independent_of_blas_threads(args):
+    # seminorms that converge in Lanczos never reach threaded BLAS sums;
+    # B + 2*Bs, whose clustered top Lanczos cannot resolve, is certified
+    # at its character norm, and the lower rungs of the q = 99/100 ladder,
+    # whose tops sit below it, are bracketed by banded Cholesky on 4 x 4
+    # blocks.  Read off LAPACK's dense SVD, B + 2*Bs and the ladder each
+    # differed in the last bits under one and two OpenBLAS threads
     src = str(Path(qsphere.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -203,8 +210,7 @@ def test_bytes_independent_of_blas_threads(expr):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from qsphere.cli import main; "
-             "sys.exit(main(sys.argv[1:]))",
-             "lipnorm", "--q", "9/10", "--expr", expr],
+             "sys.exit(main(sys.argv[1:]))", "lipnorm", *args],
             env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

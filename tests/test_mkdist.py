@@ -193,30 +193,36 @@ def test_shift_sigma_matches_dense_svd(monkeypatch, ber_half):
     _assert_exact_sigmas(seen)
 
 
-def test_shift_sigma_dense_fallback(monkeypatch, gns_half):
-    # a three-step budget sends every call to the dense SVD, with singular
-    # vectors: sigma, the gradient and the returned vector all come from it
+def test_shift_sigma_bracket_fallback(monkeypatch, gns_half):
+    # a three-step budget sends every call to the bracket, with the last
+    # Ritz pair: sigma is the bracket's lower end, within 2 delta of the
+    # dense SVD, and the gradient is Re(u^H D_r v), u = T v / ||T v||, so
+    # c . grad = ||T v|| <= sigma
     monkeypatch.setattr(specnorm, "_LANCZOS_STEPS", 3)
-    dense_calls = []
-    dense = specnorm._dense_top_triplet
+    delta = specnorm._LANCZOS_TOL
+    brackets = []
+    bracket = specnorm._bracket
 
-    def spied(T, vectors):
-        dense_calls.append(vectors)
-        return dense(T, vectors)
+    def spied(D, U, lo):
+        brackets.append(lo)
+        return bracket(D, U, lo)
 
-    monkeypatch.setattr(specnorm, "_dense_top_triplet", spied)
+    monkeypatch.setattr(specnorm, "_bracket", spied)
     basis = selfadjoint_basis(gns_half, 3)
     denom = _ShiftDenominator(gns_half.actions, basis, 100)
     rng = np.random.default_rng(11)
     for k in range(4):
         c = rng.standard_normal(len(basis))
         sigma, grad, v = denom.sigma_and_grad(c)
-        assert dense_calls == [True] * (k + 1)
-        U, S, Vh = np.linalg.svd(denom.T.toarray())
-        assert sigma == pytest.approx(S[0], rel=1e-12, abs=0)
-        assert float(c @ grad) == pytest.approx(sigma, rel=1e-12, abs=0)
-        assert np.array_equal(v, Vh[0].conj())
-        want = [np.real(U[:, 0].conj() @ (D @ v)) for D in denom.mats]
+        assert len(brackets) == k + 1
+        dense = np.linalg.svd(denom.T.toarray(), compute_uv=False)[0]
+        assert dense * (1 - 2 * delta - 1e-14) <= sigma <= dense * (1 + 1e-14)
+        assert np.linalg.norm(v) == pytest.approx(1, rel=1e-15)
+        Tv = denom.T @ v
+        assert brackets[-1] == np.linalg.norm(Tv) <= sigma
+        assert float(c @ grad) == pytest.approx(brackets[-1], rel=1e-12)
+        u = Tv / np.linalg.norm(Tv)
+        want = [np.real(u.conj() @ (D @ v)) for D in denom.mats]
         assert np.allclose(grad, want, rtol=0, atol=1e-12 * sigma)
 
 

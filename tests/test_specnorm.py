@@ -209,19 +209,32 @@ CLUSTERED = ["A*B + Bs*A", "B*A^2 + Bs^2*A", "2*B*A + Bs^2",
              "A*Bs + 1/2*B^3", "A*B*A", "Bs*A^3 - B^2"]
 
 
-def _spy_dense(monkeypatch):
+DELTA = specnorm._LANCZOS_TOL
+ROUNDOFF = 1e-14     # the dense SVD's own relative error, generously
+
+
+def _spy_bracket(monkeypatch):
+    """Record the D.shape of every _bracket call: every top that neither
+    the residual stop nor the character-norm certificate resolves."""
     calls = []
-    dense = specnorm._dense_top_triplet
+    bracket = specnorm._bracket
 
-    def spied(T, vectors):
-        calls.append(T.shape)
-        return dense(T, vectors)
+    def spied(D, U, lo):
+        calls.append(D.shape)
+        return bracket(D, U, lo)
 
-    monkeypatch.setattr(specnorm, "_dense_top_triplet", spied)
+    monkeypatch.setattr(specnorm, "_bracket", spied)
     return calls
 
 
-@pytest.mark.parametrize("q, cases, dense_route", [
+def _assert_bracketed(sigma, dense, label):
+    """sigma is the bracket's lower end: at most 2 delta below the dense
+    SVD, and above it by no more than the SVD's own roundoff."""
+    assert dense * (1 - 2 * DELTA - ROUNDOFF) <= sigma, label
+    assert sigma <= dense * (1 + ROUNDOFF), label
+
+
+@pytest.mark.parametrize("q, cases, bracketed", [
     ((1, 2), [("A", 0), ("B + Bs", 0), ("A*B + Bs*A", 1), ("B + 2*Bs", 0)],
      False),
     ((9, 10), [("A", 0), ("A*B + Bs*A", 0), ("B*A^2 + Bs^2*A", 2),
@@ -230,11 +243,11 @@ def _spy_dense(monkeypatch):
     # Lanczos cannot resolve them within its step budget
     ((9, 10), [(t, 1) for t in CLUSTERED] + [("B + 2*Bs", 0)], True),
 ], ids=["converging-q1/2", "converging-q9/10", "clustered-q9/10"])
-def test_dominant_sigma_both_routes(monkeypatch, q, cases, dense_route):
+def test_dominant_sigma_both_routes(monkeypatch, q, cases, bracketed):
     alg = make_algebra(*q)
     act = UqActions(alg)
     ber = Berezin(GnsContext(alg, act))
-    calls = _spy_dense(monkeypatch)
+    calls = _spy_bracket(monkeypatch)
     trunc = RepTruncation(q[0] / q[1], 200, 0.0)
     for text, level in cases:
         y = parse_expression(alg, text)
@@ -244,13 +257,17 @@ def test_dominant_sigma_both_routes(monkeypatch, q, cases, dense_route):
         calls.clear()
         sigma, converged = specnorm.dominant_sigma(mat)
         assert converged
-        assert calls == ([mat.shape] if dense_route else []), (text, level)
+        assert len(calls) == bracketed, (text, level)
         want = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
-        assert sigma == pytest.approx(want, rel=1e-12, abs=0), (text, level)
+        if bracketed:
+            _assert_bracketed(sigma, want, (text, level))
+        else:
+            assert sigma == pytest.approx(want, rel=1e-12, abs=0), (text,
+                                                                     level)
 
 
-def test_dominant_sigma_of_zero(monkeypatch):
-    calls = _spy_dense(monkeypatch)
+def test_dominant_sigma_of_zero(monkeypatch, no_densify):
+    calls = _spy_bracket(monkeypatch)
     with np.errstate(all="raise"):
         for n in (1, 2, 40):
             zero = sparse.csr_matrix((n, n), dtype=complex)
@@ -258,17 +275,10 @@ def test_dominant_sigma_of_zero(monkeypatch):
     assert calls == []
 
 
-def test_converging_seminorm_is_never_densified(monkeypatch, half):
+def test_converging_seminorm_is_never_densified(half, no_densify):
     # the ladder's matrices at q = 1/2 all converge within the Lanczos
     # budget, so no dense matrix and no dense SVD is ever formed
     alg, act = half
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("densified a converging input")
-
-    monkeypatch.setattr(sparse.csr_matrix, "toarray", refuse)
-    monkeypatch.setattr(sparse.csc_matrix, "toarray", refuse)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
     r = lip_norm(act, alg.sphere_A, 200)
     assert r.value.lower_bound == pytest.approx(math.sqrt(3) / 2, rel=1e-9)
     assert r.value.converged
@@ -276,7 +286,6 @@ def test_converging_seminorm_is_never_densified(monkeypatch, half):
 
 # -- clustered tops certified at the character norm ---------------------------
 
-DELTA = specnorm._LANCZOS_TOL
 # the 7 seminorms of a q = 9/10 contraction round that Lanczos cannot resolve
 FALLBACK = [(t, 1) for t in CLUSTERED] + [("B + 2*Bs", 0)]
 
@@ -355,16 +364,10 @@ def test_converging_top_at_character_norm_is_not_certified(monkeypatch,
 
 
 def test_clustered_seminorm_is_never_densified(monkeypatch, nine_tenths,
-                                               fallback_images):
+                                               fallback_images, no_densify):
+    # certified at step 16: no bracket either
     _alg, act = nine_tenths
-    calls = _spy_dense(monkeypatch)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("densified a certified input")
-
-    monkeypatch.setattr(sparse.csr_matrix, "toarray", refuse)
-    monkeypatch.setattr(sparse.csc_matrix, "toarray", refuse)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    calls = _spy_bracket(monkeypatch)
     for y in fallback_images:
         est = lip_norm(act, y, 200, ladder=False).value
         assert est.converged and est.lower_bound > 0
@@ -374,13 +377,12 @@ def test_clustered_seminorm_is_never_densified(monkeypatch, nine_tenths,
 def test_certified_value_is_within_two_delta_below_dense(nine_tenths,
                                                          fallback_images):
     _alg, act = nine_tenths
-    roundoff = 1e-14     # the dense SVD's own relative error, generously
     for (text, level), y in zip(FALLBACK, fallback_images):
         lo = lip_norm(act, y, 200, ladder=False).value.lower_bound
         mat = delta_block_matrix(act, y, RepTruncation(0.9, 200, 0.0))
         dense = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
-        assert lo <= dense * (1 + roundoff), (text, level)
-        assert dense <= lo * (1 + 2 * DELTA + roundoff), (text, level)
+        assert lo <= dense * (1 + ROUNDOFF), (text, level)
+        assert dense <= lo * (1 + 2 * DELTA + ROUNDOFF), (text, level)
 
 
 def _interleaved_banded(rng, M, r, width):
@@ -420,38 +422,76 @@ def test_block_cholesky_matches_eigvalsh(M, r, width, partial):
 def test_off_candidate_is_refused(monkeypatch, nine_tenths, fallback_images,
                                   factor):
     # a candidate 1e-9 away from the character norm cannot be certified
-    # at delta = 1e-12, so the dense SVD answers
+    # at delta = 1e-12, so the bracket answers, in the site-by-site blocks
     _alg, act = nine_tenths
-    calls = _spy_dense(monkeypatch)
+    calls = _spy_bracket(monkeypatch)
     for (text, level), y in zip(FALLBACK, fallback_images):
         c = specnorm._character_norm(act.delta_matrix(y))
         mat = delta_block_matrix(act, y, RepTruncation(0.9, 200, 0.0))
         calls.clear()
         sigma, converged = specnorm.dominant_sigma(mat, c * factor, 200)
-        assert converged and calls == [mat.shape], (text, level)
-        assert sigma == np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+        assert converged and len(calls) == 1, (text, level)
+        assert calls[0][1] <= 4, (text, level)     # bandwidth
+        _assert_bracketed(
+            sigma, np.linalg.svd(mat.toarray(), compute_uv=False)[0],
+            (text, level))
 
 
-def test_top_below_character_norm_keeps_dense_value(monkeypatch):
+def test_top_below_character_norm_is_bracketed(monkeypatch):
     # B + Bs at q = 99/100, M = 100: sigma 1.0100240... lies below the
-    # character norm 1/q, so the certificate refuses and the dense SVD
-    # gives the value it gave before the certificate existed
+    # character norm 1/q, so the certificate refuses and the bracket
+    # answers, within 2 delta of the dense SVD's 1.0100240205873896
     alg = make_algebra(99, 100)
     act = UqActions(alg)
     y = parse_expression(alg, "B + Bs")
     assert specnorm._character_norm(act.delta_matrix(y)) == pytest.approx(
         100 / 99, rel=1e-15)
-    calls = _spy_dense(monkeypatch)
+    calls = _spy_bracket(monkeypatch)
     factored = _spy_norm_below(monkeypatch)
     est = lip_norm(act, y, 100, ladder=False).value
-    assert calls == [(200, 200)]
-    # refused at step 16, and not tried again at the end of the step budget:
-    # the same matrix at the same t would give the same answer
-    assert len(factored) == 2
-    assert est.lower_bound == pytest.approx(1.0100240205873896, rel=1e-13)
+    assert len(calls) == 1
+    # refused at step 16 by its 2 factorizations; the bracket needs more
+    assert len(factored) > 2
     mat = delta_block_matrix(act, y, RepTruncation(0.99, 100, 0.0))
-    assert est.lower_bound == np.linalg.svd(mat.toarray(),
-                                            compute_uv=False)[0]
+    dense = np.linalg.svd(mat.toarray(), compute_uv=False)[0]
+    assert dense == pytest.approx(1.0100240205873896, rel=1e-13)
+    _assert_bracketed(est.lower_bound, dense, "B + Bs")
+
+
+@pytest.mark.parametrize("M, r, width", [
+    (2, 2, 1), (37, 2, 2), (48, 1, 3), (23, 3, 1)])
+def test_bracket_contains_the_top(M, r, width):
+    T = _interleaved_banded(np.random.default_rng([M, r, width]), M, r, width)
+    dense = np.linalg.svd(T.toarray(), compute_uv=False)[0]
+    D, U = specnorm._site_gram_blocks(T, T.conj().T, M)
+    # from no information, from far below, and from just below the top
+    for start in (0.0, dense / 2, dense * (1 - 1e-6)):
+        lo, hi = specnorm._bracket(D, U, start)
+        assert lo <= dense * (1 + ROUNDOFF) and dense <= hi * (1 + ROUNDOFF)
+        assert 0 < hi - lo <= DELTA * lo, (start, lo, hi)
+    assert specnorm._bracket(0 * D, 0 * U, 0.0) == (0.0, 0.0)
+
+
+def test_bracket_routes_never_densify(monkeypatch, nine_tenths, no_densify):
+    # the ladder's lower rungs, a clustered operator norm and a Gram
+    # oracle matrix: each reaches the bracket, and none forms a dense
+    # matrix or a dense SVD
+    alg99 = make_algebra(99, 100)
+    act99 = UqActions(alg99)
+    calls = _spy_bracket(monkeypatch)
+    est = lip_norm(act99, parse_expression(alg99, "B + Bs"), 100).value
+    assert est.converged and len(calls) == 4
+    assert est.ladder[0] == (100, pytest.approx(1.0100240205873896,
+                                                rel=2 * DELTA))
+    alg, act = nine_tenths
+    y = Berezin(GnsContext(alg, act)).via_coproduct(
+        parse_expression(alg, "A - A^2"), 1)
+    calls.clear()
+    assert operator_norm(y, 200, ladder=False).lower_bound > 0
+    assert len(calls) == 1
+    calls.clear()
+    est = lip_norm_gram_oracle(act, parse_expression(alg, "B + Bs"), 100)
+    assert est.lower_bound > 0 and len(calls) == 2
 
 
 # -- one-pass assembly against the per-monomial sparse route ------------------
