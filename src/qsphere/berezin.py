@@ -3,10 +3,14 @@
 The transform beta_N compresses a sphere element through the level-N
 coherent family: beta_N(x) = (1 (x) h_N) applied to the coproduct,
 where h_N is the Haar state twisted into the highest weight vector of
-the level-N representation.  It acts diagonally on spin layers, so the
-same map has a second, spectral implementation.  Both are kept: the
-coproduct route is the ground truth, the spectral route the fast path,
-and their agreement is one of the standing cross-checks.
+the level-N representation.  It acts on the spin-n layer by the scalar
+
+    c_{N,n} = [N]! [N+1]! / ([N-n]! [N+n+1]!)     (q^2-integers, n <= N)
+
+and kills the layers above N, so the same map has a second, spectral
+implementation that runs no coproduct.  Both are kept: the spectral
+route is the fast path, the coproduct route its oracle, and their
+agreement is one of the standing cross-checks.
 """
 
 from __future__ import annotations
@@ -55,16 +59,14 @@ def _require_sphere(x: AlgebraElement) -> None:
 class Berezin:
     """Transform, states and spectra for one algebra context.
 
-    Spectrum values are cached per level; the fill is idempotent so
-    concurrent readers racing a writer at worst recompute the same
-    rationals.
+    The levels and spins whose layers have been checked against the
+    coproduct are remembered, so each layer is verified at most once.
     """
 
     def __init__(self, gns: GnsContext):
         self.gns = gns
         self.alg: Algebra = gns.alg
         self._hn_cache: dict = {}
-        self._spec_values: dict = {}     # N -> {n: scalar}
         self._spec_verified: dict = {}   # N -> (verified_to, residual)
 
     # -- states ------------------------------------------------------------
@@ -104,33 +106,24 @@ class Berezin:
 
     def spectrum(self, N: int, max_spin: int,
                  verify: bool = True) -> BerezinSpectrum:
-        """Eigenvalues c_{N,n} of the transform on spin layers.
+        """Eigenvalues c_{N,n} of the transform on spin layers 0..max_spin.
 
-        Each value is read off the highest weight vector of its layer;
-        with verify=True the remaining 2n weight vectors of the layer
-        are checked to scale by the same constant, which would fail
-        loudly if any convention in the stack were off.
+        The values are the closed form in q^2-factorials, zero above N.
+        With verify=True every weight vector of spins 1..max_spin is
+        pushed through the coproduct and must scale by its closed-form
+        value, which fails loudly if the formula or any convention in
+        the stack were off.
         """
         if N < 0:
             raise ValueError("level must be non-negative")
         if max_spin < N:
             raise ValueError("need maxSpin >= N")
-        F = self.alg.field
-        vals = self._spec_values.setdefault(N, {0: F.one})
-        for n in range(1, max_spin + 1):
-            if n in vals:
-                continue
-            if n > N:
-                vals[n] = F.zero
-                continue
-            top = self.alg.sphere_B ** n
-            img = self.via_coproduct(top, N)
-            mono = Monomial(n, 0, n)
-            c = img.coefficient(mono) / top.coefficient(mono)
-            if not (img - top.scale(c)).is_zero():
-                raise LayerInconsistency(
-                    "top weight vector of spin %d is not an eigenvector" % n)
-            vals[n] = c
+        alg = self.alg
+        fact = [alg.field.one]
+        for k in range(1, 2 * N + 2):
+            fact.append(fact[-1] * alg.q_bracket(k))
+        vals = {n: fact[N] * fact[N + 1] / (fact[N - n] * fact[N + n + 1])
+                if n <= N else alg.field.zero for n in range(max_spin + 1)}
 
         verified_to, residual = self._spec_verified.get(N, (0, 0.0))
         if verify and verified_to < max_spin:
@@ -139,8 +132,7 @@ class Berezin:
                                                vals))
             self._spec_verified[N] = (max_spin, residual)
             verified_to = max_spin
-        eig = {n: vals[n] for n in range(max_spin + 1)}
-        return BerezinSpectrum(N, eig, verified_to, residual)
+        return BerezinSpectrum(N, vals, verified_to, residual)
 
     def _verify_layers(self, N: int, lo: int, hi: int, vals: dict) -> float:
         exact = self.alg.field.mode == "exact"
@@ -171,12 +163,9 @@ class Berezin:
         _require_sphere(x)
         deg = x.sphere_degree()
         spec = self.spectrum(N, max(N, deg), verify=False)
-        layers = self.gns.spin_split(x, deg)
         out = self.alg.scalar_element(self.alg.field.zero)
-        for n, layer in layers.items():
-            c = spec.eigenvalues[n] if n <= N else None
-            if c is not None and not c.is_zero():
-                out = out + layer.scale(c)
+        for n, layer in self.gns.spin_split(x, deg).items():
+            out = out + layer.scale(spec.eigenvalues[n])
         return out
 
     # -- slice estimate ------------------------------------------------------

@@ -334,6 +334,9 @@ def element_to_text(x: AlgebraElement) -> str:
 def element_to_obj(x: AlgebraElement) -> list:
     """Canonical JSON-ready list of term dicts.
 
+    Each coefficient is written by scalar_to_obj, its keys prefixed with
+    `coeff` (num -> coeffNum, re -> coeffRe); `surd` keeps its name.
+
     Exact-mode serialization is lossless.  Float-mode coefficients are
     emitted as doubles, so round trips through JSON are exact only up
     to double precision regardless of the working precision.
@@ -341,25 +344,11 @@ def element_to_obj(x: AlgebraElement) -> list:
     field = x.alg.field
     out = []
     for mono in sorted(x.terms):
-        c = x.terms[mono]
         term = {"aExp": mono.a_exp, "bExp": mono.b_exp, "bStarExp": mono.bs_exp}
-        if field.mode == "float":
-            term["coeffRe"] = float(c.val.real)
-            term["coeffIm"] = float(c.val.imag)
-        else:
-            term["coeffNum"] = c.re.numerator
-            term["coeffDen"] = c.re.denominator
-            if c.im:
-                term["coeffImNum"] = c.im.numerator
-                term["coeffImDen"] = c.im.denominator
-            if c.sre:
-                term["coeffSurdNum"] = c.sre.numerator
-                term["coeffSurdDen"] = c.sre.denominator
-            if c.sim:
-                term["coeffSurdImNum"] = c.sim.numerator
-                term["coeffSurdImDen"] = c.sim.denominator
-            if c.sre or c.sim:
-                term["surd"] = field.m
+        for key, val in scalar_to_obj(x.terms[mono], field).items():
+            if key != "surd":
+                key = "coeff" + key[0].upper() + key[1:]
+            term[key] = val
         out.append(term)
     return out
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qhopf import Algebra, AlgebraElement, Monomial, monomials
+from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate, monomials
 from .uq_actions import UqActions
 
 
@@ -322,26 +322,22 @@ class GnsContext:
 
     def phi_projection(self, x: AlgebraElement, N: int) -> AlgebraElement:
         """Orthogonal projection onto the level-N fuzzy subspace."""
-        basis = self.fuzzy_basis(N)
         out = self.alg.scalar_element(self.alg.field.zero)
-        for v in basis.vectors:
-            coeff = self.haar_inner(v.element, x) / v.snorm
-            if not coeff.is_zero():
-                out = out + v.element.scale(coeff)
+        for layer in self.spin_split(x, N).values():
+            out = out + layer
         return out
 
     def spin_split(self, x: AlgebraElement, max_spin: int | None = None) -> dict:
-        """Spin layer decomposition; layers beyond the element's degree
-        vanish, so the default cap is the sphere filtration degree."""
+        """Spin layers n <= max_spin of x's orthogonal projection, keyed
+        by n, zero layers left out.  One projection coefficient
+        <v, x> / <v, v> per vector v of the fuzzy basis, summed by spin.
+        Layers beyond the element's degree vanish, so the default cap is
+        the sphere filtration degree."""
         cap = x.sphere_degree() if max_spin is None else max_spin
-        out = {}
-        prev = self.alg.scalar_element(self.alg.field.zero)
-        for n in range(cap + 1):
-            cur = self.phi_projection(x, n)
-            layer = cur - prev
-            if not layer.is_zero():
-                out[n] = layer
-            prev = cur
+        out: dict = {}
+        for v in self.fuzzy_basis(cap).vectors:
+            coeff = self.haar_inner(v.element, x) / v.snorm
+            _accumulate(out, v.spin, v.element.scale(coeff))
         return out
 
     # -- derivation compressions --------------------------------------------

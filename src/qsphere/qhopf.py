@@ -271,23 +271,6 @@ class TensorElement:
                         _accumulate(out, (n1, n2), cs1 * s2)
         return TensorElement(self.alg, out)
 
-    def scale(self, scal) -> "TensorElement":
-        if scal.is_zero():
-            return TensorElement(self.alg, {})
-        return TensorElement(self.alg, {k: c * scal for k, c in self.terms.items()})
-
-    def star(self) -> "TensorElement":
-        out: dict = {}
-        alg = self.alg
-        for (m1, m2), c in self.terms.items():
-            e1 = AlgebraElement(alg, {m1: alg.field.one}).star()
-            e2 = AlgebraElement(alg, {m2: alg.field.one}).star()
-            cc = c.conjugate()
-            for n1, s1 in e1.terms.items():
-                for n2, s2 in e2.terms.items():
-                    _accumulate(out, (n1, n2), cc * s1 * s2)
-        return TensorElement(self.alg, out)
-
     def pair_left(self, fn: Callable[[Monomial], object]) -> AlgebraElement:
         """Apply a scalar functional to the left leg."""
         out: dict = {}

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mkdist, specnorm
-from .berezin import Berezin
+from .berezin import Berezin, LayerInconsistency
 from .gns import GnsContext
 from .qhopf import Algebra, AlgebraElement, make_algebra, monomials
 from .session import SCHEMA, SessionConfig
@@ -548,4 +548,11 @@ SUITES = {
 def run_suite(name: str, cfg: SessionConfig) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    return SUITES[name](cfg)
+    t0 = time.perf_counter()
+    try:
+        return SUITES[name](cfg)
+    except LayerInconsistency as exc:
+        # a convention bug is a failed verification, not a crash
+        check = CheckResult("layer-consistency", "fail", 1.0, 0.0, str(exc))
+        return VerificationReport(name, (check,), cfg,
+                                  time.perf_counter() - t0)

@@ -3,12 +3,43 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsphere import make_algebra
+from qsphere import Berezin, GnsContext, UqActions, make_algebra
+from qsphere.qhopf import Algebra
+from qsphere.suites import random_elements
 
 
 def _fr(scal) -> Fraction:
     return scal.as_fraction()
+
+
+def _closed_form(q: Fraction, N: int, n: int) -> Fraction:
+    """c_{N,n} = [N]! [N+1]! / ([N-n]! [N+n+1]!) in q^2-integers."""
+    if n > N:
+        return Fraction(0)
+
+    def fact(k):
+        out = Fraction(1)
+        for j in range(1, k + 1):
+            out *= sum(q ** (2 * i) for i in range(j))
+        return out
+
+    return fact(N) * fact(N + 1) / (fact(N - n) * fact(N + n + 1))
+
+
+@pytest.fixture(scope="module")
+def berezin():
+    """Berezin context for (q, mode), built once per module."""
+    made: dict = {}
+
+    def get(q: tuple, mode: str = "exact") -> Berezin:
+        if (q, mode) not in made:
+            alg = make_algebra(*q, mode=mode)
+            made[q, mode] = Berezin(GnsContext(alg, UqActions(alg)))
+        return made[q, mode]
+
+    return get
 
 
 def test_unit_fixed(ber_half, alg_half):
@@ -84,14 +115,65 @@ def test_monotone_in_level(ber_half):
     assert prev < 1
 
 
-def test_classical_eigenvalues():
+def test_classical_eigenvalues(berezin):
     # at q=1 the first layer eigenvalue is N/(N+2)
-    alg = make_algebra(1, 1)
-    from qsphere import Berezin, GnsContext, UqActions
-    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    ber = berezin((1, 1))
     for N in (1, 2, 3):
         c = ber.spectrum(N, max_spin=max(2, N)).eigenvalue(1)
         assert _fr(c) == Fraction(N, N + 2)
+
+
+@pytest.mark.parametrize("q,mode", [((1, 2), "exact"), ((9, 10), "exact"),
+                                    ((1, 1), "exact"), ((9, 10), "float")])
+def test_spectrum_is_the_verified_closed_form(berezin, q, mode):
+    # the coproduct checks every weight vector of spins 1..N+2 against
+    # the closed form; float q is the double nearest 9/10
+    ber = berezin(q, mode)
+    F = ber.alg.field
+    qf = Fraction(*q) if mode == "exact" else Fraction(F.q_float)
+    for N in range(6):
+        spec = ber.spectrum(N, N + 2, verify=True)
+        assert spec.verified_to == N + 2
+        assert sorted(spec.eigenvalues) == list(range(N + 3))
+        for n in range(N + 3):
+            want = _closed_form(qf, N, n)
+            if mode == "exact":
+                assert _fr(spec.eigenvalue(n)) == want
+            else:
+                got = spec.eigenvalue(n)
+                assert (got - F.from_rational(want.numerator,
+                                              want.denominator)).is_zero()
+
+
+def test_spectral_route_runs_no_coproduct(monkeypatch):
+    alg = make_algebra(1, 2)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    calls = []
+    original = Algebra.coproduct_mono
+
+    def spy(self, mono):
+        calls.append(mono)
+        return original(self, mono)
+
+    monkeypatch.setattr(Algebra, "coproduct_mono", spy)
+    xs = random_elements(alg, 5, 4, seed=3, sphere=True)
+    for N in (0, 1, 2, 3, 4):
+        ber.spectrum(N, max(N, 4), verify=False)
+        for x in xs:
+            ber.via_spectrum(x, N)
+    assert calls == []
+    # the oracle side does go through the coproduct
+    ber.spectrum(2, 3, verify=True)
+    assert calls
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([(1, 2), (9, 10)]), seed=st.integers(0, 2 ** 32 - 1),
+       N=st.integers(0, 5))
+def test_routes_agree_on_seeded_elements(berezin, q, seed, N):
+    ber = berezin(q)
+    for x in random_elements(ber.alg, 3, 4, seed, sphere=True):
+        assert ber.via_coproduct(x, N) == ber.via_spectrum(x, N)
 
 
 def test_slice_estimate(ber_half, alg_half):

@@ -240,6 +240,24 @@ def test_verify_float_projections(capsys):
     assert len(obj["checks"]) == 4
 
 
+def test_verify_reports_a_wrong_eigenvalue_as_a_failure(capsys, monkeypatch):
+    # the coproduct oracle rejects a wrong spin-1 eigenvalue; the suite
+    # must fail (exit 2), not crash
+    from qsphere.berezin import Berezin
+    original = Berezin._verify_layers
+
+    def planted(self, N, lo, hi, vals):
+        return original(self, N, lo, hi, {**vals, 1: vals[1] + vals[1]})
+
+    monkeypatch.setattr(Berezin, "_verify_layers", planted)
+    code, out, err = run(capsys, "verify", "--q", "1/2", "--suite", "berezin")
+    assert code == 2
+    assert "Traceback" not in err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == \
+        [("layer-consistency", "fail")]
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list-suites")
     assert code == 0

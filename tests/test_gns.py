@@ -73,6 +73,36 @@ def test_spin_split_reassembles(gns):
     assert total == x
 
 
+def _nested_split(gns, x, cap):
+    """Reference split: project x onto every level 0..cap, take
+    differences of consecutive projections."""
+    alg = gns.alg
+    out = {}
+    prev = alg.scalar_element(alg.field.zero)
+    for n in range(cap + 1):
+        cur = alg.scalar_element(alg.field.zero)
+        for v in gns.fuzzy_basis(n).vectors:
+            cur = cur + v.element.scale(gns.haar_inner(v.element, x) / v.snorm)
+        if not (cur - prev).is_zero():
+            out[n] = cur - prev
+        prev = cur
+    return out
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 1)])
+def test_spin_split_matches_nested_projections(q):
+    g = GnsContext(make_algebra(*q))
+    for x in random_elements(g.alg, 12, 4, seed=11, sphere=True):
+        assert g.spin_split(x) == _nested_split(g, x, x.sphere_degree())
+        assert g.spin_split(x, 5) == _nested_split(g, x, 5)
+        low = _nested_split(g, x, 2)
+        assert g.spin_split(x, 2) == low
+        total = g.alg.scalar_element(g.alg.field.zero)
+        for layer in low.values():
+            total = total + layer
+        assert g.phi_projection(x, 2) == total
+
+
 def test_operator_matrix_adjoint_pattern(gns):
     t1 = gns.operator_matrix_of("delta1", 3)
     t2 = gns.operator_matrix_of("delta2", 3)
