@@ -1,7 +1,7 @@
 """Command line surface: one binary, subcommands per operation.
 
 Every artifact embeds the full session configuration and the schema tag
-"qsphere/2" (session.SCHEMA); reruns with identical configuration and
+"qsphere/3" (session.SCHEMA); reruns with identical configuration and
 seed reproduce the bytes.  Wall-clock timings never enter artifacts
 unless asked for, so they do not break reproducibility.
 
@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import exprs, mkdist, specnorm, suites
-from .berezin import Berezin
+from .berezin import Berezin, LayerInconsistency
 from .exprs import QExprError, canonical_json
 from .gns import GnsContext
 from .qhopf import Algebra
@@ -50,8 +50,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--M", type=int, default=4, dest="M",
                         help="fuzzy truncation level for search spaces")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--restarts", type=int, default=8)
-    common.add_argument("--max-iters", type=int, default=150)
     common.add_argument("--gap", type=float, default=0.05,
                         help="estimator-quality gap for probe ratios")
     common.add_argument("--cache-dir", default="",
@@ -135,8 +133,6 @@ def _config_from(ns) -> SessionConfig:
             norm_truncation=ns.trunc,
             search_truncation=ns.M,
             estimator_gap=ns.gap,
-            restarts=ns.restarts,
-            max_iters=ns.max_iters,
             seed=ns.seed,
             cache_dir=ns.cache_dir,
             output_format=ns.format,
@@ -266,11 +262,17 @@ def _cmd_act(ns, cfg: SessionConfig) -> int:
 def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
                    kind: str, payload: dict) -> int:
     """Emit the level-N eigenvalues of spins 0..top: as an n,c CSV, or
-    added to payload as the artifact of the given kind."""
+    added to payload as the artifact of the given kind.  A spin layer
+    that fails the coproduct check emits the failed layer-consistency
+    report instead and exits 2, as `verify` does."""
     try:
         spec = ber.spectrum(ns.N, max_spin=max(top, ns.N))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except LayerInconsistency as exc:
+        report = suites.layer_failure(kind, cfg, exc)
+        _emit(ns, canonical_json(report.to_obj()))
+        return 2
     rows = [(n, float(spec.eigenvalue(n).to_complex().real))
             for n in range(top + 1)]
     if cfg.output_format == "csv":
@@ -324,8 +326,7 @@ def _cmd_dist(ns, cfg: SessionConfig) -> int:
     try:
         prob = mkdist.OptimizationProblem(
             N=ns.N, M=cfg.search_truncation,
-            norm_truncation=cfg.norm_truncation, mode=ns.mode,
-            restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed)
+            norm_truncation=cfg.norm_truncation, mode=ns.mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     est = mkdist.estimate_distance(ber, prob)
@@ -341,7 +342,6 @@ def _cmd_dist(ns, cfg: SessionConfig) -> int:
         "source": est.source,
         "witness": exprs.element_to_obj(est.witness),
         "witnessText": exprs.element_to_text(est.witness),
-        "trace": [float(v) for v in est.trace],
     }
     _emit(ns, canonical_json(_artifact(cfg, "distance", payload)))
     return 0

@@ -3,15 +3,28 @@ and the counit.
 
 The distance between two states, taken over the Lip unit ball, is bounded
 from below by the ratio |h_N(x) - eps(x)| / L(x) at any nonscalar
-selfadjoint x.  This module searches for good witnesses x inside the
-selfadjoint part of a fuzzy-basis span by projected subgradient ascent,
-and packages the smooth-approximant construction (transform the element,
-compare seminorms and norms) as a checkable report.  Each start runs one
-ascent on the truncated ratio, reading the seminorm and its gradient off
-specnorm's top-singular-triplet kernel, the one behind every seminorm
-value, so the value an ascent keeps as its best is the one its witness
-scores.  The ascent witnesses and the probe elements are then scored
-both ways, certified and truncated, from one seminorm call each.
+selfadjoint x.  The a-phase gauge a -> e^(i phi) a fixes h_N, eps and
+A = b*b and conjugates the derivation matrix by a diagonal unitary, so
+averaging a witness over it keeps the numerator and does not raise L:
+the best witness in a fuzzy span lies in its charge-0 part, the
+polynomials f(A) of degree at most M (the Monge-Kantorovich picture of
+Rieffel, Metrics on state spaces, Doc. Math. 1999).  On f(A), d3
+vanishes and d1, d2 are one offset diagonal each, so the truncated
+derivation matrix of sum_j c_j u_j has one entry per row and column and
+its norm is max |R c|, for a real matrix R read off the basis elements'
+own derivation matrices.  The search is therefore one linear program,
+maximize eta . c subject to |R c| <= 1, solved by a dense simplex whose
+dual y (R^T y = eta, sum |y| = eta . c) certifies the optimum.
+
+The optimal witness is rationalized and scored by lip_norm on its full
+derivation matrix, a second route that never reads R; the probe
+elements compete with it, and every candidate is scored both ways,
+certified and truncated, from one seminorm call.  A projected
+subgradient ascent over the whole selfadjoint span (_ascend on
+_ShiftDenominator) stays as the test oracle: its value may not exceed
+the charge-0 optimum.  The module also packages the smooth-approximant
+construction (transform the element, compare seminorms and norms) as a
+checkable report.
 
 Only lower bounds are produced; upper bounds would need a dual
 Lipschitz-extension argument and are out of scope.
@@ -21,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +42,7 @@ from scipy import sparse
 from .qhopf import AlgebraElement
 from .berezin import Berezin
 from .specnorm import (
+    NormEstimate,
     RepTruncation,
     delta_block_grid,
     delta_block_matrix,
@@ -39,6 +53,12 @@ from .specnorm import (
 )
 
 _TINY = 1e-300
+# the derivation blocks of charge-0 elements share one phase per entry:
+# exactly below q = 1, to 1.2e-15 on the q = 1 grid
+_PHASE_TOL = 1e-12
+# reduced costs and pivots of the simplex, in units of the constraint |R c| <= 1
+_LP_TOL = 1e-12
+_LP_MAX_PIVOTS = 1000
 
 
 @dataclass(frozen=True)
@@ -46,9 +66,9 @@ class OptimizationProblem:
     """Search configuration for one distance lower bound.
 
     N is the level of the twisted state, M the fuzzy truncation whose
-    selfadjoint span is searched, norm_truncation the representation
-    size used for seminorm values.  The search is the same in both
-    modes: one truncated-ratio ascent per start, plus the probes.
+    charge-0 span is searched, norm_truncation the representation size
+    used for seminorm values.  The search is the same in both modes:
+    one linear program on the truncated seminorm, plus the probes.
     certified mode divides by the crude upper bound of the Lip
     seminorm, so the reported value is a true lower bound of the
     distance; heuristic mode divides by the truncated-representation
@@ -59,9 +79,6 @@ class OptimizationProblem:
     M: int
     norm_truncation: int = 100
     mode: str = "certified"
-    restarts: int = 8
-    max_iters: int = 150
-    seed: int = 0
 
     def __post_init__(self):
         if self.N < 1:
@@ -70,10 +87,6 @@ class OptimizationProblem:
             raise ValueError("search truncation M must be >= 1")
         if self.mode not in ("certified", "heuristic"):
             raise ValueError("mode must be certified or heuristic")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,14 +95,13 @@ class DistanceEstimate:
 
     value is |h_N(witness) - eps(witness)| divided by the mode's
     seminorm scale, recomputed from the exact witness element after the
-    search.  coords are the float coordinates of the winning ascent's
-    optimum in the canonical selfadjoint basis, empty for a probe.
+    search.  coords are the float coordinates of the linear program's
+    optimum in the charge-0 basis, empty for a probe.
     """
 
     value: float
     witness: AlgebraElement
     mode: str
-    trace: tuple
     N: int
     M: int
     norm_truncation: int
@@ -97,7 +109,22 @@ class DistanceEstimate:
     heuristic_value: float
     degraded: bool = False
     coords: tuple = ()
-    source: str = "optimizer"
+    source: str = "lp"
+
+
+class ChargeZeroLP(NamedTuple):
+    """The charge-0 search at one level: maximize eta . coords subject to
+    |rows @ coords| <= 1 over the basis, with the dual certificate
+    rows^T dual = eta, sum |dual| = eta . coords.  value is the ratio
+    eta . coords / max |rows @ coords|, the optimum of the truncated
+    seminorm ratio over the span."""
+
+    basis: tuple
+    rows: np.ndarray
+    eta: np.ndarray
+    coords: np.ndarray
+    dual: np.ndarray
+    value: float
 
 
 @dataclass(frozen=True)
@@ -154,22 +181,23 @@ def _canonical_rescale(u: AlgebraElement) -> AlgebraElement:
     return u.scale(u.alg.field.from_float(1.0 / float(pick)))
 
 
-def selfadjoint_basis(gns, M: int) -> list:
+def selfadjoint_basis(gns, M: int, charge_zero: bool = False) -> list:
     """Real basis of the nonscalar selfadjoint part of the fuzzy span.
 
     Weight-0 vectors contribute their symmetrization, each positive
     weight vector contributes v + v* and i(v - v*); negative weights are
-    the stars of these.  The unit is excluded, pinning the scalar
-    component of every combination to 0.  Elements are canonically
-    rescaled so that the basis, hence the search, is invariant under
-    rational rescaling of the fuzzy vectors.
+    the stars of these.  charge_zero keeps the weight-0 vectors alone,
+    the orthogonal polynomials in A of degrees 1..M.  The unit is
+    excluded, pinning the scalar component of every combination to 0.
+    Elements are canonically rescaled so that the basis, hence the
+    search, is invariant under rational rescaling of the fuzzy vectors.
     """
     alg = gns.alg
     half = alg.field.from_rational(1, 2)
     i_unit = alg.field.from_parts(0, 1)
     out = []
     for vec in gns.fuzzy_basis(M).vectors:
-        if vec.spin == 0 or vec.weight < 0:
+        if vec.spin == 0 or vec.weight < 0 or (charge_zero and vec.weight):
             continue
         v = vec.element
         if vec.weight == 0:
@@ -202,25 +230,158 @@ def default_probes(alg) -> list:
 
 
 def _witness_scales(ber: Berezin, x: AlgebraElement, N: int,
-                    norm_truncation: int) -> tuple:
+                    lip: NormEstimate) -> tuple:
     """(|h_N(x) - eps(x)|, certified Lip scale, truncated Lip scale).
 
-    Both scales come from one lip_norm call: its upper_bound is the
-    crude certified bound, its lower_bound the truncated seminorm.
+    Both scales come from x's one lip_norm estimate lip: its upper_bound
+    is the crude certified bound, its lower_bound the truncated seminorm.
     """
     num = abs(_real_value(ber.h_twisted(x, N) - ber.alg.counit(x)))
-    est = lip_norm(ber.gns.actions, x, norm_truncation, ladder=False).value
-    return num, est.upper_bound, est.lower_bound
+    return num, lip.upper_bound, lip.lower_bound
 
 
 def objective_value(ber: Berezin, x: AlgebraElement, N: int, mode: str,
                     norm_truncation: int) -> float:
     """|h_N(x) - eps(x)| over the mode's Lip scale, from the element alone."""
-    num, upper, lower = _witness_scales(ber, x, N, norm_truncation)
+    lip = lip_norm(ber.gns.actions, x, norm_truncation, ladder=False).value
+    num, upper, lower = _witness_scales(ber, x, N, lip)
     den = upper if mode == "certified" else lower
     if den <= 1e-14:
         raise ValueError("scalar element: Lip scale vanishes")
     return num / den
+
+
+# -- the charge-0 linear program ----------------------------------------------
+
+
+def _real_rows(V: np.ndarray) -> np.ndarray:
+    """V with each row turned by the phase of its largest entry, which
+    must leave it real: one phase per derivation-matrix entry."""
+    big = V[np.arange(len(V)), np.abs(V).argmax(axis=1)]
+    W = V * (np.abs(big) / big)[:, None]
+    if (np.abs(W.imag) > _PHASE_TOL * np.abs(big)[:, None]).any():
+        raise ValueError("a derivation-matrix entry mixes phases across "
+                         "the charge-0 basis")
+    return W.real
+
+
+def _shift_rows(actions, basis: Sequence[AlgebraElement],
+                trunc: RepTruncation) -> np.ndarray:
+    """One row per entry of the union sparsity pattern of the basis
+    elements' truncated derivation matrices.  Each row and column of the
+    pattern must hold one entry: then T(c) = sum_r c_r D_r is a phased
+    permutation and ||T(c)|| = max |R c|."""
+    mats = [delta_block_matrix(actions, u, trunc).tocoo() for u in basis]
+    n = mats[0].shape[0]
+    keys = np.unique(np.concatenate([D.row * n + D.col for D in mats]))
+    rows, cols = np.divmod(keys, n)
+    if len(np.unique(rows)) < len(keys) or len(np.unique(cols)) < len(keys):
+        raise ValueError("derivation matrices of the charge-0 basis share "
+                         "a row or a column")
+    V = np.zeros((len(keys), len(basis)), dtype=complex)
+    for j, D in enumerate(mats):
+        V[np.searchsorted(keys, D.row * n + D.col), j] = D.data
+    return _real_rows(V)
+
+
+def _grid_rows(actions, basis: Sequence[AlgebraElement]) -> np.ndarray:
+    """One row per q = 1 grid point: there every basis element's 2x2
+    derivation block must be a real multiple t_r of one block G, so the
+    block of sum_r c_r u_r has norm |t . c| ||G||."""
+    G = np.stack([delta_block_grid(actions, u).reshape(-1, 4)
+                  for u in basis], axis=1)          # points, basis, 4
+    size = np.linalg.norm(G, axis=2)
+    keep = size.max(axis=1) > 0
+    G, size = G[keep], size[keep]
+    ref = G[np.arange(len(G)), size.argmax(axis=1)]
+    t = np.einsum("prk,pk->pr", G, ref.conj()) / (
+        np.linalg.norm(ref, axis=1) ** 2)[:, None]
+    off = np.linalg.norm(G - t[:, :, None] * ref[:, None, :], axis=2)
+    if (off > _PHASE_TOL * size.max(axis=1)[:, None]).any():
+        raise ValueError("charge-0 derivation blocks are not multiples of "
+                         "one block per grid point")
+    sigma = np.linalg.svd(ref.reshape(-1, 2, 2), compute_uv=False)[:, 0]
+    return _real_rows(t * sigma[:, None])
+
+
+def _simplex(R: np.ndarray, eta: np.ndarray) -> tuple:
+    """(c, y): c maximizes eta . c subject to |R c| <= 1, and y solves
+    the dual, minimize sum |y| subject to R^T y = eta.  y certifies c:
+    every feasible c' has eta . c' = y^T R c' <= sum |y| = eta . c.
+
+    The revised primal simplex runs on the dual, with dense solves
+    against its M x M basis; row j enters as +R_j or -R_j, whichever
+    prices, and the prices of a basis are the primal point c.  Phase 1
+    starts from one artificial column per unknown and drives the last
+    ones out; Dantzig's rule picks the entering row.  Columns are first
+    scaled by powers of two, which moves no digit of the optimum.
+    """
+    m, n = R.shape
+    scale = 2.0 ** -np.ceil(np.log2(np.abs(R).max(axis=0)))
+    A, b = R * scale, eta * scale
+    sign = np.where(b < 0, -1.0, 1.0)
+    B = np.diag(sign)
+    row = np.full(n, -1)                    # basic row per slot, -1 artificial
+    for phase in (1, 2):
+        cost_art, cost_row = (1.0, 0.0) if phase == 1 else (0.0, 1.0)
+        for _ in range(_LP_MAX_PIVOTS):
+            x = np.linalg.solve(B, b)
+            pi = np.linalg.solve(B.T, np.where(row < 0, cost_art, cost_row))
+            g = A @ pi
+            j = int(np.abs(g).argmax())
+            if abs(g[j]) <= cost_row + _LP_TOL:
+                break
+            s = 1.0 if g[j] > 0 else -1.0
+            d = np.linalg.solve(B, s * A[j])
+            pos = d > _LP_TOL * np.abs(d).max()
+            if not pos.any():       # sum |y| >= 0 bounds the dual
+                raise ValueError("simplex found no leaving column")
+            k = int(np.argmin(np.where(
+                pos, np.maximum(x, 0.0) / np.where(pos, d, 1.0), np.inf)))
+            B[:, k], row[k], sign[k] = s * A[j], j, s
+        else:
+            raise ValueError("simplex pivot budget exhausted: the charge-0 "
+                             "rows are too ill-conditioned to solve")
+        if phase == 1:
+            if x[row < 0].sum() > 1e-9 * np.abs(b).sum():
+                raise ValueError("a nonscalar element of the span has "
+                                 "zero truncated seminorm")
+            for k in np.flatnonzero(row < 0):
+                g = A @ np.linalg.solve(B.T, np.eye(n)[k])
+                j = int(np.abs(g).argmax())
+                if abs(g[j]) <= _LP_TOL:
+                    raise ValueError("the charge-0 rows are rank deficient")
+                B[:, k], row[k], sign[k] = A[j], j, 1.0
+    y = np.zeros(m)
+    np.add.at(y, row, sign * x)
+    return pi * scale, y
+
+
+def charge_zero_lp(ber: Berezin, N: int, M: int,
+                   norm_truncation: int) -> ChargeZeroLP:
+    """The charge-0 search at level N over spins 1..M.
+
+    Below q = 1 the rows come from the derivation matrices at the size
+    lip_norm scores a degree-2M witness at; at q = 1 from the classical
+    grid that lip_norm reads there.
+    """
+    gns = ber.gns
+    alg = gns.alg
+    basis = selfadjoint_basis(gns, M, charge_zero=True)
+    eta = np.array([_real_value(ber.h_twisted(u, N) - alg.counit(u))
+                    for u in basis])
+    q = alg.field.float_q()
+    if q == 1.0:
+        R = _grid_rows(gns.actions, basis)
+    else:
+        R = _shift_rows(gns.actions, basis,
+                        RepTruncation(q, max(norm_truncation, 2 * M + 2)))
+    c, y = _simplex(R, eta)
+    return ChargeZeroLP(tuple(basis), R, eta, c, y,
+                        float(eta @ c) / float(np.abs(R @ c).max()))
+
+
+# -- the general-span oracle ----------------------------------------------------
 
 
 class _ShiftDenominator:
@@ -281,20 +442,40 @@ class _ShiftDenominator:
         return sigma, grad, v
 
 
-class _GridDenominator:
-    """Classical-limit seminorm: pointwise 2x2 blocks on the sphere grid."""
+def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int) -> tuple:
+    """Projected subgradient ascent on |eta . c| / sigma(c): (best value,
+    its coordinates).
 
-    def __init__(self, actions, basis: Sequence[AlgebraElement]):
-        self.G = np.stack([delta_block_grid(actions, u) for u in basis])
+    Polyak-style steps against a moving target slightly above the best
+    value seen; coordinates are renormalized every step, which is the
+    projection implementing scale invariance of the ratio.
+    """
+    scale, growth = 1.0, 0.05
+    c = c0 / max(np.linalg.norm(c0), _TINY)
+    best_f, best_c = -1.0, c.copy()
+    for _ in range(max_iters):
+        num = float(eta @ c)
+        sigma, gsig, _ = denom.sigma_and_grad(c)
+        if sigma < 1e-14:
+            f = -1.0
+            g = eta.copy()
+        else:
+            f = abs(num) / sigma
+            sgn = 1.0 if num >= 0 else -1.0
+            g = (sgn * eta) / sigma - (f / sigma) * gsig
+        if f > best_f:
+            best_f, best_c = f, c.copy()
+        gn2 = float(g @ g)
+        if gn2 < 1e-28:
+            break
+        target = best_f * (1.0 + growth) + 1e-12
+        step = scale * max(target - f, 1e-12) / gn2
+        c = c + step * g
+        c = c / max(np.linalg.norm(c), _TINY)
+    return best_f, best_c
 
-    def sigma_and_grad(self, c: np.ndarray):
-        T = np.tensordot(c, self.G, axes=1)
-        svals = np.linalg.svd(T, compute_uv=False)
-        p = int(np.argmax(svals[:, 0]))
-        U, S, Vh = np.linalg.svd(T[p])
-        u, v = U[:, 0], Vh[0].conj()
-        grad = np.real(np.einsum("i,rij,j->r", u.conj(), self.G[:, p], v))
-        return float(S[0]), grad, None
+
+# -- the estimate ----------------------------------------------------------------
 
 
 def _rationalize(coords: np.ndarray,
@@ -313,122 +494,65 @@ def _rationalize(coords: np.ndarray,
     return out
 
 
-def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int) -> tuple:
-    """Projected subgradient ascent on |eta . c| / sigma(c).
+def estimate_distance(ber: Berezin, problem: OptimizationProblem,
+                      probes: Sequence | None = None) -> DistanceEstimate:
+    """Search the charge-0 fuzzy span for a distance witness.
 
-    Polyak-style steps against a moving target slightly above the best
-    value seen; coordinates are renormalized every step, which is the
-    projection implementing scale invariance of the ratio.
+    The candidate pool is the linear program's optimal witness plus the
+    probes restricted to the span's degree: probes is a sequence of
+    (element, its lip_norm estimate at the norm truncation) pairs,
+    default_probes when omitted.  Every candidate is rescored from its
+    exact element both ways, over the certified and over the truncated
+    Lip scale, so certified values stay true lower bounds and the result
+    dominates the trivial witnesses; if the optimum does not beat them,
+    or the linear program cannot be solved, the probe bound is returned
+    with degraded=True.
     """
-    scale, growth = 1.0, 0.05
-    c = c0 / max(np.linalg.norm(c0), _TINY)
-    best_f, best_c = -1.0, c.copy()
-    trace = []
-    for _ in range(max_iters):
-        num = float(eta @ c)
-        sigma, gsig, _ = denom.sigma_and_grad(c)
-        if sigma < 1e-14:
-            f = -1.0
-            g = eta.copy()
-        else:
-            f = abs(num) / sigma
-            sgn = 1.0 if num >= 0 else -1.0
-            g = (sgn * eta) / sigma - (f / sigma) * gsig
-        trace.append(best_f if best_f > f else f)
-        if f > best_f:
-            best_f, best_c = f, c.copy()
-        gn2 = float(g @ g)
-        if gn2 < 1e-28:
-            break
-        target = best_f * (1.0 + growth) + 1e-12
-        step = scale * max(target - f, 1e-12) / gn2
-        c = c + step * g
-        c = c / max(np.linalg.norm(c), _TINY)
-    return best_f, best_c, trace
+    actions = ber.gns.actions
+    trunc = problem.norm_truncation
 
+    def lip_of(w):
+        return lip_norm(actions, w, trunc, ladder=False).value
 
-def estimate_distance(ber: Berezin,
-                      problem: OptimizationProblem) -> DistanceEstimate:
-    """Search the selfadjoint fuzzy span for a distance witness.
-
-    The candidate pool is one truncated-ratio ascent per start (eta and
-    seeded restarts) plus the probe suite restricted to the span's
-    degree.  Every candidate is rescored from its exact element both
-    ways, over the certified and over the truncated Lip scale, so
-    certified values stay true lower bounds and the result dominates the
-    trivial witnesses; if no ascent beats them the probe bound is
-    returned with degraded=True.
-    """
-    gns = ber.gns
-    alg = gns.alg
-    actions = gns.actions
-    basis = [_canonical_rescale(u) for u in selfadjoint_basis(gns, problem.M)]
-    dim = len(basis)
-
-    eta = np.array([
-        _real_value(ber.h_twisted(u, problem.N) - alg.counit(u))
-        for u in basis
-    ])
-    if alg.field.float_q() == 1.0:
-        denom = _GridDenominator(actions, basis)
+    if probes is None:
+        probes = [(p, lip_of(p)) for p in default_probes(ber.alg)
+                  if p.sphere_degree() <= problem.M]
+    candidates = [(f"probe{j}", p, (), lip) for j, (p, lip)
+                  in enumerate(probes) if p.sphere_degree() <= problem.M]
+    try:
+        lp = charge_zero_lp(ber, problem.N, problem.M, trunc)
+    except ValueError:
+        # the float rows of high-degree elements can lose every digit
+        # (spin 10 and up at q = 1/2); the probes still bound the distance
+        pass
     else:
-        denom = _ShiftDenominator(actions, basis, problem.norm_truncation)
-
-    starts = []
-    if np.linalg.norm(eta) > 0:
-        starts.append(("eta", eta.copy()))
-    r = 0
-    while len(starts) < problem.restarts:
-        rng = np.random.default_rng([problem.seed, r])
-        starts.append((f"restart{r}", rng.standard_normal(dim)))
-        r += 1
-
-    # one ascent per start on the truncated ratio; the candidate pool,
-    # hence the certified <= heuristic comparison, does not depend on
-    # the requested mode
-    candidates = []
-    for tag, c0 in starts:
-        f, c, trace = _ascend(eta, denom, c0, problem.max_iters)
-        if f > 0:
-            candidates.append((f"{tag}-heur", _rationalize(c, basis),
-                               tuple(c), tuple(trace)))
-
-    # the denominator holds every basis matrix and the assembly buffers;
-    # release them before the seminorms of the scoring below
-    del denom
-    for j, p in enumerate(default_probes(alg)):
-        if p.sphere_degree() <= problem.M:
-            candidates.append((f"probe{j}", p, (), ()))
-
-    if not candidates:
-        raise ValueError("no usable witness candidates")
+        w = _rationalize(lp.coords, lp.basis)
+        candidates.insert(0, ("lp", w, tuple(lp.coords), lip_of(w)))
 
     scored = []
-    for tag, w, coords, trace in candidates:
-        num, upper, lower = _witness_scales(ber, w, problem.N,
-                                            problem.norm_truncation)
+    for tag, w, coords, lip in candidates:
+        num, upper, lower = _witness_scales(ber, w, problem.N, lip)
         if upper <= 1e-14 or lower <= 1e-14:
             continue
-        scored.append((tag, w, coords, trace, num / upper, num / lower))
+        scored.append((tag, w, coords, num / upper, num / lower))
     if not scored:
         raise ValueError("all witness candidates were scalar")
 
-    cert_best = max(scored, key=lambda s: s[4])
-    heur_best = max(scored, key=lambda s: s[5])
+    cert_best = max(scored, key=lambda s: s[3])
+    heur_best = max(scored, key=lambda s: s[4])
     pick = cert_best if problem.mode == "certified" else heur_best
-    tag, witness, coords, trace, cval, hval = pick
+    tag, witness, coords, cval, hval = pick
     value = cval if problem.mode == "certified" else hval
     degraded = tag.startswith("probe")
     return DistanceEstimate(
         value=value,
         witness=witness,
         mode=problem.mode,
-        trace=trace,
         N=problem.N,
         M=problem.M,
         norm_truncation=problem.norm_truncation,
-        certified_value=cert_best[4],
-        heuristic_value=heur_best[5],
+        certified_value=cert_best[3],
+        heuristic_value=heur_best[4],
         degraded=degraded,
         coords=coords,
         source="samples" if degraded else tag,
@@ -437,6 +561,7 @@ def estimate_distance(ber: Berezin,
 
 def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
                             d_estimate: DistanceEstimate, trunc: int,
+                            lip_x: NormEstimate,
                             gap: float = 0.05) -> InequalityReport:
     """Certified transform-defect ratio of x against a distance estimate.
 
@@ -445,14 +570,15 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
     estimate plus the gap marks an estimator-quality event; it is never
     a contradiction, because both numbers are approximations from the
     same side.  The norm is the dist_slack of theorem_b_approximant for
-    the same x, N and truncation, whose report comes along.
+    the same x, N, truncation and lip_x (x's lip_norm estimate at that
+    truncation), whose report comes along.
     """
     if all(m.is_unit() for m in x.terms) or x.is_zero():
         raise ValueError("scalar elements have no Lip scale")
     upper = lip_upper_bound(ber.gns.actions, x)
     if upper <= 1e-14:
         raise ValueError("scalar elements have no Lip scale")
-    app = theorem_b_approximant(ber, x, N, trunc)
+    app = theorem_b_approximant(ber, x, N, trunc, lip_x)
     norm_lower = app.dist_slack
     ratio = norm_lower / upper
     reference = d_estimate.heuristic_value
@@ -470,30 +596,31 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
 
 
 def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
-                          truncation: int) -> ApproximantReport:
+                          truncation: int,
+                          lip_x: NormEstimate) -> ApproximantReport:
     """Smooth approximant of x at level N with seminorm and norm slacks.
 
     The approximant is the level-N transform; its Lip seminorm never
     exceeds that of x (lip_slack >= 0 up to estimator noise) and the
-    norm of the difference quantifies the approximation error.
+    norm of the difference quantifies the approximation error.  lip_x
+    is x's lip_norm estimate at this truncation.
     """
     actions = ber.gns.actions
     y = ber.via_coproduct(x, N)
-    lx = lip_norm(actions, x, truncation, ladder=False).value
     ly = lip_norm(actions, y, truncation, ladder=False).value
     diff = x - y
     if diff.is_zero():
         dist = 0.0
-        conv = lx.converged and ly.converged
+        conv = lip_x.converged and ly.converged
     else:
         est = operator_norm(diff, truncation, ladder=False)
         dist = est.lower_bound
-        conv = lx.converged and ly.converged and est.converged
+        conv = lip_x.converged and ly.converged and est.converged
     return ApproximantReport(
         approximant=y,
-        lip_slack=lx.lower_bound - ly.lower_bound,
+        lip_slack=lip_x.lower_bound - ly.lower_bound,
         dist_slack=dist,
-        lip_x=lx.lower_bound,
+        lip_x=lip_x.lower_bound,
         lip_y=ly.lower_bound,
         converged=conv,
     )

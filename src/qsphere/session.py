@@ -6,8 +6,9 @@ seed must give bit-identical JSON; wall-clock timings are therefore kept
 out of the canonical serialization.  No value is read off a dense SVD:
 LAPACK sees only the Cholesky factorizations of b x b blocks behind the
 character-norm certificate and the bisection bracket (b = 3-4 for the
-seminorms, up to about 100 for Gram oracle matrices) and the 2 x 2 SVDs
-of the q = 1 grid.  `lipnorm --q 99/100 --expr "B + Bs" --trunc 100`
+seminorms, up to about 100 for Gram oracle matrices), the 2 x 2 SVDs
+of the q = 1 grid and the M x M solves of the distance search's simplex.
+`lipnorm --q 99/100 --expr "B + Bs" --trunc 100`
 and `verify --q 9/10 --suite normoracles` give the same bytes under one
 and two OpenBLAS threads; a factorization that rounded differently near
 a bisection point could still move a bracketed value, by at most 1e-12.
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .qhopf import Algebra, make_algebra, make_algebra_float
 
 # schema tag of every artifact; raised whenever an artifact's keys change
-SCHEMA = "qsphere/2"
+SCHEMA = "qsphere/3"
 
 
 def parse_q(text: str) -> Fraction:
@@ -54,8 +55,6 @@ class SessionConfig:
     search_truncation: int = 4
     trend_tol: float = 1e-3
     estimator_gap: float = 0.05
-    restarts: int = 8
-    max_iters: int = 150
     seed: int = 0
     cache_dir: str = ""
     output_format: str = "json"
@@ -70,10 +69,6 @@ class SessionConfig:
             raise ValueError("precision must be at least 15 digits")
         if self.norm_truncation < 2:
             raise ValueError("norm truncation must be at least 2")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
 
     @property
     def q(self) -> Fraction:
@@ -106,8 +101,6 @@ class SessionConfig:
             "searchTruncation": self.search_truncation,
             "trendTol": self.trend_tol,
             "estimatorGap": self.estimator_gap,
-            "restarts": self.restarts,
-            "maxIters": self.max_iters,
             "seed": self.seed,
             "cacheDir": self.cache_dir,
             "outputFormat": self.output_format,

@@ -393,26 +393,29 @@ def theoremb_rows(cfg: SessionConfig, n_values) -> list:
 
     Each row carries the certified and heuristic distance lower bounds,
     the worst probe transform-defect ratio with its flag, and the mean
-    seminorm slack of the approximant construction.
+    seminorm slack of the approximant construction.  Each probe's Lip
+    seminorm is computed once and serves every level.
     """
     alg = cfg.build_algebra()
     actions = UqActions(alg)
     gns = GnsContext(alg, actions)
     ber = Berezin(gns)
-    probes = mkdist.default_probes(alg)
+    probes = [(p, specnorm.lip_norm(actions, p, cfg.norm_truncation,
+                                    ladder=False).value)
+              for p in mkdist.default_probes(alg)]
     rows = []
     for N in n_values:
         prob = mkdist.OptimizationProblem(
             N=N, M=cfg.search_truncation,
-            norm_truncation=cfg.norm_truncation, mode="certified",
-            restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed)
-        est = mkdist.estimate_distance(ber, prob)
+            norm_truncation=cfg.norm_truncation, mode="certified")
+        est = mkdist.estimate_distance(ber, prob, probes)
         ratios = []
         flags = []
         slacks = []
-        for p in probes:
+        for p, lip in probes:
             rep = mkdist.approx_inequality_check(
-                ber, p, N, est, cfg.norm_truncation, gap=cfg.estimator_gap)
+                ber, p, N, est, cfg.norm_truncation, gap=cfg.estimator_gap,
+                lip_x=lip)
             ratios.append(rep.ratio)
             flags.append(rep.flagged)
             slacks.append(rep.approximant.lip_slack)
@@ -552,7 +555,12 @@ def run_suite(name: str, cfg: SessionConfig) -> VerificationReport:
     try:
         return SUITES[name](cfg)
     except LayerInconsistency as exc:
-        # a convention bug is a failed verification, not a crash
-        check = CheckResult("layer-consistency", "fail", 1.0, 0.0, str(exc))
-        return VerificationReport(name, (check,), cfg,
-                                  time.perf_counter() - t0)
+        return layer_failure(name, cfg, exc, time.perf_counter() - t0)
+
+
+def layer_failure(name: str, cfg: SessionConfig, exc: LayerInconsistency,
+                  seconds: float = 0.0) -> VerificationReport:
+    """A convention bug is a failed verification, not a crash: the
+    report of one failed layer-consistency check."""
+    check = CheckResult("layer-consistency", "fail", 1.0, 0.0, str(exc))
+    return VerificationReport(name, (check,), cfg, seconds)

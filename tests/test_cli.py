@@ -26,7 +26,7 @@ def test_haar_example(capsys):
     code, out, _ = run(capsys, "haar", "--q", "1/2", "--expr", "b*bs")
     assert code == 0
     obj = json.loads(out)
-    assert obj["schema"] == "qsphere/2"
+    assert obj["schema"] == "qsphere/3"
     assert obj["kind"] == "haar"
     assert obj["scalar"] == {"num": 4, "den": 5}
     assert obj["config"]["q"] == "1/2"
@@ -75,7 +75,7 @@ _SURD_EXPR = ("(1/3 + 2/5*i + 3/7*sqrt(10) - 1/2*i*sqrt(10))*B*A"
 
 @pytest.mark.parametrize("argv,sha256,text", [
     (("berezin", "--N", "2"),
-     "69c774e220b09e775b6eb5541648da1942ecad297eab75fd0bd698cfa0fe1c0a",
+     "52fc16c166d26f020a85377c75b8adb356473536dd0f973658a5c662e69e349c",
      "(200000/149049-100000/149049*i)*as*b + 656100/2997541*sqrt(10)"
      " + 10000/16561*sqrt(10)*b*bs + (488700000000/5677124396581"
      "+586440000000/5677124396581*i+4398300000000/39739870776067*sqrt(10)"
@@ -84,17 +84,20 @@ _SURD_EXPR = ("(1/3 + 2/5*i + 3/7*sqrt(10) - 1/2*i*sqrt(10))*B*A"
      "+3000000000000/39739870776067*sqrt(10)"
      "-500000000000/5677124396581*i*sqrt(10))*a*b*bs^2"),
     (("act", "--action", "partialE"),
-     "816575a670b3b207132ec49e3c64e48b9aacc26f206df0116580a17a42fc1ab9",
+     "493da117238bdaa8934cfaf8e0d2d17a8ff079ead91495baf1e56607afbbd734",
      "(-20/27*sqrt(10)+10/27*i*sqrt(10))*as^2 - 100/27*as*bs"
      " + (-1000/567+500/243*i-100/729*sqrt(10)-40/243*i*sqrt(10))*bs^2"
      " + (1810/567-905/243*i+181/729*sqrt(10)+362/1215*i*sqrt(10))*b*bs^3"),
     (("coproduct",),
-     "2cd3060736ba589a58b500553e2fdd5cb9fc7f08131b92931e8afbdc1427845e",
+     "92042d3eac6143fb846077284f8b1e5864e1feb4668690dd69b5c242148cd3eb",
      None),
 ], ids=["berezin", "act", "coproduct"])
 def test_frozen_surd_artifacts(capsys, argv, sha256, text):
     # complex and sqrt(10) coefficients at q = 9/10; the digests are the
-    # artifact bytes written by the four-Fraction scalar representation
+    # artifact bytes written by the four-Fraction scalar representation,
+    # re-recorded for the qsphere/3 schema tag and the two config keys it
+    # dropped (restarts, maxIters): without schema and config the bytes
+    # are those of qsphere/2
     code, out, _ = run(capsys, *argv, "--q", "9/10", "--expr", _SURD_EXPR)
     assert code == 0
     if text is not None:
@@ -103,8 +106,8 @@ def test_frozen_surd_artifacts(capsys, argv, sha256, text):
 
 
 _CONFIG_KEYS = {"q", "scalarMode", "precision", "normTruncation",
-                "searchTruncation", "trendTol", "estimatorGap", "restarts",
-                "maxIters", "seed", "cacheDir", "outputFormat"}
+                "searchTruncation", "trendTol", "estimatorGap", "seed",
+                "cacheDir", "outputFormat"}
 
 
 def test_lipnorm_artifact(capsys):
@@ -145,8 +148,8 @@ def test_usage_errors(capsys):
     ("berezin", "--N", "-1", "--expr", "A"),
     ("lipnorm", "--trunc", "0", "--expr", "A"),
     ("lipnorm", "--trunc", "-3", "--expr", "B"),
-    ("dist", "--N", "1", "--M", "2", "--max-iters", "-5"),
-    ("dist", "--N", "1", "--M", "2", "--restarts", "-3"),
+    ("dist", "--N", "0", "--M", "2"),
+    ("dist", "--N", "1", "--M", "0"),
 ])
 def test_bad_input_writes_no_artifact(capsys, tmp_path, argv):
     out = tmp_path / "artifact.json"
@@ -258,6 +261,55 @@ def test_verify_reports_a_wrong_eigenvalue_as_a_failure(capsys, monkeypatch):
         [("layer-consistency", "fail")]
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--N", "1", "--max-spin", "2"),
+    ("berezin", "--N", "1", "--expr", "A"),
+])
+def test_spectrum_reports_a_wrong_eigenvalue_as_a_failure(capsys, monkeypatch,
+                                                          argv):
+    # the same planted spin-1 eigenvalue: spectrum and berezin report the
+    # failed layer-consistency check and exit 2, as verify does
+    from qsphere.berezin import Berezin
+    original = Berezin._verify_layers
+
+    def planted(self, N, lo, hi, vals):
+        return original(self, N, lo, hi, {**vals, 1: vals[1] + vals[1]})
+
+    monkeypatch.setattr(Berezin, "_verify_layers", planted)
+    code, out, err = run(capsys, *argv, "--q", "1/2")
+    assert code == 2
+    assert "Traceback" not in err
+    obj = json.loads(out)
+    assert obj["passed"] is False and obj["suite"] == argv[0]
+    assert [(c["name"], c["status"]) for c in obj["checks"]] == \
+        [("layer-consistency", "fail")]
+
+
+def test_dist_reports_the_span_optimum(capsys):
+    code, out, _ = run(capsys, "dist", "--q", "1/2", "--N", "1", "--M", "4",
+                       "--mode", "heuristic")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["value"] == pytest.approx(0.575297, abs=1e-6)
+    assert obj["source"] == "lp" and obj["degraded"] is False
+    assert "trace" not in obj
+    assert obj["certifiedValue"] == 1 / 21
+
+
+def test_dist_beyond_the_solvable_lp_reports_the_probe_bound(capsys):
+    # at M = 10 the linear program's float rows have lost their digits;
+    # the certified bound and its witness are the probe's, as before the
+    # linear program
+    code, out, _ = run(capsys, "dist", "--q", "1/2", "--N", "1", "--M",
+                       "10")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["value"] == obj["certifiedValue"] == 1 / 21
+    assert obj["heuristicValue"] == 0.21994295969128594
+    assert obj["degraded"] is True and obj["source"] == "samples"
+    assert obj["witnessText"] == "-4/5 + b*bs"
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list-suites")
     assert code == 0
@@ -267,8 +319,7 @@ def test_verify_list(capsys):
 
 def test_trend_csv_single_level(capsys):
     code, out, _ = run(capsys, "verify", "--q", "1/2", "--N", "1..1",
-                       "--M", "2", "--trunc", "80", "--restarts", "1",
-                       "--max-iters", "20")
+                       "--M", "2", "--trunc", "80")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "N,dist_lb,max_probe_ratio,mean_lipSlack"
@@ -291,8 +342,7 @@ def test_trend_exit_code_follows_every_theoremb_check(capsys, monkeypatch):
 
 def test_sweep_cache_resume(capsys, tmp_path):
     args = ("sweep", "--q-list", "1/2", "--N", "1..1", "--M-range", "1..1",
-            "--trunc", "60", "--restarts", "1", "--max-iters", "10",
-            "--cache-dir", str(tmp_path))
+            "--trunc", "60", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)
     assert code == 0
     cached = list(tmp_path.glob("sweep-*.json"))
@@ -335,8 +385,7 @@ def test_sweep_cells_keyed_by_package_sources(tmp_path):
              "import sys; from qsphere.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
              "sweep", "--q-list", "1/2", "--N", "1..1", "--M-range", "1..1",
-             "--trunc", "60", "--restarts", "1", "--max-iters", "10",
-             "--cache-dir", str(cache)],
+             "--trunc", "60", "--cache-dir", str(cache)],
             env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
@@ -346,8 +395,7 @@ def test_sweep_cells_keyed_by_package_sources(tmp_path):
 
 def test_sweep_ignores_cells_of_an_older_search(capsys, tmp_path):
     args = ("sweep", "--q-list", "1/2", "--N", "1..1", "--M-range", "1..1",
-            "--trunc", "60", "--restarts", "1", "--max-iters", "10",
-            "--cache-dir", str(tmp_path))
+            "--trunc", "60", "--cache-dir", str(tmp_path))
     code, fresh, _ = run(capsys, *args)
     assert code == 0
     (cell,) = tmp_path.glob("sweep-*.json")

@@ -1,5 +1,6 @@
 """Distance search invariants at desk scale."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,59 @@ from qsphere import mkdist, specnorm
 from qsphere.berezin import Berezin
 from qsphere.exprs import element_to_text
 from qsphere.mkdist import (OptimizationProblem, _ShiftDenominator,
-                            approx_inequality_check, default_probes,
-                            estimate_distance, objective_value,
-                            selfadjoint_basis, theorem_b_approximant)
+                            approx_inequality_check, charge_zero_lp,
+                            default_probes, estimate_distance,
+                            objective_value, selfadjoint_basis,
+                            theorem_b_approximant)
+from qsphere.qhopf import AlgebraElement
+from qsphere.suites import random_elements
 
 
-SMALL = dict(norm_truncation=100, restarts=2, max_iters=40, seed=3)
+SMALL = dict(norm_truncation=100)
+# the general-span oracle's settings of the frozen search path
+ORACLE_SMALL = dict(norm_truncation=100, restarts=2, max_iters=40, seed=3)
+# item 1's closed form of d(h_1, eps) at q = 1/2
+DIST_HALF_N1 = 0.6323410944
+
+
+def _ber(qn, qd):
+    alg = make_algebra(qn, qd)
+    return Berezin(GnsContext(alg, UqActions(alg)))
+
+
+@pytest.fixture(scope="module")
+def ber_nine():
+    return _ber(9, 10)
+
+
+@pytest.fixture(scope="module")
+def ber_one(alg_one):
+    return Berezin(GnsContext(alg_one, UqActions(alg_one)))
+
+
+def general_span_ascents(ber, N, M, norm_truncation=200, restarts=8,
+                         max_iters=150, seed=0):
+    """The general-span oracle: one projected subgradient ascent on the
+    truncated ratio over the whole selfadjoint fuzzy span per start, the
+    first start eta, then seeded restarts up to `restarts` starts.
+    Returns (tag, best ratio, its coordinates, the basis) per start."""
+    gns = ber.gns
+    alg = gns.alg
+    basis = selfadjoint_basis(gns, M)
+    eta = np.array([mkdist._real_value(ber.h_twisted(u, N) - alg.counit(u))
+                    for u in basis])
+    denom = _ShiftDenominator(gns.actions, basis, norm_truncation)
+    starts = [("eta", eta.copy())] if np.linalg.norm(eta) > 0 else []
+    r = 0
+    while len(starts) < restarts:
+        rng = np.random.default_rng([seed, r])
+        starts.append((f"restart{r}", rng.standard_normal(len(basis))))
+        r += 1
+    out = []
+    for tag, c0 in starts:
+        f, c = mkdist._ascend(eta, denom, c0, max_iters)
+        out.append((tag, f, c, basis))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +85,9 @@ def test_problem_validation():
         OptimizationProblem(N=1, M=0)
     with pytest.raises(ValueError):
         OptimizationProblem(N=1, M=2, mode="exact")
-    with pytest.raises(ValueError):
-        OptimizationProblem(N=1, M=2, restarts=-3)
-    with pytest.raises(ValueError):
-        OptimizationProblem(N=1, M=2, max_iters=-5)
+    for gone in ("restarts", "max_iters", "seed"):
+        with pytest.raises(TypeError):
+            OptimizationProblem(N=1, M=2, **{gone: 1})
 
 
 def test_basis_structure(gns_half, alg_half):
@@ -101,8 +148,9 @@ def test_heuristic_mode(est1_heur):
     assert est.certified_value <= est.heuristic_value + 1e-12
 
 
-def test_frozen_heuristic_search_path(est1_heur):
-    # re-recorded when the ascent's singular-value kernel moved from a
+def test_frozen_heuristic_search_path(ber_half, est1_heur):
+    # the general-span oracle from eta at q = 1/2, N = 1, M = 2.
+    # Re-recorded when the ascent's singular-value kernel moved from a
     # warm-started power loop to Lanczos with a residual stop: the old
     # path was built on sigma values up to 3.9e-9 off inside a 1e-12
     # stopping rule.  The coordinates and the rationalized witness move
@@ -111,17 +159,27 @@ def test_frozen_heuristic_search_path(est1_heur):
     # The value is compared to 1e-14: it was recorded when the scoring
     # seminorm came from LAPACK's dense SVD, and the Lanczos kernel that
     # scores it now agrees with that SVD to roundoff, not bit for bit.
-    assert est1_heur.source == "eta-heur"
-    assert est1_heur.coords == (
+    runs = general_span_ascents(ber_half, 1, 2, **ORACLE_SMALL)
+    scores = [objective_value(ber_half, mkdist._rationalize(c, basis), 1,
+                              "heuristic", 100)
+              for _tag, _f, c, basis in runs]
+    tag, _f, c, basis = runs[int(np.argmax(scores))]
+    assert tag == "eta"
+    assert tuple(c) == (
         -6.221075432166233e-12, 9.799022153455215e-12, 0.7577025228783502,
         -7.81188671700435e-16, 2.1992031681212965e-17,
         -1.4802869652136395e-12, 2.3559937232206227e-12,
         -0.6526000971680765)
-    assert est1_heur.heuristic_value == pytest.approx(0.44375529658809226,
-                                                      rel=1e-14)
-    assert element_to_text(est1_heur.witness) == (
+    assert max(scores) == pytest.approx(0.44375529658809226, rel=1e-14)
+    assert element_to_text(mkdist._rationalize(c, basis)) == (
         "72337223/521492211 + 765238115/173830737*b*bs"
         " - 13362360893/2781291792*b^2*bs^2")
+    # the ascent stopped under the span optimum, which the estimate now
+    # reports: re-pinned from 0.44375529658809226
+    assert est1_heur.source == "lp"
+    assert est1_heur.heuristic_value == pytest.approx(0.4439603061570092,
+                                                      rel=1e-14)
+    assert max(scores) < est1_heur.heuristic_value
 
 
 def _old_shift_operator(mats, c):
@@ -177,19 +235,16 @@ def _assert_exact_sigmas(seen):
         assert cg == pytest.approx(sigma, rel=1e-12, abs=0)
 
 
-def test_shift_sigma_matches_dense_svd(monkeypatch, ber_half):
-    # q = 1/2: leading singular values come in exactly degenerate pairs;
-    # q = 9/10 at truncation 40: pairs split by about 2e-10, with the
-    # next value 1e-3 below
+def test_shift_sigma_matches_dense_svd(monkeypatch, ber_half, ber_nine):
+    # the oracle's ascents.  q = 1/2: leading singular values come in
+    # exactly degenerate pairs; q = 9/10 at truncation 40: pairs split by
+    # about 2e-10, with the next value 1e-3 below
     seen = _check_against_dense_svd(monkeypatch)
-    estimate_distance(ber_half, OptimizationProblem(
-        N=1, M=2, mode="heuristic", **SMALL))
+    general_span_ascents(ber_half, 1, 2, **ORACLE_SMALL)
     _assert_exact_sigmas(seen)
-    alg = make_algebra(9, 10)
-    ber = Berezin(GnsContext(alg, UqActions(alg)))
     seen.clear()
-    estimate_distance(ber, OptimizationProblem(
-        N=1, M=3, mode="heuristic", **dict(SMALL, norm_truncation=40)))
+    general_span_ascents(ber_nine, 1, 3,
+                         **dict(ORACLE_SMALL, norm_truncation=40))
     _assert_exact_sigmas(seen)
 
 
@@ -226,48 +281,49 @@ def test_shift_sigma_bracket_fallback(monkeypatch, gns_half):
         assert np.allclose(grad, want, rtol=0, atol=1e-12 * sigma)
 
 
-def test_ascent_reports_its_witness(monkeypatch, ber_half, gns_half):
-    # the default q = 1/2 search at N = 1: every ascent on the truncated
-    # ratio keeps as its best value the ratio its own witness scores
-    ascents = []
-    ascend = mkdist._ascend
+@pytest.fixture(scope="module")
+def oracle_m4(ber_half):
+    """The default 8-start general-span search at q = 1/2, N = 1, M = 4."""
+    return general_span_ascents(ber_half, 1, 4)
 
-    def recorded(eta, denom, c0, max_iters):
-        f, c, trace = ascend(eta, denom, c0, max_iters)
-        if isinstance(denom, _ShiftDenominator):
-            ascents.append((f, c))
-        return f, c, trace
 
-    monkeypatch.setattr(mkdist, "_ascend", recorded)
-    estimate_distance(ber_half, OptimizationProblem(
-        N=1, M=4, norm_truncation=200, mode="heuristic", seed=0))
-    assert len(ascents) == 8
-    basis = [mkdist._canonical_rescale(u)
-             for u in selfadjoint_basis(gns_half, 4)]
-    for f, c in ascents:
+def test_ascent_reports_its_witness(ber_half, oracle_m4):
+    # every ascent on the truncated ratio keeps as its best value the
+    # ratio its own witness scores
+    assert len(oracle_m4) == 8
+    for _tag, f, c, basis in oracle_m4:
         w = mkdist._rationalize(c, basis)
         assert objective_value(ber_half, w, 1, "heuristic", 200) == \
             pytest.approx(f, rel=1e-8)
 
 
-def test_search_runs_one_ascent_per_start(monkeypatch, ber_half, alg_one,
+def test_search_runs_one_ascent_per_start(monkeypatch, ber_half, ber_one,
                                           est1, est1_heur):
-    # each start runs one ascent, on the truncated ratio: the shift model
-    # below q = 1 and the classical grid at q = 1
+    # the estimate runs no ascent and no shift-model seminorm, below
+    # q = 1 and at q = 1; the oracle runs one ascent per start, on the
+    # shift model
     kinds = []
     ascend = mkdist._ascend
+    sigma = _ShiftDenominator.sigma_and_grad
 
     def spied(eta, denom, c0, max_iters):
         kinds.append(type(denom))
         return ascend(eta, denom, c0, max_iters)
 
+    def refuse(self, c):
+        kinds.append("sigma")
+        return sigma(self, c)
+
     monkeypatch.setattr(mkdist, "_ascend", spied)
     estimate_distance(ber_half, OptimizationProblem(N=1, M=4))
-    assert kinds == [_ShiftDenominator] * 8
-    kinds.clear()
-    ber_one = Berezin(GnsContext(alg_one, UqActions(alg_one)))
     estimate_distance(ber_one, OptimizationProblem(N=1, M=2, **SMALL))
-    assert kinds and set(kinds) == {mkdist._GridDenominator}
+    monkeypatch.setattr(_ShiftDenominator, "sigma_and_grad", refuse)
+    estimate_distance(ber_half, OptimizationProblem(N=2, M=3))
+    assert kinds == []
+    monkeypatch.setattr(_ShiftDenominator, "sigma_and_grad", sigma)
+    general_span_ascents(ber_half, 1, 2, norm_truncation=60, restarts=3,
+                         max_iters=5)
+    assert kinds == [_ShiftDenominator] * 3
     # the winners' values are the ones their witnesses score
     for est, mode, want in ((est1, "certified", est1.certified_value),
                             (est1_heur, "heuristic", est1_heur.heuristic_value)):
@@ -275,9 +331,201 @@ def test_search_runs_one_ascent_per_start(monkeypatch, ber_half, alg_one,
             pytest.approx(want, rel=1e-12, abs=0)
 
 
+# -- the charge-0 linear program --------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_general_span_ascent_never_beats_the_lp_half(ber_half, oracle_m4, M):
+    # gauge averaging maps any general-span witness to a charge-0 one
+    # with the same numerator and no larger truncated seminorm
+    runs = oracle_m4 if M == 4 else general_span_ascents(ber_half, 1, M)
+    lp = charge_zero_lp(ber_half, 1, M, 200)
+    for _tag, f, _c, _basis in runs:
+        assert f <= lp.value * (1 + 1e-9)
+    assert max(f for _t, f, _c, _b in runs) > 0.9 * lp.value
+
+
+def test_general_span_ascent_never_beats_the_lp_nine(ber_nine):
+    runs = general_span_ascents(ber_nine, 1, 3, norm_truncation=100)
+    lp = charge_zero_lp(ber_nine, 1, 3, 100)
+    assert lp.value == pytest.approx(0.783491, abs=1e-6)
+    for _tag, f, _c, _basis in runs:
+        assert f <= lp.value * (1 + 1e-9)
+
+
+_LP_CASES = [("half", 1, 1), ("half", 1, 2), ("half", 1, 4), ("half", 2, 4),
+             ("nine", 1, 3), ("one", 1, 2), ("one", 1, 4)]
+
+
+@pytest.fixture(scope="module")
+def bers(ber_half, ber_nine, ber_one):
+    return {"half": ber_half, "nine": ber_nine, "one": ber_one}
+
+
+@pytest.mark.parametrize("which,N,M", _LP_CASES)
+def test_lp_value_is_its_witness_score(bers, which, N, M):
+    # the second route: the rationalized optimum scored by lip_norm on
+    # its full derivation matrix (the q = 1 grid at q = 1)
+    ber = bers[which]
+    lp = charge_zero_lp(ber, N, M, 200)
+    w = mkdist._rationalize(lp.coords, lp.basis)
+    assert objective_value(ber, w, N, "heuristic", 200) == \
+        pytest.approx(lp.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("which,N,M", _LP_CASES)
+def test_lp_dual_certificate(bers, which, N, M):
+    lp = charge_zero_lp(bers[which], N, M, 200)
+    R, eta, c, y = lp.rows, lp.eta, lp.coords, lp.dual
+    assert np.abs(R.T @ y - eta).max() <= 1e-12 * np.abs(eta).max()
+    assert np.abs(y).sum() == pytest.approx(eta @ c, rel=1e-12)
+    assert np.abs(R @ c).max() <= 1 + 1e-12
+    assert lp.value == pytest.approx(eta @ c, rel=1e-12)
+    # weak duality: no feasible point beats sum |y|
+    rng = np.random.default_rng(M)
+    for _ in range(20):
+        other = rng.standard_normal(len(c))
+        other /= np.abs(R @ other).max()
+        assert eta @ other <= np.abs(y).sum() * (1 + 1e-12)
+
+
+def test_estimate_reports_the_span_optimum(ber_half):
+    # q = 1/2, M = 4: N = 1 and 2 reach the optima that the previous
+    # ascent missed by about 1% (0.569217 and 0.247085)
+    for N, want in ((1, 0.575297), (2, 0.253168)):
+        est = estimate_distance(ber_half, OptimizationProblem(
+            N=N, M=4, norm_truncation=200, mode="heuristic"))
+        assert est.value == pytest.approx(want, abs=1e-6)
+        assert est.source == "lp" and not est.degraded
+        assert len(est.coords) == 4
+
+
+def test_lp_values_rise_toward_the_distance(ber_half):
+    # the spans are nested, so the optimum rises with M, and it stays
+    # below the distance
+    vals = [charge_zero_lp(ber_half, 1, M, 100).value for M in range(1, 10)]
+    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    assert vals[-1] < DIST_HALF_N1
+    assert vals[-1] > 0.63
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="beyond M = 9 at q = 1/2 the float shift model "
+                          "loses the digits of the orthogonal polynomials' "
+                          "cancelling coefficients (ROADMAP item 2)")
+@pytest.mark.parametrize("M", [10, 11, 12])
+def test_lp_values_rise_beyond_spin_nine(ber_half, M):
+    assert 0.630556 < charge_zero_lp(ber_half, 1, M, 100).value < \
+        DIST_HALF_N1
+
+
+def _gauge(x, k=1):
+    """alpha_(i^k): a -> i^k a, b -> b, so a^m b^l b*^n picks up i^(k m)."""
+    alg = x.alg
+    ipow = [alg.field.from_parts(*p) for p in ((1, 0), (0, 1), (-1, 0),
+                                                (0, -1))]
+    return AlgebraElement(alg, {m: c * ipow[(k * m.a_exp) % 4]
+                                for m, c in x.terms.items()})
+
+
+@pytest.mark.parametrize("which", ["half", "nine"])
+def test_gauge_invariance_of_the_seminorm(bers, which):
+    ber = bers[which]
+    alg, actions = ber.alg, ber.gns.actions
+    for x in random_elements(alg, 6, 3, 5, sphere=True):
+        lx = specnorm.lip_norm(actions, x, 120, ladder=False).value
+        ly = specnorm.lip_norm(actions, _gauge(x), 120,
+                               ladder=False).value
+        assert ly.lower_bound == pytest.approx(lx.lower_bound, rel=1e-12)
+        # the four-phase average, x's charge-0 part, does not raise it
+        quarter = alg.field.from_rational(1, 4)
+        avg = (x + _gauge(x, 1) + _gauge(x, 2) + _gauge(x, 3)).scale(quarter)
+        assert all(m.a_exp == 0 for m in avg.terms)
+        la = specnorm.lip_norm(actions, avg, 120, ladder=False).value
+        assert la.lower_bound <= lx.lower_bound * (1 + 1e-12)
+
+
+def _closed_form_rows(lp, q, planted_sqrt=False):
+    """Item 1's rows (f(lambda_n) - f(lambda_(n+1))) / rho_n over the
+    truncation, lambda_n = q^(2n), rho_n = q^n (1 - q^2) /
+    sqrt(1 - q^(2n+2)), with f evaluated exactly."""
+    T = (len(lp.rows) + 2) // 2
+    Q = Fraction(q).limit_denominator(1000)
+    out = np.zeros((T - 1, len(lp.basis)))
+    for j, u in enumerate(lp.basis):
+        coeffs = {}
+        for m, c in u.terms.items():
+            assert m.a_exp == 0 and m.b_exp == m.bs_exp
+            coeffs[m.b_exp] = c.as_fraction()
+        vals = [sum(c * Q ** (2 * n * l) for l, c in coeffs.items())
+                for n in range(T)]
+        for n in range(T - 1):
+            root = 1.0 if planted_sqrt else math.sqrt(1 - q ** (2 * n + 2))
+            rho = q ** n * (1 - q * q) / root
+            out[n, j] = float(vals[n] - vals[n + 1]) / rho
+    return out
+
+
+def _match_counts(R, K):
+    """How many rows of R equal each row of K up to sign, to 1e-12 of
+    each column's scale; None when some row of R matches none."""
+    scale = np.abs(K).max(axis=0)
+    gap = np.minimum(
+        (np.abs(R[:, None, :] - K[None]) / scale).max(axis=2),
+        (np.abs(R[:, None, :] + K[None]) / scale).max(axis=2))
+    best = gap.argmin(axis=1)
+    if (gap[np.arange(len(R)), best] > 1e-12).any():
+        return None
+    return np.bincount(best, minlength=len(K))
+
+
+@pytest.mark.parametrize("which,q,M", [("half", 0.5, 4), ("nine", 0.9, 3)])
+def test_lp_rows_are_the_closed_form(bers, which, q, M):
+    # d1 and d2 each give every row once
+    lp = charge_zero_lp(bers[which], 1, M, 100)
+    K = _closed_form_rows(lp, q)
+    counts = _match_counts(lp.rows, K)
+    assert counts is not None and (counts == 2).all()
+    # planted errors: one dropped LP row, rho_n without its square root
+    dropped = _match_counts(np.delete(lp.rows, 7, axis=0), K)
+    assert dropped is not None and not (dropped == 2).all()
+    assert _match_counts(lp.rows, _closed_form_rows(lp, q, True)) is None
+
+
+def test_lp_phase_checks_raise(monkeypatch, ber_half):
+    # a basis element whose derivation entries turn by i at one row, or
+    # a second entry in one row, is refused
+    real = specnorm.delta_block_matrix
+
+    def turned(actions, u, trunc):
+        D = real(actions, u, trunc).copy()
+        if len(u.terms) == 3:
+            D.data[4] *= 1j
+        return D
+
+    monkeypatch.setattr(mkdist, "delta_block_matrix", turned)
+    with pytest.raises(ValueError, match="phases"):
+        charge_zero_lp(ber_half, 1, 3, 50)
+
+    def doubled(actions, u, trunc):
+        D = real(actions, u, trunc).tolil()
+        if len(u.terms) == 3:
+            D[0, 0] = 1.0
+        return D.tocsr()
+
+    monkeypatch.setattr(mkdist, "delta_block_matrix", doubled)
+    with pytest.raises(ValueError, match="row or a column"):
+        charge_zero_lp(ber_half, 1, 3, 50)
+
+
+def _lip(ber, x, trunc):
+    return specnorm.lip_norm(ber.gns.actions, x, trunc, ladder=False).value
+
+
 def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
     for p in default_probes(alg_half):
-        rep = approx_inequality_check(ber_half, p, 1, est1, 100)
+        rep = approx_inequality_check(ber_half, p, 1, est1, 100,
+                                      _lip(ber_half, p, 100))
         assert rep.ratio <= est1.heuristic_value + 0.05
         assert not rep.flagged
         # the defect norm is the approximant report's, not a second one
@@ -287,18 +535,20 @@ def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
 
 def test_inequality_rejects_scalar(ber_half, alg_half, est1):
     with pytest.raises(ValueError):
-        approx_inequality_check(ber_half, alg_half.unit, 1, est1, 100)
+        approx_inequality_check(ber_half, alg_half.unit, 1, est1, 100,
+                                _lip(ber_half, alg_half.unit, 100))
 
 
 def test_approximant_slacks(ber_half, alg_half):
-    rep = theorem_b_approximant(ber_half, alg_half.sphere_A, 1,
-                                truncation=100)
+    A = alg_half.sphere_A
+    rep = theorem_b_approximant(ber_half, A, 1, 100, _lip(ber_half, A, 100))
     assert rep.lip_slack >= -1e-9
     assert rep.dist_slack >= 0.0
     assert rep.approximant == ber_half.via_coproduct(alg_half.sphere_A, 1)
 
 
 def test_approximant_of_unit(ber_half, alg_half):
-    rep = theorem_b_approximant(ber_half, alg_half.unit, 1, truncation=80)
+    rep = theorem_b_approximant(ber_half, alg_half.unit, 1, 80,
+                                _lip(ber_half, alg_half.unit, 80))
     assert rep.lip_slack == 0.0
     assert rep.dist_slack == 0.0
