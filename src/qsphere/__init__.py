@@ -2,36 +2,31 @@
 
 Layers, bottom up: exact and high-precision scalar fields, the quantum
 group algebra with Haar state, an expression grammar with canonical
-serialization, twisted derivations, matrix-seminorm contexts, the
-level-N transform with its spin spectrum, norm and seminorm estimators,
-and distance lower bounds between the level-N state and the counit.
+serialization, twisted derivations, matrix-seminorm contexts, and the
+level-N transform with its spin spectrum.  The package root exports
+only these exact layers, so `import qsphere` loads neither numpy nor
+scipy.  The numerical layers are imported by name: norm and seminorm
+estimators from `qsphere.specnorm`, distance lower bounds between the
+level-N state and the counit from `qsphere.mkdist`, and the
+verification suites from `qsphere.suites`.
 """
 
 from .berezin import Berezin, BerezinSpectrum, SliceCheck
 from .exprs import QExprError, canonical_json, element_to_obj, \
     element_to_text, parse_expression, scalar_to_obj
 from .gns import FuzzyVector, GnsContext, OperatorMatrix
-from .mkdist import DistanceEstimate, OptimizationProblem, \
-    approx_inequality_check, estimate_distance, theorem_b_approximant
 from .qhopf import Algebra, AlgebraElement, Monomial, TensorElement, \
     make_algebra, make_algebra_float
 from .session import SessionConfig, parse_q
-from .specnorm import LipResult, NormEstimate, RepTruncation, lip_norm, \
-    lip_norm_gram_oracle, operator_norm
-from .suites import SUITES, VerificationReport, run_suite
 from .uq_actions import UqActions
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Algebra", "AlgebraElement", "Berezin", "BerezinSpectrum",
-    "DistanceEstimate", "FuzzyVector", "GnsContext", "LipResult",
-    "Monomial", "NormEstimate", "OperatorMatrix", "OptimizationProblem",
-    "QExprError", "RepTruncation", "SUITES", "SessionConfig", "SliceCheck",
-    "TensorElement", "UqActions", "VerificationReport",
-    "approx_inequality_check", "canonical_json", "element_to_obj",
-    "element_to_text", "estimate_distance", "lip_norm",
-    "lip_norm_gram_oracle", "make_algebra", "make_algebra_float",
-    "operator_norm", "parse_expression", "parse_q", "run_suite",
-    "scalar_to_obj", "theorem_b_approximant",
+    "FuzzyVector", "GnsContext", "Monomial", "OperatorMatrix",
+    "QExprError", "SessionConfig", "SliceCheck", "TensorElement",
+    "UqActions", "canonical_json", "element_to_obj", "element_to_text",
+    "make_algebra", "make_algebra_float", "parse_expression", "parse_q",
+    "scalar_to_obj",
 ]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import io
@@ -19,7 +20,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import exprs, mkdist, specnorm, suites
+from . import exprs
 from .berezin import Berezin, LayerInconsistency
 from .exprs import QExprError, canonical_json
 from .gns import GnsContext
@@ -143,8 +144,12 @@ def _config_from(ns) -> SessionConfig:
 
 def _emit(ns, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {ns.out!r}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -192,7 +197,9 @@ def _parse_expr(alg: Algebra, text: str):
 
 def _scalar_payload(field, value) -> dict:
     out = {"scalar": exprs.scalar_to_obj(value, field)}
-    z = complex(value.to_complex())
+    z = complex(value.to_complex())   # exact mode: OverflowError
+    if not cmath.isfinite(z):           # float mode: 1e400 reads as inf
+        raise OverflowError
     out["float"] = z.real if z.imag == 0 else [z.real, z.imag]
     return out
 
@@ -202,7 +209,7 @@ def _element_payload(x) -> dict:
             "text": exprs.element_to_text(x)}
 
 
-def _norm_payload(est: specnorm.NormEstimate) -> dict:
+def _norm_payload(est) -> dict:
     return {
         "lowerBound": est.lower_bound,
         "upperBound": est.upper_bound,
@@ -270,6 +277,7 @@ def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except LayerInconsistency as exc:
+        from . import suites
         report = suites.layer_failure(kind, cfg, exc)
         _emit(ns, canonical_json(report.to_obj()))
         return 2
@@ -308,6 +316,7 @@ def _cmd_spectrum(ns, cfg: SessionConfig) -> int:
 
 
 def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
+    from . import specnorm
     alg = cfg.build_algebra()
     actions = UqActions(alg)
     x = _parse_expr(alg, ns.expr)
@@ -320,6 +329,7 @@ def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
 
 
 def _cmd_dist(ns, cfg: SessionConfig) -> int:
+    from . import mkdist
     alg = cfg.build_algebra()
     actions = UqActions(alg)
     ber = Berezin(GnsContext(alg, actions))
@@ -348,6 +358,7 @@ def _cmd_dist(ns, cfg: SessionConfig) -> int:
 
 
 def _cmd_verify(ns, cfg: SessionConfig) -> int:
+    from . import suites
     if ns.list_suites:
         _emit(ns, "\n".join(sorted(suites.SUITES)) + "\n")
         return 0
@@ -393,6 +404,7 @@ _SWEEP_FLOATS = _SWEEP_COLUMNS[3:-1]
 def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
     """One sweep row: the distance-trend row at search level M, plus the
     first four transform eigenvalues."""
+    from . import suites
     row = suites.theoremb_rows(replace(cfg, search_truncation=M), [N])[0]
     alg = cfg.build_algebra()
     spec = Berezin(GnsContext(alg, UqActions(alg))).spectrum(
@@ -517,6 +529,10 @@ def main(argv=None) -> int:
         return 1
     except (QExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        # a value the float layers cannot hold, e.g. a coefficient 1e400
+        print("error: value beyond float range", file=sys.stderr)
         return 1
 
 

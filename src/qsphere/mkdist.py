@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .qhopf import AlgebraElement
 from .berezin import Berezin
@@ -397,6 +396,7 @@ class _ShiftDenominator:
     """
 
     def __init__(self, actions, basis: Sequence[AlgebraElement], M: int):
+        from scipy import sparse   # here, so importing qsphere skips scipy
         q = basis[0].alg.field.float_q()
         trunc = RepTruncation(q, M, 0.0)
         self.M = M

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy import sparse
 
 from .gns import _graded_ortho
 from .qhopf import UNIT, Algebra, AlgebraElement, Monomial, _accumulate
@@ -120,6 +119,7 @@ def _csr(grid: list, trunc: RepTruncation) -> sparse.csr_matrix:
     entry in column j*M + r - k, so sorting by j*M - k orders each row.
     Sums start at +0, so never hold -0, and exact zeros are left out:
     bit for bit the arrays of per-term sparse sums stacked by bmat."""
+    from scipy import sparse   # here, so importing qsphere skips scipy
     M, rows = trunc.M, len(grid)
     diags = [sorted((j * M - k, k, d) for j, terms in enumerate(row)
                     for k, d in _diagonals(terms, trunc).items())
@@ -150,6 +150,7 @@ def represent_element(x: AlgebraElement, trunc: RepTruncation) -> sparse.csr_mat
 
 def relation_residuals(trunc: RepTruncation) -> dict:
     """Defining-relation residuals on interior basis vectors."""
+    from scipy import sparse
     a, b = represent_generator("a", trunc), represent_generator("b", trunc)
     astar, bstar, q = a.getH(), b.getH(), trunc.q
     eye = sparse.identity(trunc.M, format="csr", dtype=complex)
@@ -588,6 +589,7 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
         raise RuntimeError("whitened operator matrix overflowed")
     if not (rows and sel):
         return 0.0
+    from scipy import sparse
     Y = sparse.csr_matrix((data, (row_idx, col_idx)),
                           shape=(len(rows), len(sel)), dtype=complex)
     return top_singular_triplet(Y, Y.conj().T)[0]

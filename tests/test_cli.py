@@ -159,6 +159,50 @@ def test_bad_input_writes_no_artifact(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_out_path_that_cannot_be_written(capsys, tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" \
+        else tmp_path
+    code, stdout, err = run(capsys, "haar", "--q", "1/2", "--expr", "A",
+                            "--out", str(out))
+    assert code == 1
+    assert stdout == "" and err.startswith("error: cannot write --out")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("haar", "--expr", "1e400*A"),
+    ("haar", "--expr", "1e300*A*1e300"),
+    ("haar", "--expr", "1e400*A", "--scalar-mode", "float"),
+    ("lipnorm", "--expr", "1e400*A", "--trunc", "20"),
+], ids=["haar", "haar-product", "haar-float", "lipnorm"])
+def test_coefficient_beyond_float_range(capsys, argv):
+    # the exact value is fine; its float view, which haar and lipnorm
+    # need, is not
+    code, out, err = run(capsys, *argv, "--q", "1/2")
+    assert code == 1
+    assert out == "" and err == "error: value beyond float range\n"
+
+
+def test_exact_subcommands_take_any_coefficient(capsys):
+    code, out, _ = run(capsys, "expand", "--q", "1/2", "--expr", "1e400*A")
+    assert code == 0
+    assert json.loads(out)["text"] == f"{10**400}*b*bs"
+    code, out, _ = run(capsys, "berezin", "--q", "1/2", "--N", "2",
+                       "--expr", "1e400*A")
+    assert code == 0
+    assert json.loads(out)["text"].endswith("/17*b*bs")
+
+
+def test_large_in_range_coefficient_artifact(capsys):
+    # 8e299 is still a float: the same bytes as before the range check
+    code, out, _ = run(capsys, "haar", "--q", "1/2", "--expr", "1e300*A")
+    assert code == 0 and json.loads(out)["float"] == 8e299
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0e2dd6fd6ea3f15bafcd6ada0778489a7fe2992c7658eebb6708bc4cfe08de19"
+
+
 def test_dist_norm_truncation_below_shift(capsys, tmp_path):
     # a norm truncation of 2 is shorter than some derivation entries'
     # shifts; those entries compress to zero instead of failing
