@@ -110,10 +110,12 @@ class _GradedOrtho:
     Gram-Schmidt never multiplies algebra elements.  Each chain vector
     is monic: its chain monomial minus the projection on the earlier,
     orthogonal vectors, so its squared norm is read off a projection,
-    <w, w> = <w, mono>.  Raw monomial Gram matrices are numerically
-    singular far beyond double precision, which is why the chains run in
-    the exact field (or, for the Gram oracle in float mode, a lifted
-    precision) and only the oracle's final whitened matrix is floated.
+    <w, w> = <w, mono>.  Chain k keeps, per position t, the column
+    [(alpha, <w_alpha, mono_t>)] of nonzero projections that _append
+    computed, ending in (t, snorm_t).  Raw monomial Gram matrices are
+    singular far beyond double precision, so the chains run exact (or at
+    a lifted precision) and the Gram oracle rounds each whitened entry
+    once, against the inv_sqrt of each snorm that inv_root caches.
 
     In exact mode a zero squared norm is a degenerate chain.  In float
     mode the squared norm must also stand above the field's negligible
@@ -126,8 +128,7 @@ class _GradedOrtho:
         self.rdeg = rdeg
         self.inner = _haar_inner_cache(alg)
         # chain key k -> {"monos": [...], "index": {mono: pos},
-        # "vecs": [(w, snorm)], "proj": [dict]}
-        # proj[alpha][t] = <w_alpha, mono_t> over the chain positions t
+        # "vecs": [(w, snorm)], "cols": [[(alpha, p)]], "roots": {alpha: r}}
         self.chains: dict = {}
         self.order: list = []            # (k, pos) in graded enumeration order
         self.built_degree = -1
@@ -142,16 +143,17 @@ class _GradedOrtho:
 
     def _append(self, mono: Monomial) -> None:
         alg = self.alg
-        ch = self.chains.setdefault(
-            mono.a_exp, {"monos": [], "index": {}, "vecs": [], "proj": []})
+        ch = self.chains.setdefault(mono.a_exp, {
+            "monos": [], "index": {}, "vecs": [], "cols": [], "roots": {}})
         if mono in ch["index"]:          # kept from a pass that raised
             return
         pos = len(ch["monos"])
         vec = AlgebraElement(alg, {mono: alg.field.one})
-        for (w, s), row in zip(ch["vecs"], ch["proj"]):
+        col = []
+        for alpha, (w, s) in enumerate(ch["vecs"]):
             p = self._elem_mono_inner(w, mono)
-            row[pos] = p
             if not p.is_zero():
+                col.append((alpha, p))
                 vec = vec - w.scale(p / s)
         snorm = self._elem_mono_inner(vec, mono)
         if self._degenerate(vec, mono, snorm):
@@ -161,10 +163,7 @@ class _GradedOrtho:
         ch["monos"].append(mono)
         ch["index"][mono] = pos
         ch["vecs"].append((vec, snorm))
-        # projections of the new vector onto every chain monomial so far
-        # are zero below the diagonal by orthogonality; later ones are
-        # recorded as later monomials join the chain
-        ch["proj"].append({pos: snorm})
+        ch["cols"].append(col + [(pos, snorm)])
         self.order.append((mono.a_exp, pos))
 
     def _elem_mono_inner(self, w: AlgebraElement, mono: Monomial):
@@ -181,9 +180,12 @@ class _GradedOrtho:
                    for m, c in vec.terms.items())
         return abs(snorm.val) < F.negligible * size
 
-    def proj_coeff(self, k: int, alpha: int, pos: int):
-        """<w_alpha, mono_pos> within chain k; zero below the diagonal."""
-        return self.chains[k]["proj"][alpha].get(pos, self.alg.field.zero)
+    def inv_root(self, k: int, alpha: int):
+        """field.inv_sqrt of chain k's squared norm alpha, made once."""
+        ch = self.chains[k]
+        if alpha not in ch["roots"]:
+            ch["roots"][alpha] = self.alg.field.inv_sqrt(ch["vecs"][alpha][1])
+        return ch["roots"][alpha]
 
     def basis_selection(self, count: int):
         """(chain, position) pairs of the first `count` graded monomials."""

@@ -23,9 +23,11 @@ mpmath directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isinf, isqrt, lcm
 
 import mpmath
+
+WHITEN_BITS = 320     # whitened()'s fixed point: 267 guard bits past a double
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -55,8 +57,8 @@ class ExactScalar:
 
     Stored as five ints, the value (a + b*i + (c + d*i)*sqrt(m)) / den, in
     canonical form: den > 0, gcd(a, b, c, d, den) == 1, and c == d == 0
-    when m == 1.  Equal values therefore have equal representations, and
-    each ring operation is integer arithmetic followed by one gcd.
+    when m == 1.  Equal values have equal representations; each ring
+    operation is integer arithmetic and one gcd (of two ints on rationals).
     """
 
     __slots__ = ("a", "b", "c", "d", "den", "field")
@@ -81,12 +83,16 @@ class ExactScalar:
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         e, f = self.den, other.den
+        if not (self.b or self.c or self.d or other.b or other.c or other.d):
+            return _rational(self.field, self.a * f + other.a * e, e * f)
         return ExactScalar(self.field, self.a * f + other.a * e,
                            self.b * f + other.b * e, self.c * f + other.c * e,
                            self.d * f + other.d * e, e * f)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         e, f = self.den, other.den
+        if not (self.b or self.c or self.d or other.b or other.c or other.d):
+            return _rational(self.field, self.a * f - other.a * e, e * f)
         return ExactScalar(self.field, self.a * f - other.a * e,
                            self.b * f - other.b * e, self.c * f - other.c * e,
                            self.d * f - other.d * e, e * f)
@@ -102,6 +108,8 @@ class ExactScalar:
         # a plain rational factor scales componentwise; the Haar weights
         # and Gram projections are all of this kind
         if not (b1 or c1 or d1):
+            if not (b2 or c2 or d2):
+                return _rational(self.field, a1 * a2, den)
             return ExactScalar(self.field, a1 * a2, a1 * b2, a1 * c2, a1 * d2,
                                den)
         if not (b2 or c2 or d2):
@@ -160,24 +168,14 @@ class ExactScalar:
         return complex(self.a / den + self.c / den * root,
                        self.b / den + self.d / den * root)
 
-    def to_mpc(self, ctx):
-        """Lossless lift into an mpmath context; safe for components
-        whose float conversion would overflow."""
-        den = self.den
-
-        def cvt(num: int):
-            # each component in lowest terms, so mpmath rounds the same
-            # numerator and denominator whatever the shared den
-            g = gcd(num, den)
-            return ctx.mpf(num // g) / ctx.mpf(den // g)
-
-        def part(x: int, y: int):
-            # a zero component adds an exact zero, so it is skipped
-            val = cvt(x) if x else ctx.zero
-            return val + cvt(y) * root if y else val
-
-        root = self.field.mp_sqrt_m(ctx)
-        return ctx.mpc(part(self.a, self.c), part(self.b, self.d))
+    def whitened(self, r1: int, r2: int) -> complex:
+        """self / sqrt(s1 s2) rounded once, r = ExactField.inv_sqrt(s):
+        in fixed point at K = WHITEN_BITS, sqrt(m) as floor(2^K sqrt(m)),
+        then int / int true division, which rounds correctly."""
+        K, root, scale = WHITEN_BITS, self.field.sqrt_m_fixed, r1 * r2
+        den = self.den << 3 * K
+        return complex(((self.a << K) + self.c * root) * scale / den,
+                       ((self.b << K) + self.d * root) * scale / den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactScalar):
@@ -202,6 +200,14 @@ class ExactScalar:
         return "(" + " + ".join(parts) + ")"
 
 
+def _rational(field: "ExactField", a: int, den: int) -> ExactScalar:
+    """Canonical a / den, den > 0, by one two-argument gcd."""
+    g = gcd(a, den)
+    z = object.__new__(ExactScalar)
+    z.field, z.a, z.b, z.c, z.d, z.den = field, a // g, 0, 0, 0, den // g
+    return z
+
+
 class ExactField:
     """Scalar field Q(i, sqrt(m)) attached to a rational q in (0, 1]."""
 
@@ -216,7 +222,7 @@ class ExactField:
         d, m = squarefree_split(p * r)
         self.m = m
         self.sqrt_m_float = isqrt(m) if isqrt(m) ** 2 == m else m ** 0.5
-        self._mp_roots: dict = {}
+        self.sqrt_m_fixed = isqrt(m << 2 * WHITEN_BITS)
         self.zero = ExactScalar(self, 0, 0, 0, 0)
         self.one = ExactScalar(self, 1, 0, 0, 0)
         self.i_unit = ExactScalar(self, 0, 1, 0, 0)
@@ -225,12 +231,11 @@ class ExactField:
         self.sqrt_q = ExactScalar(self, 0, 0, d, 0, r)
         self._q_half_cache: dict[int, ExactScalar] = {0: self.one}
 
-    def mp_sqrt_m(self, ctx):
-        """sqrt(m) in an mpmath context, rounded at its precision."""
-        raw = self._mp_roots.get(ctx.prec)
-        if raw is None:
-            raw = self._mp_roots[ctx.prec] = ctx.sqrt(ctx.mpf(self.m))._mpf_
-        return ctx.make_mpf(raw)
+    def inv_sqrt(self, s: ExactScalar) -> int:
+        """floor(2^K / sqrt(s)), K = WHITEN_BITS, for rational s > 0; to
+        2^-K relative when s <= 1, as Haar squared norms are."""
+        f = s.as_fraction()
+        return isqrt((f.denominator << 2 * WHITEN_BITS) // f.numerator)
 
     def from_rational(self, num, den=1) -> ExactScalar:
         if type(num) is int and type(den) is int and den:
@@ -313,8 +318,12 @@ class FloatScalar:
     def to_complex(self) -> complex:
         return complex(self.val)
 
-    def to_mpc(self, ctx):
-        return ctx.mpc(self.val)
+    def whitened(self, r1, r2) -> complex:
+        """self * r1 * r2 rounded once, r = FloatField.inv_sqrt(s)."""
+        z = complex(self.val * r1 * r2)
+        if isinf(z.real) or isinf(z.imag):
+            raise OverflowError("whitened value beyond float range")
+        return z
 
     def __eq__(self, other):
         if not isinstance(other, FloatScalar):
@@ -347,6 +356,10 @@ class FloatField:
         self.i_unit = FloatScalar(self, self.ctx.mpc(0, 1))
         self.q = FloatScalar(self, self.ctx.mpc(q))
         self.sqrt_q = FloatScalar(self, self.ctx.sqrt(self.ctx.mpc(q)))
+
+    def inv_sqrt(self, s: FloatScalar):
+        """1 / sqrt(Re s) at the field's precision."""
+        return 1 / self.ctx.sqrt(self.ctx.re(s.val))
 
     def from_rational(self, num, den=1) -> FloatScalar:
         f = Fraction(num, den)

@@ -29,7 +29,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .gns import _graded_ortho
@@ -372,14 +371,17 @@ def _ladder_estimate(build, x: AlgebraElement, M: int, upper: float,
     a global phase.  lower_bound is the dominant singular value at the
     final truncation; ladder=True doubles the truncation until
     successive values agree, ladder=False reports the first one as
-    converged.  candidate goes to dominant_sigma at every truncation.
+    converged.  candidate goes to dominant_sigma at every truncation, in
+    the units of the matrices times _range_scale(upper).
     """
     q = x.alg.field.float_q()
     M = max(M, x.total_degree() + 2)
+    scale = _range_scale(upper)
 
     def level(Mcur: int) -> float:
-        return dominant_sigma(build(RepTruncation(q, Mcur)), candidate,
-                              Mcur)[0]
+        T = build(RepTruncation(q, Mcur))
+        T = T if scale == 1.0 else T * scale    # a power of two: exact
+        return dominant_sigma(T, candidate, Mcur)[0] / scale
 
     best = level(M)
     steps = [(M, best)]
@@ -396,6 +398,14 @@ def _ladder_estimate(build, x: AlgebraElement, M: int, upper: float,
                 break
     lower = min(best, upper)     # guard against roundoff overshoot
     return NormEstimate(lower, upper, conv, M, ladder=tuple(steps))
+
+
+def _range_scale(upper: float) -> float:
+    """1, or outside [2^-200, 2^200] the power of two taking a norm bound
+    into [1/2, 1): upper^4, Lanczos' T^H T squared, must stay normal."""
+    if 2.0 ** -200 <= upper <= 2.0 ** 200:
+        return 1.0
+    return 2.0 ** min(1023, -math.frexp(upper)[1])
 
 
 def operator_norm(x: AlgebraElement, M: int,
@@ -453,17 +463,19 @@ def lip_norm(actions: UqActions, x: AlgebraElement, M: int,
     # the right degree, so every entry is a sphere element and one theta
     # suffices
     est = _ladder_estimate(lambda trunc: _block_rep(entries, trunc),
-                           x, M, upper, ladder, _character_norm(entries))
+                           x, M, upper, ladder,
+                           _character_norm(entries, _range_scale(upper)))
     return LipResult(est, components)
 
 
-def _character_norm(entries: list) -> float:
-    """||C||, C the 2x2 matrix of the entries' unit coefficients: the
+def _character_norm(entries: list, scale: float = 1.0) -> float:
+    """scale ||C||, C the 2x2 matrix of the entries' unit coefficients: the
     characters send a sphere element to its unit coefficient, so this is
     the derivation matrix's essential norm.  sigma^2 = (|C|_F^2 +
     sqrt(|C|_F^4 - 4 |det C|^2)) / 2, via C C^H = [[p, z], [z*, r]]."""
-    (a, b), (c, d) = [[complex(e.terms[UNIT].to_complex()) if UNIT in e.terms
-                       else 0j for e in row] for row in entries]
+    (a, b), (c, d) = [[complex(e.terms[UNIT].to_complex()) * scale
+                       if UNIT in e.terms else 0j for e in row]
+                      for row in entries]
     p, r = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
     z = a * c.conjugate() + b * d.conjugate()
     return math.sqrt((p + r) / 2 + math.hypot((p - r) / 2, abs(z)))
@@ -498,15 +510,12 @@ def delta_block_grid(actions: UqActions, x: AlgebraElement) -> np.ndarray:
 # -- Gram dual oracle ----------------------------------------------------------
 
 
-_LIFTED_ALGEBRAS: dict = {}
-
-
 def _lifted_context(x: AlgebraElement, extra_degree: int):
     """Return (algebra, element) precise enough for the oracle.
 
     Exact fields pass through.  Float fields are lifted to a working
     precision that dominates the chain conditioning, which grows like
-    q^(-2 d^2) in the maximum chain degree d.
+    q^(-2 d^2) in the maximum chain degree d, kept on alg per precision.
     """
     alg = x.alg
     if alg.field.mode == "exact":
@@ -517,18 +526,17 @@ def _lifted_context(x: AlgebraElement, extra_degree: int):
     q = alg.field.float_q()
     D = x.total_degree() + extra_degree
     dps = max(120, int(2 * D * D * abs(math.log10(q))) + 80)
-    key = (repr(q), dps)
-    hi = _LIFTED_ALGEBRAS.get(key)
-    if hi is None:
-        hi = make_algebra_float(q, precision=dps)
-        _LIFTED_ALGEBRAS[key] = hi
+    lifted = alg.__dict__.setdefault("_lifted_algebras", {})
+    if dps not in lifted:
+        lifted[dps] = make_algebra_float(q, precision=dps)
+    hi = lifted[dps]
     terms = {m: FloatScalar(hi.field, hi.field.ctx.mpc(c.val))
              for m, c in x.terms.items()}
     return hi, AlgebraElement(hi, terms)
 
 
 def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
-                   basis_size: int, ctx) -> float:
+                   basis_size: int) -> float:
     """Largest singular value of mult-by-y from the graded basis span.
 
     Assembled entirely in orthonormal coordinates.  The domain vectors
@@ -546,23 +554,10 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
     sel = ortho.basis_selection(basis_size)
     D_basis = max(ortho.chains[k]["monos"][pos].total_degree()
                   for k, pos in sel)
-    D_ext = D_basis + y.total_degree()
-    cod.ensure_degree(D_ext)
-
-    rows: dict = {}
-    for k, ch in sorted(cod.chains.items()):
-        for alpha in range(len(ch["monos"])):
-            rows[(k, alpha)] = len(rows)
-
-    sqrt_s: dict = {}
-
-    def root_of(ortho_obj, k: int, alpha: int):
-        key = (id(ortho_obj), k, alpha)
-        if key not in sqrt_s:
-            s = ortho_obj.chains[k]["vecs"][alpha][1]
-            sqrt_s[key] = ctx.sqrt(s.to_mpc(ctx).real)
-        return sqrt_s[key]
-
+    cod.ensure_degree(D_basis + y.total_degree())
+    rows = {key: i for i, key in enumerate(
+        (k, alpha) for k, ch in sorted(cod.chains.items())
+        for alpha in range(len(ch["monos"])))}
     data, row_idx, col_idx = [], [], []
     for j, (kj, pos_j) in enumerate(sel):
         image = y * ortho.chains[kj]["vecs"][pos_j][0]
@@ -573,20 +568,18 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
             pos_t = None if ch is None else ch["index"].get(t_mono)
             if pos_t is None:
                 raise RuntimeError("image escaped the graded extension")
-            for alpha in range(pos_t + 1):
-                p = cod.proj_coeff(kt, alpha, pos_t)
-                if not p.is_zero():
-                    _accumulate(col, (kt, alpha), c * p)
+            for alpha, p in ch["cols"][pos_t]:
+                _accumulate(col, (kt, alpha), c * p)
         # the projections are huge and cancel; summing them exactly and
-        # rounding once keeps the whitened entries accurate
-        rj = root_of(ortho, kj, pos_j)
-        for (kt, alpha), val in col.items():
-            data.append(complex(
-                val.to_mpc(ctx) / (root_of(cod, kt, alpha) * rj)))
-            row_idx.append(rows[(kt, alpha)])
-            col_idx.append(j)
-    if not np.isfinite(data).all():
-        raise RuntimeError("whitened operator matrix overflowed")
+        # rounding once, in whitened(), keeps the entries accurate
+        rj = ortho.inv_root(kj, pos_j)
+        try:
+            data.extend(val.whitened(cod.inv_root(kt, alpha), rj)
+                        for (kt, alpha), val in col.items())
+        except OverflowError:
+            raise RuntimeError("whitened operator matrix overflowed") from None
+        row_idx.extend(rows[key] for key in col)
+        col_idx.extend([j] * len(col))
     if not (rows and sel):
         return 0.0
     from scipy import sparse
@@ -612,20 +605,12 @@ def lip_norm_gram_oracle(actions: UqActions, x: AlgebraElement,
     if p1.is_zero() and p2.is_zero():
         return NormEstimate(0.0, 0.0, True, basis_size,
                             notes=("gram-oracle",))
-    ctx = mpmath.mp.clone()
-    ctx.dps = 80
     # chains for `basis_size` graded monomials reach roughly this degree;
     # the float-mode precision lift must dominate their conditioning
     reach = int(math.isqrt(2 * basis_size)) + 2
-    vals = []
-    for y, rdeg in ((p1, 1), (p2, -1)):
-        if y.is_zero():
-            vals.append(0.0)
-            continue
-        alg_hi, y_hi = _lifted_context(y, extra_degree=reach)
-        sigma = _mult_op_sigma(alg_hi, y_hi, rdeg, basis_size, ctx)
-        vals.append(sigma)
-    lower = max(vals)
+    lower = max(_mult_op_sigma(*_lifted_context(y, reach), rdeg, basis_size)
+                if not y.is_zero() else 0.0
+                for y, rdeg in ((p1, 1), (p2, -1)))
     if lower > upper * (1 + 1e-9):
         raise RuntimeError("Gram oracle value %r exceeds the upper bound %r"
                            % (lower, upper))

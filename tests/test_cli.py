@@ -185,6 +185,22 @@ def test_coefficient_beyond_float_range(capsys, argv):
     assert out == "" and err == "error: value beyond float range\n"
 
 
+@pytest.mark.parametrize("factor", ["1e300", "1e-300"])
+@pytest.mark.parametrize("expr", ["A", "B + Bs"])
+def test_lipnorm_large_in_range_coefficient(capsys, expr, factor):
+    # T^H T of 1e300 entries overflows, of 1e-300 entries underflows; the
+    # matrices are scaled by an exact power of two and the seminorm, which
+    # is homogeneous, scaled back.  B + Bs has a top at the character norm,
+    # which is scaled with them
+    values = []
+    for text in (f"{factor}*({expr})", expr):
+        code, out, _ = run(capsys, "lipnorm", "--q", "1/2", "--expr", text,
+                           "--trunc", "20")
+        assert code == 0
+        values.append(json.loads(out)["lowerBound"])
+    assert values[0] == pytest.approx(float(factor) * values[1], rel=1e-12)
+
+
 def test_exact_subcommands_take_any_coefficient(capsys):
     code, out, _ = run(capsys, "expand", "--q", "1/2", "--expr", "1e400*A")
     assert code == 0

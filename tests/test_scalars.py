@@ -1,5 +1,6 @@
 """Scalar field arithmetic, exact and floating."""
 
+import cmath
 from fractions import Fraction
 from math import gcd
 
@@ -72,13 +73,15 @@ _parts = st.tuples(*[st.fractions(max_denominator=40)] * 4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(x=_parts, y=_parts, rational=st.sampled_from(["x", "y", "none"]))
+@given(x=_parts, y=_parts,
+       rational=st.sampled_from(["x", "y", "both", "none"]))
 def test_mul_matches_the_general_formula(x, y, rational):
-    # rational factors take a componentwise shortcut; it must give the
-    # product of the full Q(i, sqrt(m)) formula
-    if rational == "x":
+    # rational factors take a componentwise shortcut, two rationals a
+    # two-component one; each must give the product of the full
+    # Q(i, sqrt(m)) formula, in canonical form
+    if rational in ("x", "both"):
         x = (x[0], 0, 0, 0)
-    elif rational == "y":
+    if rational in ("y", "both"):
         y = (y[0], 0, 0, 0)
     fld = ExactField(1, 2)
     m = fld.m
@@ -90,6 +93,7 @@ def test_mul_matches_the_general_formula(x, y, rational):
         a1 * b2 + b1 * a2 + m * (c1 * d2 + d1 * c2),
         a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
         a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+    _assert_canonical(got)
 
 
 def test_float_field_roundtrip():
@@ -102,6 +106,11 @@ def test_float_field_roundtrip():
     assert abs(got - float(want)) / float(want) < 1e-14
     with pytest.raises(ValueError):
         fld.from_parts(sre=1)
+    # whitening: 3 / sqrt(4 * 1), and a value beyond the double range
+    assert fld.from_rational(3).whitened(
+        fld.inv_sqrt(fld.from_rational(4)), fld.inv_sqrt(fld.one)) == 1.5
+    with pytest.raises(OverflowError):
+        fld.from_rational(10 ** 400).whitened(1, 1)
 
 
 def test_float_negligible():
@@ -158,13 +167,21 @@ def _ref_to_complex(m, x):
                    float(im) + float(sim) * root)
 
 
-def _ref_to_mpc(m, x, ctx):
+def _ref_whitened(m, x, s1, s2):
+    """x / sqrt(s1 s2) at 120 digits, rounded to a complex."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = 120
+
     def cvt(f):
         return ctx.mpf(f.numerator) / ctx.mpf(f.denominator)
 
     re, im, sre, sim = x
     root = ctx.sqrt(ctx.mpf(m))
-    return ctx.mpc(cvt(re) + cvt(sre) * root, cvt(im) + cvt(sim) * root)
+    z = complex(ctx.mpc(cvt(re) + cvt(sre) * root, cvt(im) + cvt(sim) * root)
+                / ctx.sqrt(cvt(s1 * s2)))
+    if not cmath.isfinite(z):
+        raise OverflowError
+    return z
 
 
 def _parts(z):
@@ -186,8 +203,11 @@ def _outcome(fn):
 
 
 @settings(max_examples=150, deadline=None)
-@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components)
-def test_ring_ops_match_the_fraction_formulas(q, x, y):
+@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components,
+       rational=st.booleans())
+def test_ring_ops_match_the_fraction_formulas(q, x, y, rational):
+    if rational:     # both operands rational: the two-component path
+        x, y = (x[0], 0, 0, 0), (y[0], 0, 0, 0)
     fld = _FIELDS[q]
     m = fld.m
     rx, ry = _ref_fold(m, x), _ref_fold(m, y)
@@ -225,22 +245,25 @@ def test_equal_scalars_hash_equal(q, x, y):
         _assert_canonical(z)
 
 
+_norms = st.fractions(min_value=Fraction(1, _WIDE), max_value=1).filter(bool)
+
+
 @settings(max_examples=100, deadline=None)
-@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components)
-def test_float_lifts_match_the_fraction_route(q, x, y):
+@given(q=st.sampled_from(sorted(_FIELDS)), x=_components, y=_components,
+       s1=_norms, s2=_norms)
+def test_float_lifts_match_the_fraction_route(q, x, y, s1, s2):
     fld = _FIELDS[q]
     m = fld.m
     rx, ry = _ref_fold(m, x), _ref_fold(m, y)
     pairs = [(fld.from_parts(*x), rx),
              (fld.from_parts(*x) * fld.from_parts(*y), _ref_mul(m, rx, ry))]
+    r1, r2 = (fld.inv_sqrt(fld.from_rational(s)) for s in (s1, s2))
     for z, ref in pairs:
         assert (_outcome(z.to_complex) == _outcome(
             lambda: _ref_to_complex(m, ref)))
-        for dps in (50, 80):
-            ctx = mpmath.mp.clone()
-            ctx.dps = dps
-            got, want = z.to_mpc(ctx), _ref_to_mpc(m, ref, ctx)
-            assert (got.real, got.imag) == (want.real, want.imag)
+        # the fixed-point whitening rounds once, as 120 digits do
+        assert (_outcome(lambda: z.whitened(r1, r2)) == _outcome(
+            lambda: _ref_whitened(m, ref, s1, s2)))
 
 
 def test_from_rational_is_canonical():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,7 +11,9 @@ from scipy import sparse
 from qsphere import Berezin, GnsContext, UqActions, make_algebra, specnorm
 from qsphere.exprs import parse_expression
 from qsphere.gns import _HaarInnerCache
+from qsphere.mkdist import default_probes
 from qsphere.qhopf import AlgebraElement, monomials
+from qsphere.scalars import ExactScalar
 from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
                               delta_block_grid, delta_block_matrix, lip_norm,
                               lip_norm_gram_oracle, lip_upper_bound,
@@ -133,6 +136,85 @@ def test_gram_oracle_small_q():
     lo = lip_norm(act, x, 200, ladder=False).value.lower_bound
     g = lip_norm_gram_oracle(act, x, basis_size=100)
     assert abs(lo - g.lower_bound) / lo < 1e-4
+
+
+# the oracle on default_probes at basis 100, as the 80-digit mpmath
+# whitening gave them
+_FROZEN_GRAM = {
+    (1, 2): (0.8660254037844071, 1.9999993494303092, 1.9999993494303092,
+             1.0825317547305053, 0.2914959091846203),
+    (9, 10): (0.5544557340246328, 1.105154345286991, 1.1051543452875356,
+              0.7889607076995031, 0.4567929066956377),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_FROZEN_GRAM))
+def test_gram_oracle_frozen_values(q):
+    alg = make_algebra(*q)
+    act = UqActions(alg)
+    got = tuple(lip_norm_gram_oracle(act, x, basis_size=100).lower_bound
+                for x in default_probes(alg))
+    assert got == _FROZEN_GRAM[q]
+
+
+@pytest.mark.parametrize("q", [(1, 2), (1, 8), (2, 3)])
+def test_gram_whitening_rounds_the_120_digit_value(q, monkeypatch):
+    # every entry c / sqrt(s1 s2) of the oracle's matrices, whitened in
+    # fixed point and rounded once, is the 120-digit value rounded; the
+    # probes' symbols are rational or imaginary, so one more carries sqrt(q)
+    alg = make_algebra(*q)
+    act = UqActions(alg)
+    ctx = mpmath.mp.clone()
+    ctx.dps = 120
+    root = ctx.sqrt(alg.field.m)
+    norms, entries, mats = {}, [], []
+    inv_sqrt, whitened = alg.field.inv_sqrt, ExactScalar.whitened
+    top = specnorm.top_singular_triplet
+
+    def spy_root(s):
+        norms[inv_sqrt(s)] = s.as_fraction()
+        return inv_sqrt(s)
+
+    def spy_whitened(c, r1, r2):
+        entries.append((c, r1, r2, whitened(c, r1, r2)))
+        return entries[-1][-1]
+
+    monkeypatch.setattr(alg.field, "inv_sqrt", spy_root)
+    monkeypatch.setattr(ExactScalar, "whitened", spy_whitened)
+    monkeypatch.setattr(specnorm, "top_singular_triplet",
+                        lambda T, TH: mats.append(T) or top(T, TH))
+    surd = alg.sphere_A + (alg.sphere_B + alg.sphere_B_star).scale(
+        alg.field.sqrt_q)
+    surds = 0
+    for x in default_probes(alg) + [surd]:
+        entries.clear()
+        mats.clear()
+        lip_norm_gram_oracle(act, x, basis_size=100)
+        assert entries
+        for c, r1, r2, z in entries:
+            s = norms[r1] * norms[r2]
+            scale = c.den * ctx.sqrt(ctx.mpf(s.numerator) / s.denominator)
+            assert z == complex(ctx.mpc(c.a + c.c * root, c.b + c.d * root)
+                                / scale)
+            surds += bool(c.c or c.d)
+        got = [z for T in mats for z in T.tocoo().data.tolist()]
+        assert sorted(got, key=_reim) == sorted(
+            (z for *_, z in entries), key=_reim)
+    assert surds
+
+
+def test_gram_whitening_overflow_raises(half):
+    # an exact entry beyond the double range overflows its int / int
+    # rounding, which the oracle reports instead of returning inf
+    alg, act = half
+    p1, _ = act.dirac_components(alg.sphere_A)
+    with pytest.raises(RuntimeError, match="whitened operator matrix"):
+        specnorm._mult_op_sigma(alg, p1.scale(alg.field.from_rational(
+            10 ** 400)), 1, 10)
+
+
+def _reim(z):
+    return (z.real, z.imag)
 
 
 def _same_bidegree_pairs(max_degree):
