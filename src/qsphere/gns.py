@@ -13,7 +13,8 @@ h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987); see
 _HaarInnerCache.  So the monomials of one right degree split into
 mutually orthogonal chains of fixed a-exponent, and _GradedOrtho
 orthogonalizes each chain on its own.  The Gram oracle in specnorm
-reads its bases off the chains of right degree +-1.
+reads its bases off the chains of right degree +-1 and projects the
+symbol's images onto chains with _GradedOrtho.image_columns.
 
 The fuzzy basis is read off the chains of right degree 0: B^i A^j and
 B*^i A^j are single monomials up to a q-power, so the spin-d,
@@ -27,6 +28,9 @@ prefix of the level-(N+1) basis.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate, monomials
@@ -39,11 +43,7 @@ class _HaarInnerCache:
     The Haar state vanishes unless m1 = a^k b^l1 b*^n1 and
     m2 = a^k b^l2 b*^n2 share both degrees, that is the a-exponent k and
     the b-charge l1 - n1 = l2 - n2.  Then m1* m2 = P_k(A) A^s with
-    A = b b*, s = n1 + l2 and
-
-        P_k = prod_{i=1..k} (1 - q^(2i) A)          k >= 0  (a*^k a^k)
-        P_k = prod_{i=0..|k|-1} (1 - q^(-2i) A)     k < 0   (a^|k| a*^|k|),
-
+    A = b b*, s = n1 + l2 and P_k = a^(-k) a^k = alg.contraction_poly(k),
     so h(m1* m2) = sum_j [P_k]_j h(A^(j+s)), with the weights
     h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987).  No algebra
     product is formed; the result is the same field element that
@@ -52,25 +52,8 @@ class _HaarInnerCache:
 
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self.polys: dict = {}            # k -> coefficients of P_k
         self.cache: dict = {}            # (k, s) -> h(P_k(A) A^s)
         self.sizes: dict = {}            # (k, s) -> sum_j |[P_k]_j| h(A^(j+s))
-
-    def _poly(self, k: int) -> list:
-        coeffs = self.polys.get(k)
-        if coeffs is None:
-            F = self.alg.field
-            exps = range(2, 2 * k + 1, 2) if k >= 0 else range(0, 2 * k, -2)
-            coeffs = [F.one]
-            for e in exps:
-                # multiply by (1 - q^e A)
-                c = F.q_power(e)
-                coeffs = ([coeffs[0]]
-                          + [coeffs[j] - c * coeffs[j - 1]
-                             for j in range(1, len(coeffs))]
-                          + [-(c * coeffs[-1])])
-            self.polys[k] = coeffs
-        return coeffs
 
     def __call__(self, m1: Monomial, m2: Monomial):
         alg = self.alg
@@ -82,7 +65,7 @@ class _HaarInnerCache:
         if hit is None:
             k, s = key
             hit = alg.field.zero
-            for j, c in enumerate(self._poly(k)):
+            for j, c in enumerate(self.alg.contraction_poly(k)):
                 hit = hit + c * alg.haar_weight(j + s)
             self.cache[key] = hit
         return hit
@@ -95,7 +78,7 @@ class _HaarInnerCache:
         if hit is None:
             k, s = key
             hit = sum(abs(c.val) * abs(self.alg.haar_weight(j + s).val)
-                      for j, c in enumerate(self._poly(k)))
+                      for j, c in enumerate(self.alg.contraction_poly(k)))
             self.sizes[key] = hit
         return hit
 
@@ -110,12 +93,20 @@ class _GradedOrtho:
     Gram-Schmidt never multiplies algebra elements.  Each chain vector
     is monic: its chain monomial minus the projection on the earlier,
     orthogonal vectors, so its squared norm is read off a projection,
-    <w, w> = <w, mono>.  Chain k keeps, per position t, the column
-    [(alpha, <w_alpha, mono_t>)] of nonzero projections that _append
-    computed, ending in (t, snorm_t).  Raw monomial Gram matrices are
-    singular far beyond double precision, so the chains run exact (or at
-    a lifted precision) and the Gram oracle rounds each whitened entry
-    once, against the inv_sqrt of each snorm that inv_root caches.
+    <w, w> = <w, mono>.  Its terms come in the order mono, m_0, m_1, ...
+    Chain k keeps, per position t, the column [(alpha, <w_alpha, m_t>)]
+    of nonzero projections that _append computed, ending in
+    (t, snorm_t).  Raw monomial Gram matrices are singular far beyond
+    double precision, so the chains run exact (or at a lifted precision)
+    and the Gram oracle rounds each whitened entry once, against the
+    inv_sqrt of each snorm that inv_root caches.
+
+    At rational q every chain value is rational (self.exact), so the
+    chains run on integers: vector t is also kept as its numerators over
+    the positions 0..t, the last one its denominator ("ints"), each
+    projection is an integer dot product, and the columns are integer
+    numerators over one lcm per chain ("den").  Float values have no
+    integer view; float fields run the scalar loop, _scalar_step.
 
     In exact mode a zero squared norm is a degenerate chain.  In float
     mode the squared norm must also stand above the field's negligible
@@ -126,6 +117,7 @@ class _GradedOrtho:
     def __init__(self, alg: Algebra, rdeg: int):
         self.alg = alg
         self.rdeg = rdeg
+        self.exact = alg.field.mode == "exact"
         self.inner = _haar_inner_cache(alg)
         # chain key k -> {"monos": [...], "index": {mono: pos},
         # "vecs": [(w, snorm)], "cols": [[(alpha, p)]], "roots": {alpha: r}}
@@ -142,13 +134,34 @@ class _GradedOrtho:
         self.built_degree = D
 
     def _append(self, mono: Monomial) -> None:
-        alg = self.alg
         ch = self.chains.setdefault(mono.a_exp, {
-            "monos": [], "index": {}, "vecs": [], "cols": [], "roots": {}})
+            "monos": [], "index": {}, "vecs": [], "cols": [], "roots": {},
+            "ints": [], "den": 1})
         if mono in ch["index"]:          # kept from a pass that raised
             return
         pos = len(ch["monos"])
-        vec = AlgebraElement(alg, {mono: alg.field.one})
+        step = self._integer_step if self.exact else self._scalar_step
+        vec, snorm, col, ints = step(ch, mono)
+        if self._degenerate(vec, mono, snorm):
+            raise RuntimeError(
+                "Haar Gram-Schmidt degenerated at %r (squared norm %g lost "
+                "to cancellation)" % (mono, abs(snorm.to_complex())))
+        if self.exact:                   # col holds Fractions
+            ch["ints"].append(ints)
+            E = lcm(ch["den"], *(p.denominator for _, p in col))
+            up, ch["den"] = E // ch["den"], E
+            if up != 1:
+                ch["cols"] = [[(a, n * up) for a, n in c] for c in ch["cols"]]
+            col = [(a, p.numerator * (E // p.denominator)) for a, p in col]
+        ch["monos"].append(mono)
+        ch["index"][mono] = pos
+        ch["vecs"].append((vec, snorm))
+        ch["cols"].append(col)
+        self.order.append((mono.a_exp, pos))
+
+    def _scalar_step(self, ch: dict, mono: Monomial) -> tuple:
+        """(vector, squared norm, column, None) for mono."""
+        vec = AlgebraElement(self.alg, {mono: self.alg.field.one})
         col = []
         for alpha, (w, s) in enumerate(ch["vecs"]):
             p = self._elem_mono_inner(w, mono)
@@ -156,15 +169,41 @@ class _GradedOrtho:
                 col.append((alpha, p))
                 vec = vec - w.scale(p / s)
         snorm = self._elem_mono_inner(vec, mono)
-        if self._degenerate(vec, mono, snorm):
-            raise RuntimeError(
-                "Haar Gram-Schmidt degenerated at %r (squared norm %g lost "
-                "to cancellation)" % (mono, abs(snorm.to_complex())))
-        ch["monos"].append(mono)
-        ch["index"][mono] = pos
-        ch["vecs"].append((vec, snorm))
-        ch["cols"].append(col + [(pos, snorm)])
-        self.order.append((mono.a_exp, pos))
+        return vec, snorm, col + [(len(ch["vecs"]), snorm)], None
+
+    def _integer_step(self, ch: dict, mono: Monomial) -> tuple:
+        """_scalar_step's values on integers, the column as Fractions,
+        and the new vector's integer view.  With <m_beta, mono> = g_beta/D
+        and w_alpha = N_alpha/d_alpha, p_alpha = (N_alpha . g)/(d_alpha D);
+        mono - sum (p_alpha/s_alpha) w_alpha is summed over the lcm of its
+        terms' denominators and reduced by one gcd."""
+        field, monos = self.alg.field, ch["monos"]
+        gram = [self.inner(m, mono) for m in monos + [mono]]
+        D = lcm(*(x.den for x in gram))
+        g = [x.a * (D // x.den) for x in gram]
+        col, terms = [], []
+        for alpha, N in enumerate(ch["ints"]):
+            p = sum(map(mul, N, g))
+            if p:
+                col.append((alpha, Fraction(p, N[-1] * D)))
+                c = col[-1][1] / ch["vecs"][alpha][1].as_fraction()
+                terms.append((c.numerator, c.denominator * N[-1], N))
+        den = lcm(*(v for _, v, _ in terms))
+        new = [0] * len(monos) + [den]
+        for u, v, N in terms:
+            u *= den // v
+            for beta, n in enumerate(N):
+                new[beta] -= u * n
+        div = gcd(*new)
+        new = [n // div for n in new]
+        d = new[-1]
+        snorm = Fraction(sum(map(mul, new, g)), d * D)
+        vec = {mono: field.one}
+        vec.update((m, field.from_rational(n, d))
+                   for m, n in zip(monos, new) if n)
+        return (AlgebraElement(self.alg, vec),
+                field.from_rational(snorm.numerator, snorm.denominator),
+                col + [(len(monos), snorm)], new)
 
     def _elem_mono_inner(self, w: AlgebraElement, mono: Monomial):
         tot = self.alg.field.zero
@@ -179,6 +218,55 @@ class _GradedOrtho:
         size = sum(abs(c.val) * self.inner.size(m, mono)
                    for m, c in vec.terms.items())
         return abs(snorm.val) < F.negligible * size
+
+    def _locate(self, mono: Monomial) -> tuple:
+        """(chain, position) of a monomial of these chains."""
+        ch = self.chains.get(mono.a_exp)
+        pos = None if ch is None else ch["index"].get(mono)
+        if pos is None:
+            raise RuntimeError("image escaped the graded extension")
+        return ch, pos
+
+    def image_columns(self, y: AlgebraElement, domain: "_GradedOrtho",
+                      sel: list) -> list:
+        """Per selected domain vector w_j, the exact projections
+        {(kt, alpha): <w_alpha, y w_j>} onto these chains, zeros left
+        out.  Float fields project each term of the image y w_j; exact
+        chains take each term (m, c) of y alone, in chain kt = a(m) + kj:
+        with w_j = sum_t L_jt m_t, r_alpha = sum_t L_jt <w_alpha, m m_t>
+        is an integer sum through the columns, times c once per entry."""
+        out = []
+        for kj, pos_j in sel:
+            col: dict = {}
+            out.append(col)
+            if not self.exact:
+                w = domain.chains[kj]["vecs"][pos_j][0]
+                for n, c in (y * w).terms.items():
+                    ch, pos = self._locate(n)
+                    for alpha, p in ch["cols"][pos]:
+                        _accumulate(col, (n.a_exp, alpha), c * p)
+                continue
+            dom = domain.chains[kj]
+            N, monos = dom["ints"][pos_j], dom["monos"]
+            for m, c in y.terms.items():
+                prods = [(n, n_t * s.a, s.den)
+                         for n_t, m_t in zip(N, monos) if n_t
+                         for n, s in self.alg.mono_mul(m, m_t).items()]
+                S = lcm(*(den for _, _, den in prods))
+                image: dict = {}
+                for n, num, den in prods:
+                    image[n] = image.get(n, 0) + num * (S // den)
+                r: dict = {}
+                for n, v in image.items():
+                    ch, pos = self._locate(n)
+                    for alpha, p in ch["cols"][pos]:
+                        r[alpha] = r.get(alpha, 0) + v * p
+                den = S * N[-1] * ch["den"]
+                for alpha, v in r.items():
+                    if v:
+                        _accumulate(col, (m.a_exp + kj, alpha),
+                                    c * self.alg.field.from_rational(v, den))
+        return out
 
     def inv_root(self, k: int, alpha: int):
         """field.inv_sqrt of chain k's squared norm alpha, made once."""

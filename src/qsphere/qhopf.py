@@ -7,9 +7,10 @@ Generators a, b and their adjoints obey
     a* a = 1 - q^2 b b*        a a* = 1 - b b*
 
 Every element is stored on the ordered monomial basis a^k b^l b*^m with
-k in Z (negative k meaning (a*)^|k|) and l, m >= 0.  Multiplication
-pushes generators through the b-block one at a time, which keeps the
-rewrite rules local and makes caching effective.
+k in Z (negative k meaning (a*)^|k|) and l, m >= 0.  The product of
+two basis monomials has a closed form: the b-block commutes past the
+a-power up to a power of q, and a contracted pair a^j a*^j or a*^j a^j
+is a polynomial in A = b b* (Algebra.mono_mul).
 
 The Hopf structure lives on the `Algebra` context object: coproduct,
 counit, antipode, the Haar functional, and the modular twist it induces.
@@ -343,6 +344,7 @@ class Algebra:
         self._prod_cache: dict = {}
         self._coprod_cache: dict = {}
         self._haar_table: dict[int, object] = {}
+        self._polys: dict = {}
         one = field.one
         self.unit = AlgebraElement(self, {UNIT: one})
         self.a = AlgebraElement(self, {GEN_A: one})
@@ -391,33 +393,33 @@ class Algebra:
 
     # -- multiplication ---------------------------------------------------
 
-    def _mono_times_gen(self, mono: Monomial, gen: Monomial) -> dict:
-        k, l, m = mono
-        F = self.field
-        if gen == GEN_B:
-            return {Monomial(k, l + 1, m): F.one}
-        if gen == GEN_BS:
-            return {Monomial(k, l, m + 1): F.one}
-        if gen == GEN_A:
-            c = F.q_power(l + m)
-            if k >= 0:
-                return {Monomial(k + 1, l, m): c}
-            # (a*)^|k| a = (a*)^{|k|-1} (1 - q^2 b b*)
-            return {Monomial(k + 1, l, m): c,
-                    Monomial(k + 1, l + 1, m + 1): -(c * F.q_power(2))}
-        if gen == GEN_AS:
-            c = F.q_power(-(l + m))
-            if k <= 0:
-                return {Monomial(k - 1, l, m): c}
-            return {Monomial(k - 1, l, m): c,
-                    Monomial(k - 1, l + 1, m + 1): -c}
-        raise ValueError("not a generator: %r" % (gen,))
+    def contraction_poly(self, k: int) -> list:
+        """Coefficients in A = b b* of a^(-k) a^k, cached: a*^k a^k =
+        prod_{i=1..k} (1 - q^(2i) A) for k >= 0, a^|k| a*^|k| =
+        prod_{i=0..|k|-1} (1 - q^(-2i) A) for k < 0."""
+        coeffs = self._polys.get(k)
+        if coeffs is None:
+            F = self.field
+            exps = range(2, 2 * k + 1, 2) if k >= 0 else range(0, 2 * k, -2)
+            coeffs = [F.one]
+            for e in exps:
+                # multiply by (1 - q^e A)
+                c = F.q_power(e)
+                coeffs = ([coeffs[0]]
+                          + [coeffs[j] - c * coeffs[j - 1]
+                             for j in range(1, len(coeffs))]
+                          + [-(c * coeffs[-1])])
+            self._polys[k] = coeffs
+        return coeffs
 
     def mono_mul(self, m1: Monomial, m2: Monomial) -> dict:
-        """Product of two basis monomials as a monomial->scalar dict.
-
-        Cached; callers must treat the returned dict as read-only.
-        """
+        """Product of two basis monomials as a monomial->scalar dict:
+        a^k1 b^l1 b*^n1 a^k2 b^l2 b*^n2 = q^(k2 (l1 + n1)) a^k1 a^k2
+        b^(l1 + l2) b*^(n1 + n2), where a^k1 a^k2 of opposite signs is
+        a^(k1 + k2) times a contraction_poly, carried right across a^r,
+        r = k1 + k2, when m2 leaves r: A^s a^r = q^(2 s r) a^r A^s.
+        Terms come in ascending powers of A, the order of pushing m2's
+        letters through m1 one at a time.  Cached; read-only."""
         if m1 == UNIT:
             return {m2: self.field.one}
         if m2 == UNIT:
@@ -426,15 +428,21 @@ class Algebra:
         hit = self._prod_cache.get(key)
         if hit is not None:
             return hit
-        acc = {m1: self.field.one}
-        for gen in generator_word(m2):
-            nxt: dict = {}
-            for mono, c in acc.items():
-                for n, s in self._mono_times_gen(mono, gen).items():
-                    _accumulate(nxt, n, c * s)
-            acc = nxt
-        self._prod_cache[key] = acc
-        return acc
+        (k1, l1, n1), (k2, l2, n2) = m1, m2
+        F = self.field
+        k, l, n, c = k1 + k2, l1 + l2, n1 + n2, F.q_power(k2 * (l1 + n1))
+        if k1 * k2 >= 0:
+            out = {Monomial(k, l, n): c}
+        else:
+            j = min(abs(k1), abs(k2))
+            step = F.q_power(2 * k) if abs(k2) > abs(k1) else F.one
+            out = {}
+            for s, p in enumerate(self.contraction_poly(j if k2 > 0 else -j)):
+                if not (v := c * p).is_zero():
+                    out[Monomial(k, l + s, n + s)] = v
+                c = c * step
+        self._prod_cache[key] = out
+        return out
 
     def _elem_mul(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         out: dict = {}

@@ -253,15 +253,15 @@ class ExactField:
         return self.from_rational(Fraction(x).limit_denominator(10 ** 12))
 
     def q_power(self, j: int) -> ExactScalar:
-        num, den = (self.q.a, self.q.den) if j >= 0 else (self.q.den, self.q.a)
-        return ExactScalar(self, num ** abs(j), 0, 0, 0, den ** abs(j))
+        return self.q_half_power(2 * j)
 
     def q_half_power(self, j: int) -> ExactScalar:
-        """q**(j/2) for any integer j, exact."""
+        """q**(j/2) for any integer j, exact; one shared value per j."""
         val = self._q_half_cache.get(j)
         if val is None:
-            whole, rem = divmod(j, 2)
-            val = self.q_power(whole)
+            w, rem = divmod(j, 2)
+            num, den = (self.q.a, self.q.den) if w >= 0 else (self.q.den, self.q.a)
+            val = ExactScalar(self, num ** abs(w), 0, 0, 0, den ** abs(w))
             if rem:
                 val = val * self.sqrt_q
             self._q_half_cache[j] = val

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gns import _graded_ortho
-from .qhopf import UNIT, Algebra, AlgebraElement, Monomial, _accumulate
+from .qhopf import UNIT, Algebra, AlgebraElement, Monomial
 from .uq_actions import UqActions
 
 # truncation ladder: double M until successive values agree to _REL_TOL
@@ -391,7 +391,7 @@ def _ladder_estimate(build, x: AlgebraElement, M: int, upper: float,
             M *= 2
             best2 = level(M)
             steps.append((M, best2))
-            done = abs(best2 - best) <= _REL_TOL * max(1.0, best2)
+            done = abs(best2 - best) <= _REL_TOL * best2
             best = best2
             if done:
                 conv = True
@@ -559,17 +559,8 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
         (k, alpha) for k, ch in sorted(cod.chains.items())
         for alpha in range(len(ch["monos"])))}
     data, row_idx, col_idx = [], [], []
-    for j, (kj, pos_j) in enumerate(sel):
-        image = y * ortho.chains[kj]["vecs"][pos_j][0]
-        col: dict = {}
-        for t_mono, c in image.terms.items():
-            kt = t_mono.a_exp
-            ch = cod.chains.get(kt)
-            pos_t = None if ch is None else ch["index"].get(t_mono)
-            if pos_t is None:
-                raise RuntimeError("image escaped the graded extension")
-            for alpha, p in ch["cols"][pos_t]:
-                _accumulate(col, (kt, alpha), c * p)
+    for j, ((kj, pos_j), col) in enumerate(
+            zip(sel, cod.image_columns(y, ortho, sel))):
         # the projections are huge and cancel; summing them exactly and
         # rounding once, in whitened(), keeps the entries accurate
         rj = ortho.inv_root(kj, pos_j)

@@ -1,9 +1,12 @@
 """Fuzzy bases, projections, and compressed derivation matrices."""
 
+from fractions import Fraction
+
 import pytest
 
-from qsphere import GnsContext, make_algebra
-from qsphere.gns import haar_inner
+from qsphere import GnsContext, UqActions, make_algebra
+from qsphere.gns import _GradedOrtho, haar_inner
+from qsphere.mkdist import default_probes
 from qsphere.suites import random_elements
 
 
@@ -131,3 +134,67 @@ def test_commutant_check(gns):
     alg = gns.alg
     r = gns.commutant_check(alg.sphere_A, alg.sphere_B, 5)
     assert r < 1e-12
+
+
+# -- the integer Gram-Schmidt against the scalar loop -------------------------
+
+
+def _chain_pair(alg, rdeg):
+    """The chains of right degree rdeg on the integer route and, on the
+    same exact field, on the scalar loop that float fields run."""
+    fast, ref = _GradedOrtho(alg, rdeg), _GradedOrtho(alg, rdeg)
+    ref.exact = False
+    return fast, ref
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 8), (2, 3)])
+def test_integer_chains_match_scalar_chains(q):
+    alg = make_algebra(*q)
+    for rdeg in (0, 1, -1, 2, -2):
+        fast, ref = _chain_pair(alg, rdeg)
+        fast.ensure_degree(16)
+        ref.ensure_degree(16)
+        assert fast.order == ref.order
+        assert fast.chains.keys() == ref.chains.keys()
+        for k, ch in ref.chains.items():
+            fch = fast.chains[k]
+            assert fch["monos"] == ch["monos"]
+            for (fw, fs), (w, s) in zip(fch["vecs"], ch["vecs"]):
+                # term order too: the float shift model sums in dict order
+                assert list(fw.terms) == list(w.terms), (k, w)
+                assert all(fw.terms[m] == c for m, c in w.terms.items())
+                assert fs == s
+            E = fch["den"]
+            for fcol, col in zip(fch["cols"], ch["cols"]):
+                assert ([(alpha, Fraction(n, E)) for alpha, n in fcol]
+                        == [(alpha, p.as_fraction()) for alpha, p in col])
+            for N, (w, _s) in zip(fch["ints"], ch["vecs"]):
+                assert all(Fraction(n, N[-1]) == w.coefficient(m).as_fraction()
+                           for m, n in zip(ch["monos"], N))
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 8), (2, 3)])
+def test_integer_oracle_columns_match_scalar_columns(q):
+    alg = make_algebra(*q)
+    actions = UqActions(alg)
+    chains: dict = {}
+    compared = 0
+    for x in default_probes(alg):
+        for y, rdeg in zip(actions.dirac_components(x), (1, -1)):
+            if y.is_zero():
+                continue
+            shift = next(iter(y.terms)).right_degree()
+            (fast, ref), (fcod, rcod) = (
+                chains.setdefault(r, _chain_pair(alg, r))
+                for r in (rdeg, rdeg + shift))
+            sel = fast.basis_selection(100)
+            assert ref.basis_selection(100) == sel
+            reach = max(fast.chains[k]["monos"][pos].total_degree()
+                        for k, pos in sel) + y.total_degree()
+            fcod.ensure_degree(reach)
+            rcod.ensure_degree(reach)
+            got = fcod.image_columns(y, fast, sel)
+            want = rcod.image_columns(y, ref, sel)
+            assert got == want
+            compared += sum(map(len, want))
+    assert compared > 1000

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere import make_algebra
+from qsphere.qhopf import (GEN_A, GEN_B, GEN_BS, Monomial, _accumulate,
+                          generator_word, make_algebra_float, monomials)
 
 
 def test_defining_relations(alg_half):
@@ -179,3 +181,66 @@ def test_rejects_bad_q():
         make_algebra(3, 2)
     with pytest.raises(ValueError):
         make_algebra(0, 1)
+
+
+# -- closed-form products against the letter walk ---------------------------
+
+
+def _times_generator(alg, mono, gen):
+    """mono * gen by the rewrite rules alone: b and b* append, a and a*
+    commute past the b-block and contract against the a-power."""
+    k, l, m = mono
+    F = alg.field
+    if gen == GEN_B:
+        return {Monomial(k, l + 1, m): F.one}
+    if gen == GEN_BS:
+        return {Monomial(k, l, m + 1): F.one}
+    if gen == GEN_A:
+        c = F.q_power(l + m)
+        if k >= 0:
+            return {Monomial(k + 1, l, m): c}
+        # (a*)^|k| a = (a*)^{|k|-1} (1 - q^2 b b*)
+        return {Monomial(k + 1, l, m): c,
+                Monomial(k + 1, l + 1, m + 1): -(c * F.q_power(2))}
+    c = F.q_power(-(l + m))
+    if k <= 0:
+        return {Monomial(k - 1, l, m): c}
+    # a^k a* = a^{k-1} (1 - b b*)
+    return {Monomial(k - 1, l, m): c, Monomial(k - 1, l + 1, m + 1): -c}
+
+
+def _letter_walk(alg, m1, m2):
+    """m1 * m2 by pushing m2's letters through m1 one at a time."""
+    acc = {m1: alg.field.one}
+    for gen in generator_word(m2):
+        nxt: dict = {}
+        for mono, c in acc.items():
+            for n, s in _times_generator(alg, mono, gen).items():
+                _accumulate(nxt, n, c * s)
+        acc = nxt
+    return acc
+
+
+@pytest.mark.parametrize("alg", [
+    make_algebra(1, 2), make_algebra(9, 10), make_algebra(2, 3),
+    make_algebra(1, 1), make_algebra_float(0.6180339887498949)],
+    ids=["1/2", "9/10", "2/3", "1", "float-0.618"])
+def test_mono_mul_closed_form_matches_letter_walk(alg):
+    # values and term order: the float shift model sums in dict order
+    monos = monomials(6)
+    assert len(monos) ** 2 == 19600
+    for m1 in monos:
+        for m2 in monos:
+            got = alg.mono_mul(m1, m2)
+            want = _letter_walk(alg, m1, m2)
+            assert list(got) == list(want), (m1, m2)
+            assert all(got[n] == c for n, c in want.items()), (m1, m2)
+
+
+def test_contraction_poly_is_the_contracted_pair(alg_half):
+    # a^(-k) a^k by the rewrite rules, as a polynomial in A = b b*
+    for k in range(-5, 6):
+        want = _letter_walk(alg_half, Monomial(-k, 0, 0), Monomial(k, 0, 0))
+        got = {Monomial(0, s, s): c
+               for s, c in enumerate(alg_half.contraction_poly(k))}
+        assert got == want, k

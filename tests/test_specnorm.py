@@ -576,6 +576,23 @@ def test_bracket_routes_never_densify(monkeypatch, nine_tenths, no_densify):
     assert est.lower_bound > 0 and len(calls) == 2
 
 
+def test_ladder_stop_is_scale_free():
+    # the stop is relative: scaling x by 1e-9 or 1e9 climbs the same
+    # rungs and scales the value; an absolute floor of 1e-8 once stopped
+    # 1e-9*(B + Bs) at M=200
+    alg = make_algebra(99, 100)
+    act = UqActions(alg)
+    x = parse_expression(alg, "B + Bs")
+    base = lip_norm(act, x, 100).value
+    rungs = 1600
+    assert base.converged and base.M_used == rungs
+    for scale in (Fraction(1, 10 ** 9), Fraction(10 ** 9)):
+        est = lip_norm(act, x.scale(alg.field.from_rational(scale)), 100).value
+        assert est.converged and est.M_used == rungs, scale
+        assert est.lower_bound == pytest.approx(
+            float(scale) * base.lower_bound, rel=1e-12), scale
+
+
 # -- one-pass assembly against the per-monomial sparse route ------------------
 
 
