@@ -17,6 +17,7 @@ optional coeffImNum/Den, coeffSurdNum/Den, coeffSurdImNum/Den and a
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .qhopf import Algebra, AlgebraElement, _mono_str
@@ -32,86 +33,30 @@ class QExprError(ValueError):
         self.col = col
 
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = set("0123456789")
-
-
-def _scan_exponent(text: str, j: int) -> int:
-    """Length of an e-exponent tail starting at j, or j when absent."""
-    n = len(text)
-    if j < n and text[j] in "eE":
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and text[k] in _DIGITS:
-            while k < n and text[k] in _DIGITS:
-                k += 1
-            return k
-    return j
+# ASCII classes: \d would also take non-ASCII digits, which the grammar
+# rejects
+_TOKEN_RE = re.compile(r"""
+    (?P<NUMBER>[0-9]+(?:\.[0-9]*(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+|/[0-9]+)?)
+  | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<OP>[-*+^]) | (?P<LP>\() | (?P<RP>\))
+  | (?P<NL>\n) | (?P<SKIP>[ \t\r]+) | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 def tokenize(text: str):
-    """Yield (kind, value, line, col) tuples; kind in
+    """Return (kind, value, line, col) tuples; kind in
     NAME NUMBER OP LP RP END."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                j = _scan_exponent(text, j)
-                toks.append(("NUMBER", text[i:j], line, start_col))
-            elif j < n and text[j] in "eE" and _scan_exponent(text, j) > j:
-                j = _scan_exponent(text, j)
-                toks.append(("NUMBER", text[i:j], line, start_col))
-            elif j < n and text[j] == "/" and j + 1 < n and text[j + 1] in _DIGITS:
-                k = j + 1
-                while k < n and text[k] in _DIGITS:
-                    k += 1
-                toks.append(("NUMBER", text[i:k], line, start_col))
-                j = k
-            else:
-                toks.append(("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _NAME_CHARS:
-            j = i
-            while j < n and (text[j] in _NAME_CHARS or text[j] in _DIGITS):
-                j += 1
-            toks.append(("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "*+-^":
-            toks.append(("OP", ch, line, start_col))
-        elif ch == "(":
-            toks.append(("LP", ch, line, start_col))
-        elif ch == ")":
-            toks.append(("RP", ch, line, start_col))
-        else:
-            raise QExprError("unexpected character %r" % ch, line, start_col)
-        i += 1
-        col += 1
-    toks.append(("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise QExprError("unexpected character %r" % value, line, col)
+        elif kind != "SKIP":
+            toks.append((kind, value, line, col))
+    toks.append(("END", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -245,10 +190,6 @@ def parse_expression(alg: Algebra, text: str) -> AlgebraElement:
     return _Parser(alg, text).parse()
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _coeff_comps(c, field):
     """Nonzero (Fraction, tag) components of an exact scalar."""
     comps = []
@@ -265,43 +206,33 @@ def _coeff_comps(c, field):
 
 def _comp_str(frac: Fraction, tag: str) -> str:
     if not tag:
-        return _frac_str(frac)
+        return str(frac)
     if frac == 1:
         return tag
     if frac == -1:
         return "-" + tag
-    return "%s*%s" % (_frac_str(frac), tag)
+    return "%s*%s" % (frac, tag)
 
 
 def _coeff_str(c, field):
-    """Render a scalar; returns (text, is_composite, is_plain_one,
-    is_plain_minus_one)."""
+    """Render a scalar; returns (text, is_plain_one, is_plain_minus_one)."""
     if field.mode == "float":
-        re = float(c.val.real)
+        real = float(c.val.real)
         im = float(c.val.imag)
         if im == 0.0:
-            return repr(re), False, re == 1.0, re == -1.0
-        if re == 0.0:
-            return _comp_str(Fraction(1), "i") if im == 1.0 else (
-                "%r*i" % im), False, False, False
-        return "(%r+%r*i)" % (re, im) if im >= 0 else (
-            "(%r-%r*i)" % (re, -im)), True, False, False
+            return repr(real), real == 1.0, real == -1.0
+        if real == 0.0:
+            return "i" if im == 1.0 else "%r*i" % im, False, False
+        return "(%r+%r*i)" % (real, im) if im >= 0 else (
+            "(%r-%r*i)" % (real, -im)), False, False
     comps = _coeff_comps(c, field)
     if len(comps) == 1:
         frac, tag = comps[0]
-        if not tag:
-            return _frac_str(frac), False, frac == 1, frac == -1
-        return _comp_str(frac, tag), False, False, False
-    bits = []
-    for idx, (frac, tag) in enumerate(comps):
-        s = _comp_str(frac, tag)
-        if idx == 0:
-            bits.append(s)
-        elif s.startswith("-"):
-            bits.append("-" + s[1:])
-        else:
-            bits.append("+" + s)
-    return "(" + "".join(bits) + ")", True, False, False
+        plain = not tag
+        return _comp_str(frac, tag), plain and frac == 1, plain and frac == -1
+    bits = [_comp_str(frac, tag) for frac, tag in comps]
+    tail = "".join(b if b.startswith("-") else "+" + b for b in bits[1:])
+    return "(" + bits[0] + tail + ")", False, False
 
 
 def element_to_text(x: AlgebraElement) -> str:
@@ -313,7 +244,7 @@ def element_to_text(x: AlgebraElement) -> str:
     for mono in sorted(x.terms):
         c = x.terms[mono]
         mono_txt = _mono_str(mono)
-        ctext, composite, is_one, is_minus_one = _coeff_str(c, field)
+        ctext, is_one, is_minus_one = _coeff_str(c, field)
         if mono.is_unit():
             terms.append(ctext)
         elif is_one:

@@ -46,7 +46,6 @@ from .specnorm import (
     delta_block_grid,
     delta_block_matrix,
     lip_norm,
-    lip_upper_bound,
     operator_norm,
     top_singular_triplet,
 )
@@ -129,13 +128,8 @@ class ChargeZeroLP(NamedTuple):
 @dataclass(frozen=True)
 class InequalityReport:
     ratio: float
-    distance_value: float
     flagged: bool
-    gap: float
     norm_lower: float
-    lip_upper: float
-    N: int
-    truncation: int
     approximant: ApproximantReport
 
 
@@ -144,8 +138,6 @@ class ApproximantReport:
     approximant: AlgebraElement
     lip_slack: float
     dist_slack: float
-    lip_x: float
-    lip_y: float
     converged: bool
 
 
@@ -566,16 +558,16 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
     """Certified transform-defect ratio of x against a distance estimate.
 
     r(x) = lower bound of the norm of x - (transform of x), divided by
-    the certified upper bound of Lip(x).  An r(x) above the heuristic
-    estimate plus the gap marks an estimator-quality event; it is never
-    a contradiction, because both numbers are approximations from the
-    same side.  The norm is the dist_slack of theorem_b_approximant for
-    the same x, N, truncation and lip_x (x's lip_norm estimate at that
-    truncation), whose report comes along.
+    lip_x.upper_bound, the certified upper bound of Lip(x).  An r(x)
+    above the heuristic estimate plus the gap marks an estimator-quality
+    event; it is never a contradiction, because both numbers are
+    approximations from the same side.  The norm is the dist_slack of
+    theorem_b_approximant for the same x, N, truncation and lip_x (x's
+    lip_norm estimate at that truncation), whose report comes along.
     """
     if all(m.is_unit() for m in x.terms) or x.is_zero():
         raise ValueError("scalar elements have no Lip scale")
-    upper = lip_upper_bound(ber.gns.actions, x)
+    upper = lip_x.upper_bound
     if upper <= 1e-14:
         raise ValueError("scalar elements have no Lip scale")
     app = theorem_b_approximant(ber, x, N, trunc, lip_x)
@@ -584,13 +576,8 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
     reference = d_estimate.heuristic_value
     return InequalityReport(
         ratio=ratio,
-        distance_value=d_estimate.value,
         flagged=ratio > reference + gap,
-        gap=gap,
         norm_lower=norm_lower,
-        lip_upper=upper,
-        N=N,
-        truncation=trunc,
         approximant=app,
     )
 
@@ -620,7 +607,5 @@ def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
         approximant=y,
         lip_slack=lip_x.lower_bound - ly.lower_bound,
         dist_slack=dist,
-        lip_x=lip_x.lower_bound,
-        lip_y=ly.lower_bound,
         converged=conv,
     )

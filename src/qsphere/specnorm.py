@@ -488,11 +488,6 @@ def _crude_lip_bound(entries: list) -> float:
     return 2.0 * max(coefficient_sum_bound(e) for row in entries for e in row)
 
 
-def lip_upper_bound(actions: UqActions, x: AlgebraElement) -> float:
-    """Certified crude upper bound of the Lip seminorm."""
-    return _crude_lip_bound(actions.delta_matrix(x))
-
-
 def delta_block_matrix(actions: UqActions, x: AlgebraElement,
                        trunc: RepTruncation) -> sparse.csr_matrix:
     """Truncated representation of the derivation matrix (q < 1)."""

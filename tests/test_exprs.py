@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsphere import make_algebra
 from qsphere.exprs import (QExprError, canonical_json, element_to_obj,
-                           element_to_text, parse_expression, scalar_to_obj)
+                           element_to_text, parse_expression, scalar_to_obj,
+                           tokenize)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,38 @@ def test_parse_errors_carry_position(alg):
     with pytest.raises(QExprError) as ei:
         parse_expression(alg, "a +\nc")
     assert ei.value.line == 2 and ei.value.col == 1
+
+
+@pytest.mark.parametrize("text,want", [
+    ("", [("END", "", 1, 1)]),
+    ("1.e5", [("NUMBER", "1.e5", 1, 1), ("END", "", 1, 5)]),
+    ("1e+", [("NUMBER", "1", 1, 1), ("NAME", "e", 1, 2), ("OP", "+", 1, 3),
+             ("END", "", 1, 4)]),
+    ("1.5e", [("NUMBER", "1.5", 1, 1), ("NAME", "e", 1, 4),
+              ("END", "", 1, 5)]),
+    ("1/2.5", ("unexpected character '.'", 1, 4)),
+    ("1/x", ("unexpected character '/'", 1, 2)),
+    ("2a", [("NUMBER", "2", 1, 1), ("NAME", "a", 1, 2), ("END", "", 1, 3)]),
+    ("a2b", [("NAME", "a2b", 1, 1), ("END", "", 1, 4)]),
+    ("E5", [("NAME", "E5", 1, 1), ("END", "", 1, 3)]),
+    ("1E-07*B", [("NUMBER", "1E-07", 1, 1), ("OP", "*", 1, 6),
+                 ("NAME", "B", 1, 7), ("END", "", 1, 8)]),
+    ("\r\n1", [("NUMBER", "1", 2, 1), ("END", "", 2, 2)]),
+    ("\t\ta", [("NAME", "a", 1, 3), ("END", "", 1, 4)]),
+    ("a\f", ("unexpected character '\\x0c'", 1, 2)),
+    ("١", ("unexpected character '١'", 1, 1)),
+    ("a %", ("unexpected character '%'", 1, 3)),
+])
+def test_token_stream_pinned(text, want):
+    """The scanner's tokens, or its error message and position."""
+    if isinstance(want, list):
+        assert tokenize(text) == want
+        return
+    msg, line, col = want
+    with pytest.raises(QExprError) as ei:
+        tokenize(text)
+    assert str(ei.value) == "line %d, col %d: %s" % (line, col, msg)
+    assert (ei.value.line, ei.value.col) == (line, col)
 
 
 def test_text_round_trip_handpicked(alg):
