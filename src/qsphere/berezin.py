@@ -49,13 +49,6 @@ class SliceCheck:
     vector_norms: tuple
 
 
-def _require_sphere(x: AlgebraElement) -> None:
-    for m in x.terms:
-        if m.right_degree() != 0:
-            raise ValueError("element leaves the sphere subalgebra "
-                             "(right degree %d at %r)" % (m.right_degree(), m))
-
-
 class Berezin:
     """Transform, states and spectra for one algebra context.
 
@@ -100,7 +93,7 @@ class Berezin:
 
     def via_coproduct(self, x: AlgebraElement, N: int) -> AlgebraElement:
         """(1 (x) h_N) of the coproduct; the defining route."""
-        _require_sphere(x)
+        x.require_sphere()
         delta = self.alg.coproduct(x)
         return delta.pair_right(lambda m: self._hn_mono(m, N))
 
@@ -160,8 +153,7 @@ class Berezin:
 
     def via_spectrum(self, x: AlgebraElement, N: int) -> AlgebraElement:
         """Spectral route: scale each spin layer by its eigenvalue."""
-        _require_sphere(x)
-        deg = x.sphere_degree()
+        deg = x.sphere_degree()   # raises off the sphere subalgebra
         spec = self.spectrum(N, max(N, deg), verify=False)
         out = self.alg.scalar_element(self.alg.field.zero)
         for n, layer in self.gns.spin_split(x, deg).items():
@@ -183,7 +175,7 @@ class Berezin:
         """
         from . import specnorm
 
-        _require_sphere(x)
+        x.require_sphere()
         alg = self.alg
         xis = xi.star()
 
@@ -192,7 +184,7 @@ class Berezin:
             return alg.haar(xis * mid * zeta)
 
         y = alg.coproduct(x).pair_left(functional)
-        _require_sphere(y)
+        y.require_sphere()
 
         lip_x = specnorm.lip_norm(self.gns.actions, x, truncation)
         lip_y = specnorm.lip_norm(self.gns.actions, y, truncation)

@@ -297,7 +297,7 @@ def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
 
 def _cmd_berezin(ns, cfg: SessionConfig) -> int:
     alg = cfg.build_algebra()
-    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    ber = Berezin(GnsContext(alg))
     x = _parse_expr(alg, ns.expr)
     try:
         y = ber.via_coproduct(x, ns.N)
@@ -310,8 +310,7 @@ def _cmd_berezin(ns, cfg: SessionConfig) -> int:
 def _cmd_spectrum(ns, cfg: SessionConfig) -> int:
     if ns.max_spin < 0:
         raise UsageError("--max-spin must be non-negative")
-    alg = cfg.build_algebra()
-    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    ber = Berezin(GnsContext(cfg.build_algebra()))
     return _emit_spectrum(ns, cfg, ber, ns.max_spin, "spectrum", {})
 
 
@@ -330,9 +329,7 @@ def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
 
 def _cmd_dist(ns, cfg: SessionConfig) -> int:
     from . import mkdist
-    alg = cfg.build_algebra()
-    actions = UqActions(alg)
-    ber = Berezin(GnsContext(alg, actions))
+    ber = Berezin(GnsContext(cfg.build_algebra()))
     try:
         prob = mkdist.OptimizationProblem(
             N=ns.N, M=cfg.search_truncation,
@@ -406,8 +403,7 @@ def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
     first four transform eigenvalues."""
     from . import suites
     row = suites.theoremb_rows(replace(cfg, search_truncation=M), [N])[0]
-    alg = cfg.build_algebra()
-    spec = Berezin(GnsContext(alg, UqActions(alg))).spectrum(
+    spec = Berezin(GnsContext(cfg.build_algebra())).spectrum(
         N, max_spin=max(3, N))
     cs = [float(spec.eigenvalue(n).to_complex().real) for n in range(4)]
     return {

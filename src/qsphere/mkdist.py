@@ -138,7 +138,6 @@ class ApproximantReport:
     approximant: AlgebraElement
     lip_slack: float
     dist_slack: float
-    converged: bool
 
 
 def _real_value(scal) -> float:
@@ -592,20 +591,13 @@ def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
     norm of the difference quantifies the approximation error.  lip_x
     is x's lip_norm estimate at this truncation.
     """
-    actions = ber.gns.actions
     y = ber.via_coproduct(x, N)
-    ly = lip_norm(actions, y, truncation, ladder=False).value
+    ly = lip_norm(ber.gns.actions, y, truncation, ladder=False).value
     diff = x - y
-    if diff.is_zero():
-        dist = 0.0
-        conv = lip_x.converged and ly.converged
-    else:
-        est = operator_norm(diff, truncation, ladder=False)
-        dist = est.lower_bound
-        conv = lip_x.converged and ly.converged and est.converged
+    dist = (0.0 if diff.is_zero()
+            else operator_norm(diff, truncation, ladder=False).lower_bound)
     return ApproximantReport(
         approximant=y,
         lip_slack=lip_x.lower_bound - ly.lower_bound,
         dist_slack=dist,
-        converged=conv,
     )

@@ -191,18 +191,23 @@ class AlgebraElement:
             return 0
         return max(m.total_degree() for m in self.terms)
 
+    def require_sphere(self) -> None:
+        """Raise ValueError unless every term has right degree 0, that
+        is, unless the element lies in the sphere subalgebra."""
+        for m in self.terms:
+            if m.right_degree() != 0:
+                raise ValueError("element leaves the sphere subalgebra "
+                                 "(right degree %d at %r)"
+                                 % (m.right_degree(), m))
+
     def sphere_degree(self) -> int:
         """Filtration degree as a polynomial in the sphere generators.
 
         Each sphere generator has two letters, so on the right-degree-0
         subalgebra this is half the letter count.  Raises off it.
         """
-        deg = 0
-        for m in self.terms:
-            if m.right_degree() != 0:
-                raise ValueError("element is not in the sphere subalgebra")
-            deg = max(deg, m.total_degree() // 2)
-        return deg
+        self.require_sphere()
+        return max((m.total_degree() // 2 for m in self.terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -171,19 +171,12 @@ class UqActions:
         out = self._ef(side, eta, x)
         return out.scale(self.field.q_half_power(half)) if half else out
 
-    def _require_degree_zero(self, x: AlgebraElement) -> None:
-        for mono in x.terms:
-            if mono.right_degree() != 0:
-                raise ValueError("element has a right-degree %d component; "
-                                 "only the degree-0 subalgebra is allowed"
-                                 % mono.right_degree())
-
     def delta_matrix(self, x: AlgebraElement) -> list:
         """[[-d3(x), d2(x)], [d1(x), d3(x)]]; for x = x* this matrix is
         skew-adjoint over the *-algebra (entrywise star-transpose is its
         negative), which is the identity the star-compatibility rules
         force."""
-        self._require_degree_zero(x)
+        x.require_sphere()
         d1 = self.twisted_derivation("delta1", x)
         d2 = self.twisted_derivation("delta2", x)
         d3 = self.twisted_derivation("delta3", x)
@@ -199,7 +192,7 @@ class UqActions:
     def dirac_components(self, x: AlgebraElement) -> tuple:
         """Multiplication-operator symbols of the two off-diagonal
         commutator blocks: (q^(1/2) partial_e(x), q^(-1/2) partial_f(x))."""
-        self._require_degree_zero(x)
+        x.require_sphere()
         F = self.field
         return (self._ef("right", "e", x).scale(F.q_half_power(1)),
                 self._ef("right", "f", x).scale(F.q_half_power(-1)))

@@ -95,8 +95,9 @@ def test_state_value_matches_haar_of_transform(ber_half, alg_half):
 
 
 def test_sphere_only(ber_half, alg_half):
-    with pytest.raises(ValueError):
-        ber_half.via_coproduct(alg_half.a, 1)
+    for route in (ber_half.via_coproduct, ber_half.via_spectrum):
+        with pytest.raises(ValueError, match="leaves the sphere subalgebra"):
+            route(alg_half.a, 1)
 
 
 def test_spectrum_needs_room(ber_half):

@@ -321,6 +321,61 @@ def test_verify_reports_a_wrong_eigenvalue_as_a_failure(capsys, monkeypatch):
         [("layer-consistency", "fail")]
 
 
+def test_verify_fails_a_planted_identity_failure(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "leibniz_holds", lambda *args: False)
+    code, out, _ = run(capsys, "verify", "--q", "1/2", "--suite",
+                       "derivations")
+    assert code == 2
+    assert [(c["name"], c["status"], c["residual"])
+            for c in json.loads(out)["checks"]] == [
+        ("twisted-leibniz-100pairs", "fail", 1.0),
+        ("star-compatibility-100pairs", "pass", 0.0),
+        ("haar-annihilation-100pairs", "pass", 0.0),
+        ("twisted-trace-100pairs", "pass", 0.0)]
+
+
+def test_verify_warns_on_an_unconverged_slice(capsys, monkeypatch):
+    # convergence bookkeeping warns and keeps the exit code at 0
+    from dataclasses import replace
+
+    from qsphere.berezin import Berezin
+    original = Berezin.slice_lip_check
+
+    def unconverged(self, *args, **kwargs):
+        return replace(original(self, *args, **kwargs), converged=False)
+
+    monkeypatch.setattr(Berezin, "slice_lip_check", unconverged)
+    code, out, _ = run(capsys, "verify", "--q", "1/2", "--suite", "slice")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["passed"] is True
+    assert [(c["name"], c["status"]) for c in obj["checks"]] == [
+        ("slice-contraction-20triples", "pass"),
+        ("slice-estimates-converged", "warn")]
+
+
+def test_verify_timings_split_the_suite_time(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "1/2", "--suite", "hopf",
+                       "--timings")
+    assert code == 0
+    obj = json.loads(out)
+    seconds = [c["seconds"] for c in obj["checks"]]
+    assert len(seconds) == 5 and min(seconds) >= 0
+    # each value is rounded to 1 ms, so allow half of that per value
+    assert sum(seconds) <= obj["seconds"] + 5e-4 * (len(seconds) + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("berezin", "--N", "1", "--expr", "a"),
+    ("lipnorm", "--expr", "a", "--trunc", "20"),
+])
+def test_non_sphere_element_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "1/2")
+    assert code == 1 and out == ""
+    assert ("element leaves the sphere subalgebra (right degree 1 at "
+            "Monomial(a_exp=1, b_exp=0, bs_exp=0))") in err
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--N", "1", "--max-spin", "2"),
     ("berezin", "--N", "1", "--expr", "A"),

@@ -18,6 +18,7 @@ from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
                               delta_block_grid, delta_block_matrix, lip_norm,
                               lip_norm_gram_oracle, operator_norm,
                               relation_residuals, represent_element)
+from qsphere.suites import random_elements
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,53 @@ def test_lip_upper_bound_dominates(half):
     for x in (alg.sphere_A, alg.sphere_B * alg.sphere_A):
         est = lip_norm(act, x, 120).value
         assert est.lower_bound <= est.upper_bound + 1e-12
+
+
+def _dense_sigma(mat) -> float:
+    return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])
+
+
+def _crude_bound_pairs(alg, act, q):
+    """(crude upper bound, dense sigma_1 at truncation 60) of the norm and
+    of the Lip seminorm, on the default probes and 20 seeded sphere
+    elements: each compression's sigma_1 is a lower bound of the value
+    the crude bound claims to dominate."""
+    trunc = RepTruncation(q, 60, 0.0)
+    norms, lips = [], []
+    for x in default_probes(alg) + random_elements(alg, 20, 3, 5,
+                                                   sphere=True):
+        norms.append((specnorm.coefficient_sum_bound(x),
+                      _dense_sigma(represent_element(x, trunc))))
+        lips.append((lip_norm(act, x, 60, ladder=False).value.upper_bound,
+                     _dense_sigma(delta_block_matrix(act, x, trunc))))
+    return norms, lips
+
+
+def _shortfalls(pairs) -> list:
+    return [(b, s) for b, s in pairs if b < s * (1 - 1e-12)]
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10)])
+def test_crude_upper_bounds_dominate_dense_sigma(q):
+    alg = make_algebra(*q)
+    act = UqActions(alg)
+    norms, lips = _crude_bound_pairs(alg, act, q[0] / q[1])
+    assert len(norms) == len(lips) == 25
+    assert _shortfalls(norms) == [] and _shortfalls(lips) == []
+    # A = 1 on e_0, so 1 + A + A^2 attains its coefficient sum there
+    y = parse_expression(alg, "1 + A + A^2")
+    dense = _dense_sigma(represent_element(
+        y, RepTruncation(q[0] / q[1], 60, 0.0)))
+    assert coefficient_sum_bound(y) == pytest.approx(dense, abs=1e-12)
+
+
+def test_crude_bound_check_catches_a_max_coefficient_bound(half,
+                                                           monkeypatch):
+    # max |c| in place of the coefficient sum no longer bounds the norm
+    monkeypatch.setattr(specnorm, "coefficient_sum_bound", lambda x: max(
+        (abs(c.to_complex()) for c in x.terms.values()), default=0.0))
+    norms, _lips = _crude_bound_pairs(*half, 0.5)
+    assert _shortfalls(norms)
 
 
 def test_gram_oracle_agrees(half):
