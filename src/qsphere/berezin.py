@@ -10,7 +10,12 @@ the level-N representation.  It acts on the spin-n layer by the scalar
 and kills the layers above N, so the same map has a second, spectral
 implementation that runs no coproduct.  Both are kept: the spectral
 route is the fast path, the coproduct route its oracle, and their
-agreement is one of the standing cross-checks.
+agreement is one of the standing cross-checks.  The coproduct route sums
+one slice S_N(m) = (1 (x) h_N) Delta(m) per monomial m of x, cached per
+level.  A slice's left legs differ only in their power of A and come in
+descending power, the order of pairing all of Delta(x) at once (bar
+partial sums that cancel at q = 1): the float shift model sums an
+element's terms in dict order, so the order reaches every seminorm.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gns import GnsContext
-from .qhopf import Algebra, AlgebraElement, Monomial
+from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
 
 
 class LayerInconsistency(RuntimeError):
@@ -60,6 +65,7 @@ class Berezin:
         self.gns = gns
         self.alg: Algebra = gns.alg
         self._hn_cache: dict = {}
+        self._slices: dict = {}          # (N, m) -> (1 (x) h_N) Delta(m)
         self._spec_verified: dict = {}   # N -> (verified_to, residual)
 
     # -- states ------------------------------------------------------------
@@ -92,10 +98,23 @@ class Berezin:
     # -- the transform, twice ------------------------------------------------
 
     def via_coproduct(self, x: AlgebraElement, N: int) -> AlgebraElement:
-        """(1 (x) h_N) of the coproduct; the defining route."""
+        """(1 (x) h_N) Delta(x), the defining route: sum_m c_m S_N(m), the
+        slices cached and ordered as the module docstring says; h_N
+        vanishes off right legs A^l = (b b*)^l, so slices read only those."""
         x.require_sphere()
-        delta = self.alg.coproduct(x)
-        return delta.pair_right(lambda m: self._hn_mono(m, N))
+        out: dict = {}
+        for m, c in x.terms.items():
+            hit = self._slices.get((N, m))
+            if hit is None:
+                acc: dict = {}
+                for (m1, m2), s in self.alg.coproduct_mono(m).items():
+                    if m2.a_exp == 0 and m2.b_exp == m2.bs_exp:
+                        _accumulate(acc, m1, s * self._hn_mono(m2, N))
+                hit = self._slices[N, m] = dict(
+                    sorted(acc.items(), key=lambda t: -t[0].b_exp))
+            for m1, s in hit.items():
+                _accumulate(out, m1, c * s)
+        return AlgebraElement(self.alg, out)
 
     def spectrum(self, N: int, max_spin: int,
                  verify: bool = True) -> BerezinSpectrum:

@@ -14,6 +14,10 @@ is a polynomial in A = b b* (Algebra.mono_mul).
 
 The Hopf structure lives on the `Algebra` context object: coproduct,
 counit, antipode, the Haar functional, and the modular twist it induces.
+Each generator's coproduct is X + Y with Y X = t X Y: t = q^2 for
+Delta a = a (x) a - q b* (x) b and Delta b = b (x) a + a* (x) b, t = q^-2
+for Delta a* = a* (x) a* - q b (x) b* and Delta b* = b* (x) a* + a (x) b*,
+so its n-th power is sum_i [n, i]_t X^i Y^(n-i) (Algebra.coproduct_mono).
 One context per (field, options); contexts never share caches, so tests
 may freely mix different q values in one process.
 """
@@ -360,13 +364,6 @@ class Algebra:
         self.sphere_A = AlgebraElement(self, {Monomial(0, 1, 1): one})
         self.sphere_B = AlgebraElement(self, {Monomial(1, 0, 1): one})
         self.sphere_B_star = self.sphere_B.star()
-        q = field.q
-        self._coprod_gen = {
-            GEN_A: {(GEN_A, GEN_A): one, (GEN_BS, GEN_B): -q},
-            GEN_AS: {(GEN_AS, GEN_AS): one, (GEN_B, GEN_BS): -q},
-            GEN_B: {(GEN_B, GEN_A): one, (GEN_AS, GEN_B): one},
-            GEN_BS: {(GEN_BS, GEN_AS): one, (GEN_A, GEN_BS): one},
-        }
 
     # -- construction helpers -------------------------------------------
 
@@ -461,18 +458,42 @@ class Algebra:
     # -- Hopf structure ---------------------------------------------------
 
     def coproduct_mono(self, mono: Monomial) -> dict:
-        """Coproduct of a basis monomial as a (mono, mono)->scalar dict.
+        """Coproduct of a basis monomial as a (mono, mono)->scalar dict:
+        Delta(a)^k Delta(b)^l Delta(b*)^m, or Delta(a*)^|k| first when
+        k < 0, each power in closed form and in descending i, j, r:
 
-        Cached; treat as read-only.
-        """
+          Delta(a)^k  = sum_i [k,i]_{q^2} (-q)^(k-i) a^i b*^(k-i) (x) a^i b^(k-i)
+          Delta(a*)^k = sum_i [k,i]_{q^-2} (-q)^(k-i) a*^i b^(k-i) (x) a*^i b*^(k-i)
+          Delta(b)^l  = sum_j [l,j]_{q^2} q^(-j(l-j)) a*^(l-j) b^j (x) a^j b^(l-j)
+          Delta(b*)^m = sum_r [m,r]_{q^-2} q^(r(m-r)) a^(m-r) b*^r (x) a*^r b*^(m-r)
+
+        Two tensor products join the factors.  Cached; read-only."""
         hit = self._coprod_cache.get(mono)
         if hit is not None:
             return hit
-        acc = TensorElement(self, {(UNIT, UNIT): self.field.one})
-        for gen in generator_word(mono):
-            acc = acc * TensorElement(self, self._coprod_gen[gen])
-        self._coprod_cache[mono] = acc.terms
-        return acc.terms
+        F = self.field
+        k, l, m = mono
+        acc = None
+        # per factor: n, t = q^e, and X^i Y^j as (left, right, -1 power, q power)
+        for n, e, term in ((k, 2, lambda i, j: ((i, 0, j), (i, j, 0), j, j)),
+                           (-k, -2, lambda i, j: ((-i, j, 0), (-i, 0, j), j, j)),
+                           (l, 2, lambda i, j: ((-j, i, 0), (i, j, 0), 0, -i * j)),
+                           (m, -2, lambda i, j: ((j, 0, i), (-i, 0, j), 0, i * j))):
+            if n <= 0:
+                continue
+            row = [F.one]   # [r, i]_t = [r-1, i-1]_t + t^i [r-1, i]_t
+            for r in range(1, n + 1):
+                row = ([F.one] + [row[i - 1] + F.q_power(e * i) * row[i]
+                                  for i in range(1, r)] + [F.one])
+            f = TensorElement(self, {})
+            for i in range(n, -1, -1):
+                left, right, neg, p = term(i, n - i)
+                c = row[i] * F.q_power(p)
+                f.terms[Monomial(*left), Monomial(*right)] = -c if neg % 2 else c
+            acc = f if acc is None else acc * f
+        out = {(UNIT, UNIT): F.one} if acc is None else acc.terms
+        self._coprod_cache[mono] = out
+        return out
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
         out: dict = {}

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere import Berezin, GnsContext, UqActions, make_algebra
-from qsphere.qhopf import Algebra
+from qsphere.qhopf import Algebra, Monomial, TensorElement, _accumulate
 from qsphere.suites import random_elements
+from qsphere.uq_actions import sphere_monomials
+from test_qhopf import coproduct_walk
 
 
 def _fr(scal) -> Fraction:
@@ -183,3 +185,68 @@ def test_slice_estimate(ber_half, alg_half):
         alg.sphere_A, alg.a, alg.a, truncation=80)
     assert chk.lip_slice <= chk.bound * (1 + 1e-4) + 1e-12
     assert chk.slice_element.sphere_degree() <= alg.sphere_A.sphere_degree()
+
+
+# -- the slice route against the paired coproduct -----------------------------
+
+
+def _paired_walk(ber, x, N):
+    """beta_N(x) the long way: the letter-walk coproduct of x, summed
+    term by term, then paired on the right leg by h_N."""
+    alg = ber.alg
+    delta: dict = {}
+    for m, c in x.terms.items():
+        for key, s in coproduct_walk(alg, m).items():
+            _accumulate(delta, key, c * s)
+    return TensorElement(alg, delta).pair_right(lambda m: ber._hn_mono(m, N))
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10)], ids=["1/2", "9/10"])
+def test_slice_route_is_the_paired_coproduct(q):
+    # values and term order: the float shift model sums in dict order,
+    # so an element's order reaches every seminorm computed from it
+    alg = make_algebra(*q)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    xs = random_elements(alg, 12, 4, seed=5, sphere=True)
+    for N in range(5):
+        for x in xs:
+            got, want = ber.via_coproduct(x, N), _paired_walk(ber, x, N)
+            assert got == want, (x, N)
+            assert list(got.terms) == list(want.terms), (x, N)
+
+
+def test_slice_order_at_q_one():
+    # at q = 1 the paired coproduct drops a partial sum that cancels to
+    # zero and meets its key again later, so on two of the 216 slices
+    # its order is not the descending power of A that the slices keep
+    alg = make_algebra(1, 1)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    misses = set()
+    for x in sphere_monomials(alg, 5):
+        for N in range(6):
+            got, want = ber.via_coproduct(x, N), _paired_walk(ber, x, N)
+            assert got == want, (x, N)
+            if list(got.terms) != list(want.terms):
+                misses.add((*x.terms, N))
+    assert misses == {(Monomial(-1, 2, 1), 4), (Monomial(-1, 3, 2), 5)}
+
+
+def test_repeated_transform_reads_cached_slices(monkeypatch):
+    alg = make_algebra(1, 2)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    xs = random_elements(alg, 5, 4, seed=3, sphere=True)
+    first = [ber.via_coproduct(x, 1) for x in xs]
+    calls = []
+    original = Algebra.coproduct_mono
+
+    def spy(self, mono):
+        calls.append(mono)
+        return original(self, mono)
+
+    monkeypatch.setattr(Algebra, "coproduct_mono", spy)
+    assert [ber.via_coproduct(x, 1) for x in xs] == first
+    assert calls == []
+    # the slices are per level: a second level computes its own
+    for x in xs:
+        assert ber.via_coproduct(x, 2) == ber.via_spectrum(x, 2)
+    assert calls

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere import make_algebra
-from qsphere.qhopf import (GEN_A, GEN_B, GEN_BS, Monomial, _accumulate,
-                          generator_word, make_algebra_float, monomials)
+from qsphere.qhopf import (GEN_A, GEN_AS, GEN_B, GEN_BS, UNIT, Monomial,
+                          TensorElement, _accumulate, generator_word,
+                          make_algebra_float, monomials)
 
 
 def test_defining_relations(alg_half):
@@ -244,3 +245,44 @@ def test_contraction_poly_is_the_contracted_pair(alg_half):
         got = {Monomial(0, s, s): c
                for s, c in enumerate(alg_half.contraction_poly(k))}
         assert got == want, k
+
+
+# -- the closed-form coproduct against the letter walk ---------------------
+
+
+def coproduct_walk(alg, mono):
+    """Delta(mono) as the product of the generator coproducts, one
+    letter at a time; each product goes through TensorElement.__mul__."""
+    one, q = alg.field.one, alg.field.q
+    gens = {GEN_A: {(GEN_A, GEN_A): one, (GEN_BS, GEN_B): -q},
+            GEN_AS: {(GEN_AS, GEN_AS): one, (GEN_B, GEN_BS): -q},
+            GEN_B: {(GEN_B, GEN_A): one, (GEN_AS, GEN_B): one},
+            GEN_BS: {(GEN_BS, GEN_AS): one, (GEN_A, GEN_BS): one}}
+    acc = TensorElement(alg, {(UNIT, UNIT): one})
+    for gen in generator_word(mono):
+        acc = acc * TensorElement(alg, gens[gen])
+    return acc.terms
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (2, 3), (1, 1)],
+                         ids=["1/2", "9/10", "2/3", "1"])
+def test_coproduct_closed_form_matches_letter_walk(q):
+    alg = make_algebra(*q)
+    monos = monomials(8)
+    assert len(monos) == 285
+    for m in monos:
+        got, want = alg.coproduct_mono(m), coproduct_walk(alg, m)
+        assert got.keys() == want.keys(), m
+        assert all(got[key] == c for key, c in want.items()), m
+
+
+def test_coproduct_closed_form_matches_letter_walk_float():
+    # the two routes round differently; both carry 50 digits
+    alg = make_algebra_float(0.6180339887498949)
+    tol = 10.0 ** (5 - alg.field.precision)
+    for m in monomials(8):
+        got, want = alg.coproduct_mono(m), coproduct_walk(alg, m)
+        assert got.keys() == want.keys(), m
+        for key, c in want.items():
+            err = abs((got[key] - c).to_complex())
+            assert err <= tol * abs(c.to_complex()), (m, key)
