@@ -10,9 +10,17 @@ the level-N representation.  It acts on the spin-n layer by the scalar
 and kills the layers above N, so the same map has a second, spectral
 implementation that runs no coproduct.  Both are kept: the spectral
 route is the fast path, the coproduct route its oracle, and their
-agreement is one of the standing cross-checks.  The coproduct route sums
-one slice S_N(m) = (1 (x) h_N) Delta(m) per monomial m of x, cached per
-level.  A slice's left legs differ only in their power of A and come in
+agreement is one of the standing cross-checks.
+
+The coproduct route sums one slice S_N(m) = (1 (x) h_N) Delta(m) per
+monomial m of x, cached per level and read off Delta's closed form with
+no tensor product (Berezin._slice).  h_N vanishes off the powers of
+A = b b*, so only the terms of the triple sum for Delta(m) whose right
+leg is a^r a*^r A^(n-r) survive, one per pair (i, j); these pair to the
+moments h_N(A^t) of the measure with mass [N+1] (1 - q^2) q^(2m)
+prod_{j=1..N} (1 - q^(2m+2j)) at the point q^(2(m+N)) of the spectrum of
+A.  Monomials with a* letters take the star of a mirror slice.  A
+slice's left legs differ only in their power of A and come in
 descending power, the order of pairing all of Delta(x) at once (bar
 partial sums that cancel at q = 1): the float shift model sums an
 element's terms in dict order, so the order reaches every seminorm.
@@ -64,57 +72,99 @@ class Berezin:
     def __init__(self, gns: GnsContext):
         self.gns = gns
         self.alg: Algebra = gns.alg
-        self._hn_cache: dict = {}
+        self._moments: dict = {}         # (N, t) -> h_N(A^t)
+        self._legs: dict = {}            # (N, r, n) -> W_N(r, n)
         self._slices: dict = {}          # (N, m) -> (1 (x) h_N) Delta(m)
         self._spec_verified: dict = {}   # N -> (verified_to, residual)
 
     # -- states ------------------------------------------------------------
 
     def h_twisted(self, x: AlgebraElement, N: int):
-        """h_N(x): Haar against the level-N highest weight vector."""
+        """h_N(x): Haar against the level-N highest weight vector.  It
+        vanishes off the powers of A, where it reads the moments."""
         if N < 0:
             raise ValueError("level must be non-negative")
-        alg = self.alg
-        if N == 0:
-            return alg.haar(x)
-        tot = alg.field.zero
-        for m, c in x.terms.items():
-            tot = tot + c * self._hn_mono(m, N)
+        tot = self.alg.field.zero
+        for (k, l, n), c in x.terms.items():
+            if k == 0 and l == n:
+                tot = tot + c * self._moment(N, l)
         return tot
 
-    def _hn_mono(self, m: Monomial, N: int):
-        key = (N, m)
-        hit = self._hn_cache.get(key)
-        if hit is not None:
-            return hit
-        alg = self.alg
-        mid = AlgebraElement(alg, {m: alg.field.one})
-        left = alg.monomial(-N, 0, 0)
-        right = alg.monomial(N, 0, 0)
-        val = alg.q_bracket(N + 1) * alg.haar(left * mid * right)
-        self._hn_cache[key] = val
+    def _moment(self, N: int, t: int):
+        """M_N(t) = h_N(A^t) = [N+1] h(a*^N A^t a^N)
+        = [N+1] q^(2Nt) sum_s P_N[s] h(A^(t+s)), P_N = contraction_poly(N)."""
+        val = self._moments.get((N, t))
+        if val is None:
+            alg = self.alg
+            c, tot = alg.field.q_power(2 * N * t), alg.field.zero
+            for s, p in enumerate(alg.contraction_poly(N)):
+                tot = tot + c * p * alg.haar_weight(t + s)
+            val = self._moments[N, t] = alg.q_bracket(N + 1) * tot
+        return val
+
+    def _right_leg(self, N: int, r: int, n: int):
+        """W_N(r, n) = h_N(a^r a*^r A^(n-r))
+        = sum_u P_(-r)[u] M_N(n - r + u)."""
+        val = self._legs.get((N, r, n))
+        if val is None:
+            val = self.alg.field.zero
+            for u, p in enumerate(self.alg.contraction_poly(-r)):
+                val = val + p * self._moment(N, n - r + u)
+            self._legs[N, r, n] = val
         return val
 
     # -- the transform, twice ------------------------------------------------
 
     def via_coproduct(self, x: AlgebraElement, N: int) -> AlgebraElement:
         """(1 (x) h_N) Delta(x), the defining route: sum_m c_m S_N(m), the
-        slices cached and ordered as the module docstring says; h_N
-        vanishes off right legs A^l = (b b*)^l, so slices read only those."""
+        slices cached and ordered as the module docstring says."""
         x.require_sphere()
         out: dict = {}
         for m, c in x.terms.items():
-            hit = self._slices.get((N, m))
-            if hit is None:
-                acc: dict = {}
-                for (m1, m2), s in self.alg.coproduct_mono(m).items():
-                    if m2.a_exp == 0 and m2.b_exp == m2.bs_exp:
-                        _accumulate(acc, m1, s * self._hn_mono(m2, N))
-                hit = self._slices[N, m] = dict(
-                    sorted(acc.items(), key=lambda t: -t[0].b_exp))
-            for m1, s in hit.items():
+            for m1, s in self._cached_slice(m, N).items():
                 _accumulate(out, m1, c * s)
         return AlgebraElement(self.alg, out)
+
+    def _cached_slice(self, m: Monomial, N: int) -> dict:
+        hit = self._slices.get((N, m))
+        if hit is None:
+            hit = self._slices[N, m] = self._slice(m, N)
+        return hit
+
+    def _slice(self, m: Monomial, N: int) -> dict:
+        """S_N(m) for a sphere monomial m = a^k b^l b*^n, n = k + l.
+
+        For k >= 0 the (i, j, r) term of Delta(a)^k Delta(b)^l Delta(b*)^n
+        (Algebra.coproduct_mono) has right leg a^(i+j) a*^r times b's, so
+        h_N keeps r = i + j, where the right leg is q^(j(k-i) - r(n-r))
+        a^r a*^r A^(n-r) and pairs to W_N(r, n).  With a = k - i and
+        p = l - j, normal ordering (b a = q a b, b a* = q^-1 a* b,
+        b* a* = q^-1 a* b*, A a = q^2 a A) makes the left leg
+        a^k Q_p(q^(2a) A) b^j b*^(k+j), Q_p = contraction_poly(p), and
+        its q-powers with those of the three Gaussian-binomial sums
+        collect to (-1)^a q^(a(a+1+2j)).  For k < 0, Delta and h_N
+        respect the star: S_N(m) = q^(K(n+l)) S_N(a^K b^n b*^l)*, K = -k."""
+        alg, F = self.alg, self.alg.field
+        k, l, n = m
+        if k < 0:
+            mirror = AlgebraElement(alg, self._cached_slice(Monomial(-k, n, l), N))
+            return mirror.star().scale(F.q_power(-k * (n + l))).terms
+        gk, gl, gn = (alg.gaussian_row(k, 2), alg.gaussian_row(l, 2),
+                      alg.gaussian_row(n, -2))
+        acc = [F.zero] * (l + 1)     # acc[u]: coefficient of a^k b^u b*^(u+k)
+        for i in range(k + 1):
+            a = k - i
+            step = F.q_power(2 * a)
+            for j in range(l + 1):
+                c = (gk[i] * gl[j] * gn[i + j] * F.q_power(a * (a + 1 + 2 * j))
+                     * self._right_leg(N, i + j, n))
+                if a % 2:
+                    c = -c
+                for s, p in enumerate(alg.contraction_poly(l - j)):
+                    acc[s + j] = acc[s + j] + c * p
+                    c = c * step
+        return {Monomial(k, u, u + k): acc[u] for u in range(l, -1, -1)
+                if not acc[u].is_zero()}
 
     def spectrum(self, N: int, max_spin: int,
                  verify: bool = True) -> BerezinSpectrum:

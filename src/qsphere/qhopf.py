@@ -354,6 +354,7 @@ class Algebra:
         self._coprod_cache: dict = {}
         self._haar_table: dict[int, object] = {}
         self._polys: dict = {}
+        self._rows: dict = {}
         one = field.one
         self.unit = AlgebraElement(self, {UNIT: one})
         self.a = AlgebraElement(self, {GEN_A: one})
@@ -457,6 +458,20 @@ class Algebra:
 
     # -- Hopf structure ---------------------------------------------------
 
+    def gaussian_row(self, n: int, e: int) -> list:
+        """The Gaussian binomials [n, i]_t, i = 0..n, at t = q^e, by the
+        q-Pascal rule [n, i]_t = [n-1, i-1]_t + t^i [n-1, i]_t; cached."""
+        row = self._rows.get((n, e))
+        if row is None:
+            F = self.field
+            row = [F.one]
+            if n:
+                prev = self.gaussian_row(n - 1, e)
+                row += [prev[i - 1] + F.q_power(e * i) * prev[i]
+                        for i in range(1, n)] + [F.one]
+            self._rows[n, e] = row
+        return row
+
     def coproduct_mono(self, mono: Monomial) -> dict:
         """Coproduct of a basis monomial as a (mono, mono)->scalar dict:
         Delta(a)^k Delta(b)^l Delta(b*)^m, or Delta(a*)^|k| first when
@@ -481,10 +496,7 @@ class Algebra:
                            (m, -2, lambda i, j: ((j, 0, i), (-i, 0, j), 0, i * j))):
             if n <= 0:
                 continue
-            row = [F.one]   # [r, i]_t = [r-1, i-1]_t + t^i [r-1, i]_t
-            for r in range(1, n + 1):
-                row = ([F.one] + [row[i - 1] + F.q_power(e * i) * row[i]
-                                  for i in range(1, r)] + [F.one])
+            row = self.gaussian_row(n, e)
             f = TensorElement(self, {})
             for i in range(n, -1, -1):
                 left, right, neg, p = term(i, n - i)

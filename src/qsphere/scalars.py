@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isinf, isqrt, lcm
 
-import mpmath
-
 WHITEN_BITS = 320     # whitened()'s fixed point: 267 guard bits past a double
 
 
@@ -313,7 +311,7 @@ class FloatScalar:
         return self.is_real()
 
     def as_fraction(self) -> Fraction:
-        return Fraction(float(mpmath.re(self.val))).limit_denominator(10 ** 15)
+        return Fraction(float(self.field.ctx.re(self.val))).limit_denominator(10 ** 15)
 
     def to_complex(self) -> complex:
         return complex(self.val)
@@ -345,6 +343,8 @@ class FloatField:
     def __init__(self, q: float, precision: int = 50):
         if not (0 < q <= 1):
             raise ValueError("q must lie in (0, 1], got %r" % (q,))
+        import mpmath   # only float fields need it; exact start-up skips it
+
         self.precision = precision
         self.ctx = mpmath.mp.clone()
         self.ctx.dps = precision

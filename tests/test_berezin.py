@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere import Berezin, GnsContext, UqActions, make_algebra
-from qsphere.qhopf import Algebra, Monomial, TensorElement, _accumulate
+from qsphere.qhopf import (Algebra, AlgebraElement, Monomial, TensorElement,
+                           _accumulate, make_algebra_float, monomials)
 from qsphere.suites import random_elements
 from qsphere.uq_actions import sphere_monomials
 from test_qhopf import coproduct_walk
@@ -151,23 +152,30 @@ def test_spectrum_is_the_verified_closed_form(berezin, q, mode):
 def test_spectral_route_runs_no_coproduct(monkeypatch):
     alg = make_algebra(1, 2)
     ber = Berezin(GnsContext(alg, UqActions(alg)))
-    calls = []
-    original = Algebra.coproduct_mono
+    coproducts, slices = [], []
+    coproduct_mono, build_slice = Algebra.coproduct_mono, Berezin._slice
 
-    def spy(self, mono):
-        calls.append(mono)
-        return original(self, mono)
+    def spy_coproduct(self, mono):
+        coproducts.append(mono)
+        return coproduct_mono(self, mono)
 
-    monkeypatch.setattr(Algebra, "coproduct_mono", spy)
+    def spy_slice(self, mono, N):
+        slices.append((mono, N))
+        return build_slice(self, mono, N)
+
+    monkeypatch.setattr(Algebra, "coproduct_mono", spy_coproduct)
+    monkeypatch.setattr(Berezin, "_slice", spy_slice)
     xs = random_elements(alg, 5, 4, seed=3, sphere=True)
     for N in (0, 1, 2, 3, 4):
         ber.spectrum(N, max(N, 4), verify=False)
         for x in xs:
             ber.via_spectrum(x, N)
-    assert calls == []
-    # the oracle side does go through the coproduct
+    assert slices == []
+    # the oracle side reads the slices of Delta's closed form, which
+    # build no coproduct either
     ber.spectrum(2, 3, verify=True)
-    assert calls
+    assert slices
+    assert coproducts == []
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -190,6 +198,17 @@ def test_slice_estimate(ber_half, alg_half):
 # -- the slice route against the paired coproduct -----------------------------
 
 
+def hn_mono(alg, m, N):
+    """h_N on a basis monomial the long way: [N+1] h(a*^N m a^N)."""
+    mid = AlgebraElement(alg, {m: alg.field.one})
+    return alg.q_bracket(N + 1) * alg.haar(
+        alg.monomial(-N, 0, 0) * mid * alg.monomial(N, 0, 0))
+
+
+def _paired(alg, delta: dict, N):
+    return TensorElement(alg, delta).pair_right(lambda m: hn_mono(alg, m, N))
+
+
 def _paired_walk(ber, x, N):
     """beta_N(x) the long way: the letter-walk coproduct of x, summed
     term by term, then paired on the right leg by h_N."""
@@ -198,7 +217,7 @@ def _paired_walk(ber, x, N):
     for m, c in x.terms.items():
         for key, s in coproduct_walk(alg, m).items():
             _accumulate(delta, key, c * s)
-    return TensorElement(alg, delta).pair_right(lambda m: ber._hn_mono(m, N))
+    return _paired(alg, delta, N)
 
 
 @pytest.mark.parametrize("q", [(1, 2), (9, 10)], ids=["1/2", "9/10"])
@@ -213,6 +232,72 @@ def test_slice_route_is_the_paired_coproduct(q):
             got, want = ber.via_coproduct(x, N), _paired_walk(ber, x, N)
             assert got == want, (x, N)
             assert list(got.terms) == list(want.terms), (x, N)
+
+
+def _sphere_monos(degree):
+    """Every sphere monomial a^k b^l b*^(k+l) of total degree <= degree."""
+    return [m for m in monomials(degree) if m.right_degree() == 0]
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 3), (99, 100),
+                               0.6180339887498949],
+                         ids=["1/2", "9/10", "1/3", "99/100", "0.618"])
+def test_slices_are_the_paired_coproduct(q):
+    # the slice of every sphere monomial to degree 10, in value and in
+    # term order, against the letter walk paired by the Haar product; at
+    # float q the routes round differently and == holds within
+    # field.negligible; q = 1, where the two orders differ on two slices,
+    # is pinned below
+    alg = make_algebra(*q) if isinstance(q, tuple) else make_algebra_float(q)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    monos = _sphere_monos(10)
+    assert len(monos) == 36
+    for m in monos:
+        delta = coproduct_walk(alg, m)
+        for N in range(6):
+            got = ber.via_coproduct(AlgebraElement(alg, {m: alg.field.one}), N)
+            want = _paired(alg, delta, N)
+            assert got == want, (m, N)
+            assert list(got.terms) == list(want.terms), (m, N)
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 3), (1, 1)],
+                         ids=["1/2", "9/10", "1/3", "1"])
+def test_moments_are_the_haar_products(q):
+    # h_N reads the moments M_N(t) = h_N(A^t) and vanishes off them
+    alg = make_algebra(*q)
+    ber = Berezin(GnsContext(alg, UqActions(alg)))
+    for N in range(7):
+        monos = [Monomial(0, t, t) for t in range(2 * N + 5)]
+        for m in monos + _sphere_monos(6):
+            x = AlgebraElement(alg, {m: alg.field.one})
+            assert ber.h_twisted(x, N) == hn_mono(alg, m, N), (m, N)
+
+
+def mu_n(q: Fraction, N: int, m: int) -> Fraction:
+    """The mass of mu_N at the spectral point lambda_(m+N) = q^(2(m+N))
+    of A: [N+1] (1 - q^2) q^(2m) prod_(j=1..N) (1 - q^(2m+2j))."""
+    out = sum(q ** (2 * i) for i in range(N + 1)) * (1 - q * q) * q ** (2 * m)
+    for j in range(1, N + 1):
+        out *= 1 - q ** (2 * m + 2 * j)
+    return out
+
+
+@pytest.mark.parametrize("q,K", [((1, 2), 40), ((9, 10), 120)],
+                         ids=["1/2", "9/10"])
+def test_moments_are_those_of_mu_n(berezin, q, K):
+    # M_N(t) = sum_m mu_N(lambda_(m+N)) lambda_(m+N)^t; the terms are
+    # positive and the masses past m = K add to at most [N+1] q^(2K)
+    ber = berezin(q)
+    qf = Fraction(*q)
+    for N in range(1, 7):
+        masses = [mu_n(qf, N, m) for m in range(K)]
+        tail = sum(qf ** (2 * i) for i in range(N + 1)) * qf ** (2 * K)
+        for t in range(2 * N + 3):
+            A_t = ber.alg.monomial(0, t, t)
+            got = _fr(ber.h_twisted(A_t, N))
+            S = sum(w * qf ** (2 * (m + N) * t) for m, w in enumerate(masses))
+            assert S <= got <= S + tail, (N, t)
 
 
 def test_slice_order_at_q_one():
@@ -237,16 +322,16 @@ def test_repeated_transform_reads_cached_slices(monkeypatch):
     xs = random_elements(alg, 5, 4, seed=3, sphere=True)
     first = [ber.via_coproduct(x, 1) for x in xs]
     calls = []
-    original = Algebra.coproduct_mono
+    original = Berezin._slice
 
-    def spy(self, mono):
-        calls.append(mono)
-        return original(self, mono)
+    def spy(self, mono, N):
+        calls.append((mono, N))
+        return original(self, mono, N)
 
-    monkeypatch.setattr(Algebra, "coproduct_mono", spy)
+    monkeypatch.setattr(Berezin, "_slice", spy)
     assert [ber.via_coproduct(x, 1) for x in xs] == first
     assert calls == []
     # the slices are per level: a second level computes its own
     for x in xs:
         assert ber.via_coproduct(x, 2) == ber.via_spectrum(x, 2)
-    assert calls
+    assert calls and all(N == 2 for _, N in calls)

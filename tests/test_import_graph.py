@@ -1,10 +1,11 @@
 """Start-up loads only what a run uses.
 
-The exact layers import neither numpy nor scipy, so `import qsphere`, the
-benchmark set-up and the exact subcommands must leave both out of
-sys.modules; `verify` loads numpy for its float checks, and only a run
-that builds a sparse matrix loads scipy.  Each case runs in a fresh
-interpreter, since this test process has long since imported both.
+The exact layers import neither numpy, scipy nor mpmath, so `import
+qsphere`, the benchmark set-up and the exact subcommands must leave all
+three out of sys.modules; `verify` loads numpy for its float checks, only
+a run that builds a sparse matrix loads scipy, and only a float scalar
+field loads mpmath.  Each case runs in a fresh interpreter, since this
+test process has long since imported all three.
 """
 
 import json
@@ -19,12 +20,12 @@ import qsphere
 
 ROOT = Path(qsphere.__file__).resolve().parents[2]
 
-# runs its body, then prints which of numpy and scipy it left loaded
+# runs its body, then prints which of mpmath, numpy and scipy it left loaded
 _PROBE = """
 import contextlib, io, json, sys
 {body}
 print(json.dumps(sorted({{m.split(".")[0] for m in sys.modules}}
-                        & {{"numpy", "scipy"}})))
+                        & {{"mpmath", "numpy", "scipy"}})))
 """
 
 _CLI = """
@@ -74,6 +75,8 @@ def test_exact_subcommands_load_no_numerics():
     (("verify", "--q", "1/2", "--suite", "hopf"), ["numpy"]),
     (("lipnorm", "--q", "1/2", "--expr", "B + Bs", "--trunc", "60"),
      ["numpy", "scipy"]),
-], ids=["verify-hopf", "lipnorm"])
+    (("berezin", "--q", "1/2", "--N", "2", "--expr", "A*B+Bs^2",
+      "--scalar-mode", "float"), ["mpmath"]),
+], ids=["verify-hopf", "lipnorm", "berezin-float"])
 def test_numeric_subcommands_load_what_they_use(argv, modules):
     assert cli_loaded(argv) == modules
