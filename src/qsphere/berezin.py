@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gns import GnsContext
+from .gns import GnsContext, haar_inner
 from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
 
 
@@ -58,8 +58,6 @@ class SliceCheck:
     bound: float
     converged: bool
     slice_element: AlgebraElement
-    lip_x: float
-    vector_norms: tuple
 
 
 class Berezin:
@@ -257,14 +255,12 @@ class Berezin:
 
         lip_x = specnorm.lip_norm(self.gns.actions, x, truncation)
         lip_y = specnorm.lip_norm(self.gns.actions, y, truncation)
-        nx = abs(self.gns.haar_inner(xi, xi).to_complex()) ** 0.5
-        nz = abs(self.gns.haar_inner(zeta, zeta).to_complex()) ** 0.5
+        nx = abs(haar_inner(alg, xi, xi).to_complex()) ** 0.5
+        nz = abs(haar_inner(alg, zeta, zeta).to_complex()) ** 0.5
         bound = nx * nz * lip_x.value.lower_bound
         return SliceCheck(
             lip_slice=lip_y.value.lower_bound,
             bound=bound,
             converged=lip_x.value.converged and lip_y.value.converged,
             slice_element=y,
-            lip_x=lip_x.value.lower_bound,
-            vector_norms=(nx, nz),
         )

@@ -3,7 +3,7 @@
 Everything here happens inside the GNS space of the Haar state h: the
 inner product h(x* y), one Gram-Schmidt under it, the fuzzy bases of
 the equator sphere's degree filtration, projections onto them, matrix
-compressions of the twisted derivations, and the modular conjugation.
+compressions of the twisted derivations.
 
 No inner product multiplies algebra elements.  h(m1* m2) vanishes
 unless the monomials m1 = a^k b^l1 b*^n1 and m2 = a^k b^l2 b*^n2 share
@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate, monomials
+from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
 from .uq_actions import UqActions
 
 
@@ -126,11 +126,17 @@ class _GradedOrtho:
         self.built_degree = -1
 
     def ensure_degree(self, D: int) -> None:
+        """Append the monomials of total degree up to D in graded order.
+        At total degree d and a-exponent k the only one of right degree
+        rdeg is a^k b^l b*^(d - |k| - l), l = (d - |k| + rdeg - k) / 2."""
         if D <= self.built_degree:
             return
-        for mono in monomials(D, self.built_degree + 1):
-            if mono.right_degree() == self.rdeg:
-                self._append(mono)
+        for d in range(self.built_degree + 1, D + 1):
+            for k in range(-d, d + 1):
+                rem = d - abs(k)
+                l, odd = divmod(rem + self.rdeg - k, 2)
+                if not odd and 0 <= l <= rem:
+                    self._append(Monomial(k, l, rem - l))
         self.built_degree = D
 
     def _append(self, mono: Monomial) -> None:
@@ -315,12 +321,6 @@ def haar_inner(alg: Algebra, x: AlgebraElement, y: AlgebraElement):
     return tot
 
 
-def modular_conjugation(alg: Algebra, x: AlgebraElement) -> AlgebraElement:
-    """J on symbols: x -> nu^(-1/2)(x*); antilinear, squares to the
-    identity, and turns the Haar inner product into its conjugate."""
-    return alg.modular_twist(x.star(), half_steps=-1)
-
-
 class FuzzyVector(NamedTuple):
     element: AlgebraElement
     snorm: object
@@ -388,9 +388,6 @@ class GnsContext:
         self.alg = alg
         self.actions = actions or UqActions(alg)
 
-    def haar_inner(self, x: AlgebraElement, y: AlgebraElement):
-        return haar_inner(self.alg, x, y)
-
     # -- fuzzy basis -------------------------------------------------------
 
     def fuzzy_basis(self, N: int) -> FuzzyBasis:
@@ -410,13 +407,6 @@ class GnsContext:
 
     # -- projections -------------------------------------------------------
 
-    def phi_projection(self, x: AlgebraElement, N: int) -> AlgebraElement:
-        """Orthogonal projection onto the level-N fuzzy subspace."""
-        out = self.alg.scalar_element(self.alg.field.zero)
-        for layer in self.spin_split(x, N).values():
-            out = out + layer
-        return out
-
     def spin_split(self, x: AlgebraElement, max_spin: int | None = None) -> dict:
         """Spin layers n <= max_spin of x's orthogonal projection, keyed
         by n, zero layers left out.  One projection coefficient
@@ -426,7 +416,7 @@ class GnsContext:
         cap = x.sphere_degree() if max_spin is None else max_spin
         out: dict = {}
         for v in self.fuzzy_basis(cap).vectors:
-            coeff = self.haar_inner(v.element, x) / v.snorm
+            coeff = haar_inner(self.alg, v.element, x) / v.snorm
             _accumulate(out, v.spin, v.element.scale(coeff))
         return out
 
@@ -454,7 +444,7 @@ class GnsContext:
             img = self.actions.twisted_derivation(label, v.element)
             col = []
             for w in basis.vectors:
-                c = self.haar_inner(w.element, img) / w.snorm
+                c = haar_inner(alg, w.element, img) / w.snorm
                 col.append(c)
                 if not c.is_zero():
                     img = img - w.element.scale(c)
@@ -466,52 +456,3 @@ class GnsContext:
             cols.append(col)
         entries = [[cols[j][i] for j in range(n)] for i in range(n)]
         return OperatorMatrix(entries, basis)
-
-    def pn_commutation_check(self, label: str, N: int, M: int) -> float:
-        """Max-entry residual of [P_N, D] on the level-M compression."""
-        if M < N:
-            raise ValueError("need M >= N")
-        T = self.operator_matrix_of(label, M)
-        n = T.dim()
-        spins = [v.spin for v in T.basis.vectors]
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                pi = 1 if spins[i] <= N else 0
-                pj = 1 if spins[j] <= N else 0
-                resid = T.entries[i][j] * self.alg.field.from_rational(pi - pj)
-                worst = max(worst, abs(resid.to_complex()))
-        return worst
-
-    # -- modular structure ---------------------------------------------------
-
-    def modular_conjugation(self, x: AlgebraElement) -> AlgebraElement:
-        return modular_conjugation(self.alg, x)
-
-    def commutant_check(self, x: AlgebraElement, y: AlgebraElement,
-                        M: int) -> float:
-        """Residual of [J x* J, L_y] compressed to degree <= M monomials.
-
-        Rows and columns touching the truncation boundary are excluded:
-        only input vectors whose two-sided products stay inside the
-        truncation participate.  The bound is degree(x) + degree(y).
-        """
-        alg = self.alg
-        band = x.total_degree() + y.total_degree()
-        interior = M - band
-        if interior < 0:
-            raise ValueError("truncation %d too small for bandwidth %d"
-                             % (M, band))
-        xs = x.star()
-
-        def t_map(v: AlgebraElement) -> AlgebraElement:
-            return modular_conjugation(alg, xs * modular_conjugation(alg, v))
-
-        worst = 0.0
-        for mono in monomials(interior):
-            xi = AlgebraElement(alg, {mono: alg.field.one})
-            r = t_map(y * xi) - y * t_map(xi)
-            for c in r.terms.values():
-                worst = max(worst, abs(c.to_complex()))
-        return worst
-

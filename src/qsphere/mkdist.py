@@ -219,28 +219,6 @@ def default_probes(alg) -> list:
     return out
 
 
-def _witness_scales(ber: Berezin, x: AlgebraElement, N: int,
-                    lip: NormEstimate) -> tuple:
-    """(|h_N(x) - eps(x)|, certified Lip scale, truncated Lip scale).
-
-    Both scales come from x's one lip_norm estimate lip: its upper_bound
-    is the crude certified bound, its lower_bound the truncated seminorm.
-    """
-    num = abs(_real_value(ber.h_twisted(x, N) - ber.alg.counit(x)))
-    return num, lip.upper_bound, lip.lower_bound
-
-
-def objective_value(ber: Berezin, x: AlgebraElement, N: int, mode: str,
-                    norm_truncation: int) -> float:
-    """|h_N(x) - eps(x)| over the mode's Lip scale, from the element alone."""
-    lip = lip_norm(ber.gns.actions, x, norm_truncation, ladder=False).value
-    num, upper, lower = _witness_scales(ber, x, N, lip)
-    den = upper if mode == "certified" else lower
-    if den <= 1e-14:
-        raise ValueError("scalar element: Lip scale vanishes")
-    return num / den
-
-
 # -- the charge-0 linear program ----------------------------------------------
 
 
@@ -522,7 +500,10 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
 
     scored = []
     for tag, w, coords, lip in candidates:
-        num, upper, lower = _witness_scales(ber, w, problem.N, lip)
+        num = abs(_real_value(ber.h_twisted(w, problem.N)
+                              - ber.alg.counit(w)))
+        # certified scale: the crude bound; truncated: the seminorm
+        upper, lower = lip.upper_bound, lip.lower_bound
         if upper <= 1e-14 or lower <= 1e-14:
             continue
         scored.append((tag, w, coords, num / upper, num / lower))

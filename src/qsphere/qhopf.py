@@ -25,7 +25,7 @@ may freely mix different q values in one process.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .scalars import ExactField, FloatField
 
@@ -50,11 +50,11 @@ class Monomial(NamedTuple):
         return self == (0, 0, 0)
 
 
-def monomials(max_degree: int, min_degree: int = 0) -> list:
-    """Every basis word of total degree min_degree..max_degree, ordered
-    by total degree, then a-exponent, then b-exponent."""
+def monomials(max_degree: int) -> list:
+    """Every basis word of total degree at most max_degree, ordered by
+    total degree, then a-exponent, then b-exponent."""
     out = []
-    for d in range(min_degree, max_degree + 1):
+    for d in range(max_degree + 1):
         for k in range(-d, d + 1):
             rem = d - abs(k)
             for l in range(rem + 1):
@@ -298,35 +298,6 @@ class TensorElement:
                 _accumulate(out, m1, c * w)
         return AlgebraElement(self.alg, out)
 
-    def map_left(self, fn: Callable[[AlgebraElement], AlgebraElement]) -> "TensorElement":
-        """Apply an element map to the left leg and re-expand."""
-        alg = self.alg
-        out: dict = {}
-        for (m1, m2), c in self.terms.items():
-            img = fn(AlgebraElement(alg, {m1: alg.field.one}))
-            for n1, s in img.terms.items():
-                _accumulate(out, (n1, m2), c * s)
-        return TensorElement(alg, out)
-
-    def map_right(self, fn: Callable[[AlgebraElement], AlgebraElement]) -> "TensorElement":
-        alg = self.alg
-        out: dict = {}
-        for (m1, m2), c in self.terms.items():
-            img = fn(AlgebraElement(alg, {m2: alg.field.one}))
-            for n2, s in img.terms.items():
-                _accumulate(out, (m1, n2), c * s)
-        return TensorElement(alg, out)
-
-    def multiply_legs(self) -> AlgebraElement:
-        """Collapse x (x) y to x*y; the multiplication map."""
-        alg = self.alg
-        out: dict = {}
-        for (m1, m2), c in self.terms.items():
-            prod = alg.mono_mul(m1, m2)
-            for n, s in prod.items():
-                _accumulate(out, n, c * s)
-        return AlgebraElement(alg, out)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -380,19 +351,6 @@ class Algebra:
         if scal.is_zero():
             return AlgebraElement(self, {})
         return AlgebraElement(self, {UNIT: scal})
-
-    def element(self, terms: Iterable[tuple]) -> AlgebraElement:
-        out = AlgebraElement(self, {})
-        for (k, l, m), coeff in terms:
-            out = out + self.monomial(k, l, m, coeff)
-        return out
-
-    def tensor(self, x: AlgebraElement, y: AlgebraElement) -> TensorElement:
-        out: dict = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                out[(m1, m2)] = c1 * c2
-        return TensorElement(self, out)
 
     # -- multiplication ---------------------------------------------------
 
@@ -576,15 +534,12 @@ class Algebra:
 
     # -- modular structure -------------------------------------------------
 
-    def modular_twist(self, x: AlgebraElement, half_steps: int = 2) -> AlgebraElement:
-        """Powers of the modular automorphism of the Haar state.
-
-        half_steps counts multiples of 1/2: the full twist (half_steps=2)
-        scales a^k b^l b*^m by q^(-2k) and satisfies h(xy) = h(twist(y) x).
-        """
+    def modular_twist(self, x: AlgebraElement) -> AlgebraElement:
+        """The modular automorphism of the Haar state: scales
+        a^k b^l b*^m by q^(-2k) and satisfies h(xy) = h(twist(y) x)."""
         F = self.field
         return AlgebraElement(self, {
-            mono: c * F.q_power(-mono.a_exp * half_steps)
+            mono: c * F.q_power(-2 * mono.a_exp)
             for mono, c in x.terms.items()
         })
 
@@ -594,18 +549,10 @@ class Algebra:
                 [self.b_star, self.a]]
 
 
-def make_algebra(q_num: int, q_den: int = 1, mode: str = "exact",
-                 precision: int = 50) -> Algebra:
-    """Build an algebra context for rational q = q_num/q_den.
-
-    mode 'float' forces the arbitrary-precision numeric field even for
-    rational q; irrational q must go through make_algebra_float.
-    """
-    if mode == "exact":
-        return Algebra(ExactField(q_num, q_den))
-    if mode == "float":
-        return Algebra(FloatField(q_num / q_den, precision))
-    raise ValueError("unknown scalar mode %r" % (mode,))
+def make_algebra(q_num: int, q_den: int = 1) -> Algebra:
+    """The exact algebra context at rational q = q_num/q_den; float
+    fields, rational q or not, come from make_algebra_float."""
+    return Algebra(ExactField(q_num, q_den))
 
 
 def make_algebra_float(q: float, precision: int = 50) -> Algebra:

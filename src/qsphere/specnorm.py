@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gns import _graded_ortho
-from .qhopf import UNIT, Algebra, AlgebraElement, Monomial
+from .qhopf import UNIT, Algebra, AlgebraElement
 from .uq_actions import UqActions
 
 # truncation ladder: double M until successive values agree to _REL_TOL
@@ -135,34 +135,9 @@ def _csr(grid: list, trunc: RepTruncation) -> sparse.csr_matrix:
                               indptr), shape=(M * rows,) * 2)
 
 
-def represent_generator(name: str, trunc: RepTruncation) -> sparse.csr_matrix:
-    exps = {"a": (1, 0, 0), "as": (-1, 0, 0), "b": (0, 1, 0), "bs": (0, 0, 1)}
-    if name not in exps:
-        raise ValueError("unknown generator %r" % (name,))
-    return _csr([[[(Monomial(*exps[name]), 1.0)]]], trunc)
-
-
 def represent_element(x: AlgebraElement, trunc: RepTruncation) -> sparse.csr_matrix:
     """M x M compression of x, one CSR assembled once."""
     return _block_rep([[x]], trunc)
-
-
-def relation_residuals(trunc: RepTruncation) -> dict:
-    """Defining-relation residuals on interior basis vectors."""
-    from scipy import sparse
-    a, b = represent_generator("a", trunc), represent_generator("b", trunc)
-    astar, bstar, q = a.getH(), b.getH(), trunc.q
-    eye = sparse.identity(trunc.M, format="csr", dtype=complex)
-    rels = {
-        "ba=qab": b @ a - q * (a @ b),
-        "b*a=qab*": bstar @ a - q * (a @ bstar),
-        "bb*=b*b": b @ bstar - bstar @ b,
-        "a*a+q2bb*=1": astar @ a + q * q * (b @ bstar) - eye,
-        "aa*+bb*=1": a @ astar + b @ bstar - eye,
-    }
-    k = trunc.M - 2   # the last two rows feel the cut
-    return {name: float(np.abs(mat.toarray())[:k, :k].max()) if k else 0.0
-            for name, mat in rels.items()}
 
 
 # -- dominant singular value -------------------------------------------------

@@ -11,7 +11,9 @@ from scipy import sparse
 from acceptance_log import ACCEPTANCE
 from qsphere import GnsContext, UqActions, make_algebra
 from qsphere.berezin import Berezin
+from qsphere.qhopf import Algebra, AlgebraElement
 from qsphere.session import SessionConfig
+from qsphere.suites import hopf_suite
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +56,33 @@ def no_densify(monkeypatch):
     for owner, name in ((sparse.csr_matrix, "toarray"),
                         (sparse.csc_matrix, "toarray"), (np.linalg, "svd")):
         monkeypatch.setattr(owner, name, refuse)
+
+
+@pytest.fixture
+def antipode_verdicts(monkeypatch):
+    """(true, planted) verdicts of the hopf suite's antipode-axiom-deg5
+    check for a config: with the true antipode, then with S(b) = -q b
+    planted in place of -q^-1 b."""
+    true_antipode = Algebra.antipode
+
+    def planted(alg, x):
+        # S(b) is q^2 times too big, so S(a^k b^l b*^m) is q^(2l) times
+        q_power = alg.field.q_power
+        return true_antipode(alg, AlgebraElement(alg, {
+            m: c * q_power(2 * m.b_exp) for m, c in x.terms.items()}))
+
+    def verdict(cfg):
+        return next(ok for name, ok, _ in hopf_suite(cfg)
+                    if name == "antipode-axiom-deg5")
+
+    def run(cfg):
+        honest = verdict(cfg)
+        monkeypatch.setattr(Algebra, "antipode", planted)
+        wrong = verdict(cfg)
+        monkeypatch.undo()
+        return honest, wrong
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

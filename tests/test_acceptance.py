@@ -57,10 +57,11 @@ def test_c2_twisted_derivations(cfg):
 
 def test_c3_compression_adjoints(cfg):
     # exact adjoint pattern and spin-layer structure of the compressed
-    # derivation matrices through level 5, plus compression consistency
+    # derivation matrices through level 5, whose prefix blocks are the
+    # lower levels' compressions
     _run("3 compression-adjoints", "projections", cfg, 120.0,
          ["adjoint-pattern-delta12-M5", "selfadjoint-delta3-M5",
-          "projection-commutation-M5", "pn-commutation-api-M2"])
+          "projection-commutation-M5"])
 
 
 def test_c4_transform_dual_routes(cfg):
@@ -73,15 +74,13 @@ def test_c4_transform_dual_routes(cfg):
 
 def test_c5_transform_lip_contraction():
     # levels 1..5 on the 50-element suite at two deformation values;
-    # the transform never raises the seminorm beyond tolerance, and
-    # every norm estimate converged
+    # the transform never raises the seminorm beyond tolerance
     t0 = time.perf_counter()
     for q_text in ("1/2", "9/10"):
         cfg_q = SessionConfig(q_text=q_text)
         report = run_suite("lipcontract", cfg_q)
         assert [c.name for c in report.checks] == [
-            "contraction-lower-vs-upper", "contraction-tight-1e-6",
-            "norm-estimates-converged"]
+            "contraction-lower-vs-upper", "contraction-tight-1e-6"]
         fails = [c.name for c in report.checks if c.status == "fail"]
         assert report.passed, f"lipcontract q={q_text}: {fails}"
         warns = [c.name for c in report.checks if c.status == "warn"]

@@ -38,7 +38,8 @@ def berezin():
 
     def get(q: tuple, mode: str = "exact") -> Berezin:
         if (q, mode) not in made:
-            alg = make_algebra(*q, mode=mode)
+            alg = (make_algebra(*q) if mode == "exact"
+                   else make_algebra_float(q[0] / q[1]))
             made[q, mode] = Berezin(GnsContext(alg, UqActions(alg)))
         return made[q, mode]
 

@@ -300,7 +300,7 @@ def test_verify_float_projections(capsys):
     assert "Traceback" not in err
     obj = json.loads(out)
     assert obj["suite"] == "projections"
-    assert len(obj["checks"]) == 4
+    assert len(obj["checks"]) == 3
 
 
 def test_verify_reports_a_wrong_eigenvalue_as_a_failure(capsys, monkeypatch):

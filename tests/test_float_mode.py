@@ -8,6 +8,7 @@ import pytest
 from qsphere import (Berezin, GnsContext, UqActions, make_algebra,
                      make_algebra_float)
 from qsphere.cli import main
+from qsphere.session import SessionConfig
 
 
 def _close(scal, want: float, tol: float = 1e-30) -> bool:
@@ -48,15 +49,12 @@ def test_irrational_q_haar_state():
     assert complex(pos.to_complex()).real > 0
 
 
-def test_antipode_axiom_float():
-    alg = make_algebra_float(0.6180339887498949, precision=50)
-    x = alg.a * alg.b_star
-    t = alg.coproduct(x)
-    lhs = t.map_left(alg.antipode).multiply_legs()
-    rhs = alg.scalar_element(alg.counit(x))
-    diff = lhs - rhs
-    assert all(abs(complex(c.to_complex())) < 1e-35
-               for c in diff.terms.values())
+def test_antipode_axiom_float(antipode_verdicts):
+    # the hopf suite's antipode check holds to the float field's
+    # threshold and fails once S(b) is off by q^2
+    for q_text in ("1/2", "0.6180339887498949"):
+        cfg = SessionConfig(q_text=q_text, scalar_mode="float")
+        assert antipode_verdicts(cfg) == (True, False), q_text
 
 
 def test_berezin_routes_float():
@@ -101,7 +99,7 @@ def test_fuzzy_basis_float_matches_exact(level):
     # the smallest squared norms are about 1e-21 (level 5) and 5e-30
     # (level 6); 50 digits resolve them, so they must round to the
     # exact values
-    flt = GnsContext(make_algebra(1, 2, mode="float")).fuzzy_basis(level)
+    flt = GnsContext(make_algebra_float(0.5)).fuzzy_basis(level)
     ex = GnsContext(make_algebra(1, 2)).fuzzy_basis(level)
     assert len(flt) == len(ex) == (level + 1) ** 2
     for v, w in zip(flt.vectors, ex.vectors):
@@ -112,6 +110,6 @@ def test_fuzzy_basis_float_matches_exact(level):
 def test_fuzzy_basis_float_raises_when_digits_run_out():
     # at level 7 the squared norms cancel below 50 digits; the basis
     # must raise rather than return noise
-    gns = GnsContext(make_algebra(1, 2, mode="float"))
+    gns = GnsContext(make_algebra_float(0.5))
     with pytest.raises(RuntimeError, match="degenerated"):
         gns.fuzzy_basis(7)

@@ -13,8 +13,7 @@ from qsphere.exprs import element_to_text
 from qsphere.mkdist import (OptimizationProblem, _ShiftDenominator,
                             approx_inequality_check, charge_zero_lp,
                             default_probes, estimate_distance,
-                            objective_value, selfadjoint_basis,
-                            theorem_b_approximant)
+                            selfadjoint_basis, theorem_b_approximant)
 from qsphere.qhopf import AlgebraElement
 from qsphere.suites import random_elements
 
@@ -24,6 +23,15 @@ SMALL = dict(norm_truncation=100)
 ORACLE_SMALL = dict(norm_truncation=100, restarts=2, max_iters=40, seed=3)
 # item 1's closed form of d(h_1, eps) at q = 1/2
 DIST_HALF_N1 = 0.6323410944
+
+
+def objective_value(ber, x, N, mode, norm_truncation):
+    """|h_N(x) - eps(x)| over the mode's Lip scale, from the element
+    alone: the score estimate_distance gives a candidate."""
+    lip = specnorm.lip_norm(ber.gns.actions, x, norm_truncation,
+                            ladder=False).value
+    num = abs(mkdist._real_value(ber.h_twisted(x, N) - ber.alg.counit(x)))
+    return num / (lip.upper_bound if mode == "certified" else lip.lower_bound)
 
 
 def _ber(qn, qd):

@@ -9,6 +9,7 @@ from qsphere import make_algebra
 from qsphere.qhopf import (GEN_A, GEN_AS, GEN_B, GEN_BS, UNIT, Monomial,
                           TensorElement, _accumulate, generator_word,
                           make_algebra_float, monomials)
+from qsphere.session import SessionConfig
 
 
 def test_defining_relations(alg_half):
@@ -69,14 +70,10 @@ def test_antipode_values(alg_half):
         alg.field.from_rational(-1, 2))
 
 
-def test_antipode_axiom(alg_half):
-    # m(S x id)Delta = unit * counit on a few words
-    alg = alg_half
-    for x in (alg.a, alg.b, alg.a * alg.b_star, alg.sphere_A * alg.sphere_B):
-        t = alg.coproduct(x)
-        lhs = t.map_left(alg.antipode).multiply_legs()
-        rhs = alg.scalar_element(alg.counit(x))
-        assert lhs == rhs
+def test_antipode_axiom(antipode_verdicts):
+    # m(S x id)Delta = m(id x S)Delta = unit * counit on every word of
+    # degree <= 5, and the check fails once S(b) is off by q^2
+    assert antipode_verdicts(SessionConfig(q_text="1/2")) == (True, False)
 
 
 def test_coproduct_is_homomorphism(alg_half):
@@ -98,7 +95,7 @@ def test_haar_weights(alg_half):
 def test_haar_weights_float_match_exact():
     # float mode stores q = 9/10 as the nearest double, so the exact
     # reference runs at that double's rational value
-    flt = make_algebra(9, 10, mode="float", precision=60)
+    flt = make_algebra_float(9 / 10, precision=60)
     q = Fraction(flt.field.float_q())
     exact = make_algebra(q.numerator, q.denominator)
     ctx = flt.field.ctx
@@ -159,22 +156,18 @@ def test_counit_on_monomials(k, l, m):
 
 
 def test_fundamental_corep(alg_half):
-    # corepresentation matrix rows satisfy the coproduct identity
+    # Delta u_ij = sum_r u_ir (x) u_rj for the corepresentation matrix
     alg = alg_half
     u = alg.fundamental_corep()
     n = len(u)
     for i in range(n):
         for j in range(n):
-            t = alg.coproduct(u[i][j])
-            want_terms = {}
+            want: dict = {}
             for r in range(n):
-                prod = alg.tensor(u[i][r], u[r][j])
-                for key, c in prod.terms.items():
-                    acc = want_terms.get(key)
-                    want_terms[key] = c if acc is None else acc + c
-            got = {k: v for k, v in t.terms.items() if not v.is_zero()}
-            want = {k: v for k, v in want_terms.items() if not v.is_zero()}
-            assert got == want
+                for m1, c1 in u[i][r].terms.items():
+                    for m2, c2 in u[r][j].terms.items():
+                        _accumulate(want, (m1, m2), c1 * c2)
+            assert alg.coproduct(u[i][j]).terms == want
 
 
 def test_rejects_bad_q():

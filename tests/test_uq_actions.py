@@ -15,10 +15,6 @@ def ctx():
     return alg, UqActions(alg)
 
 
-def _elem(alg, terms):
-    return alg.element([((k, l, m), c) for (k, l, m, c) in terms])
-
-
 def test_generator_values(ctx):
     alg, act = ctx
     fld = alg.field
@@ -71,8 +67,7 @@ def test_twisted_leibniz(ctx):
 def test_leibniz_random(t1, t2):
     alg = make_algebra(1, 2)
     act = UqActions(alg)
-    x = _elem(alg, [t1])
-    y = _elem(alg, [t2])
+    x, y = alg.monomial(*t1), alg.monomial(*t2)
     lhs = act.twisted_derivation("delta1", x * y)
     rhs = act.twisted_derivation("delta1", x) * \
         act.twisted_derivation("deltaK", y) + \
