@@ -149,9 +149,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 
-    def is_real(self) -> bool:
-        return not (self.b or self.d)
-
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.d)
 
@@ -247,9 +244,6 @@ class ExactField:
         return ExactScalar(self, *(f.numerator * (den // f.denominator)
                                    for f in parts), den)
 
-    def from_float(self, x: float) -> ExactScalar:
-        return self.from_rational(Fraction(x).limit_denominator(10 ** 12))
-
     def q_power(self, j: int) -> ExactScalar:
         return self.q_half_power(2 * j)
 
@@ -267,9 +261,6 @@ class ExactField:
 
     def float_q(self) -> float:
         return float(self.q_fraction)
-
-    def describe(self) -> dict:
-        return {"mode": "exact", "q": str(self.q_fraction), "surd": self.m}
 
 
 class FloatScalar:
@@ -303,15 +294,6 @@ class FloatScalar:
 
     def is_zero(self) -> bool:
         return abs(self.val) < self.field.negligible
-
-    def is_real(self) -> bool:
-        return abs(self.field.ctx.im(self.val)) < self.field.negligible
-
-    def is_rational(self) -> bool:
-        return self.is_real()
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(float(self.field.ctx.re(self.val))).limit_denominator(10 ** 15)
 
     def to_complex(self) -> complex:
         return complex(self.val)
@@ -386,7 +368,3 @@ class FloatField:
 
     def float_q(self) -> float:
         return self.q_float
-
-    def describe(self) -> dict:
-        return {"mode": "float", "q": repr(self.q_float), "precision": self.precision}
-

@@ -69,6 +69,8 @@ class SessionConfig:
             raise ValueError("precision must be at least 15 digits")
         if self.norm_truncation < 2:
             raise ValueError("norm truncation must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def q(self) -> Fraction:

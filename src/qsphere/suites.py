@@ -25,8 +25,7 @@ from .berezin import Berezin, LayerInconsistency
 from .gns import GnsContext
 from .qhopf import Algebra, AlgebraElement, make_algebra, monomials
 from .session import SCHEMA, SessionConfig
-from .uq_actions import (UqActions, haar_annihilates, leibniz_holds,
-                         sphere_monomials, star_rules_hold)
+from .uq_actions import ACTIONS, UqActions, sphere_monomials
 
 # exact-mode identity failures must surface as fail, never warn; warn is
 # reserved for this convergence check
@@ -180,22 +179,80 @@ def hopf_suite(cfg: SessionConfig):
         for x in elems + [alg.monomial(0, l, l) for l in range(3, 9)]))
 
 
+def leibniz_holds(actions: UqActions, x: AlgebraElement,
+                  y: AlgebraElement) -> bool:
+    """delta1, delta2 and delta3 each obey the twisted Leibniz rule
+    D(x y) = D(x) K(y) + K^-1(x) D(y) on the pair x, y."""
+    der = actions.twisted_derivation
+    xy = x * y
+    kx = der("deltaKinv", x)
+    ky = der("deltaK", y)
+    return all(der(label, xy) == der(label, x) * ky + kx * der(label, y)
+               for label in ("delta1", "delta2", "delta3"))
+
+
 def derivations_suite(cfg: SessionConfig):
-    """Twisted Leibniz, star rules, Haar annihilation, twisted trace on
-    100 seeded random pairs of degree <= 3."""
+    """The actions of uq_actions against the identities that pin its
+    pairing table.  Twisted Leibniz and the twisted trace on 100 seeded
+    random pairs of degree <= 3; symbolically on every monomial, or
+    monomial pair, of total degree <= 4: twisted Leibniz,
+    multiplicativity of deltaK, the star rules, Haar annihilation, Haar
+    invariance under deltaK and the grading of every action; conjugation
+    by the fundamental corepresentation on the sphere monomials of
+    degree <= 3.  The star rules and Haar annihilation are linear in x,
+    so their monomial form covers every element of degree <= 4."""
     alg = cfg.build_algebra()
     actions = UqActions(alg)
+    der = actions.twisted_derivation
     pairs = list(zip(random_elements(alg, 100, 3, cfg.seed),
                      random_elements(alg, 100, 3, cfg.seed + 1)))
     yield _exact("twisted-leibniz-100pairs",
                  all(leibniz_holds(actions, x, y) for x, y in pairs))
-    yield _exact("star-compatibility-100pairs",
-                 all(star_rules_hold(actions, x) for x, _ in pairs))
-    yield _exact("haar-annihilation-100pairs",
-                 all(haar_annihilates(actions, x) for x, _ in pairs))
     yield _exact("twisted-trace-100pairs", all(
         alg.haar(x * y) == alg.haar(alg.modular_twist(y) * x)
         for x, y in pairs))
+
+    monos = monomials(4)
+    elems = [AlgebraElement(alg, {m: alg.field.one}) for m in monos]
+    mono_pairs = [(x, y) for m1, x in zip(monos, elems)
+                  for m2, y in zip(monos, elems)
+                  if m1.total_degree() + m2.total_degree() <= 4]
+    yield _exact("twisted-leibniz-deg4",
+                 all(leibniz_holds(actions, x, y) for x, y in mono_pairs))
+    yield _exact("k-multiplicative-deg4", all(
+        der("deltaK", x * y) == der("deltaK", x) * der("deltaK", y)
+        for x, y in mono_pairs))
+    yield _exact("star-rules-deg4", all(
+        der("delta1", x.star()) == -(der("delta2", x).star())
+        and der("delta3", x.star()) == -(der("delta3", x).star())
+        for x in elems))
+    yield _exact("haar-annihilation-deg4", all(
+        alg.haar(der(label, x)).is_zero()
+        for x in elems for label in ("delta1", "delta2", "delta3")))
+    yield _exact("k-haar-invariance-deg4", all(
+        (alg.haar(der("deltaK", x)) - alg.haar(x)).is_zero() for x in elems))
+    # left actions act on the left tensor leg, so they keep the right
+    # degree; right actions keep the left degree
+    yield _exact("grading-deg4", all(
+        (n.left_degree() == m.left_degree() if side == "right"
+         else n.right_degree() == m.right_degree())
+        for m, x in zip(monos, elems)
+        for label, (side, _, _) in ACTIONS.items()
+        for n in der(label, x).terms))
+
+    # delta_matrix(x) = u [[0, p2], [p1, 0]] u* with u the fundamental
+    # corepresentation and (p1, p2) the right actions' Dirac components
+    u = alg.fundamental_corep()
+
+    def conjugates(x) -> bool:
+        lhs = actions.delta_matrix(x)
+        p1, p2 = actions.dirac_components(x)
+        return all(lhs[i][j] == u[i][0] * p2 * u[j][1].star()
+                   + u[i][1] * p1 * u[j][0].star()
+                   for i in (0, 1) for j in (0, 1))
+
+    yield _exact("corep-conjugation-deg3",
+                 all(map(conjugates, sphere_monomials(alg, 3))))
 
 
 def projections_suite(cfg: SessionConfig):

@@ -48,11 +48,15 @@ def test_c1_hopf_axioms_exact(cfg):
 
 
 def test_c2_twisted_derivations(cfg):
-    # 100 random pairs to degree 3: twisted Leibniz, star rules,
-    # state annihilation, twisted trace
+    # 100 random pairs to degree 3: twisted Leibniz, twisted trace; all
+    # monomials to degree 4: Leibniz, deltaK multiplicative, star rules,
+    # state annihilation and invariance, grading; conjugation by the
+    # fundamental corepresentation on sphere monomials to degree 3
     _run("2 twisted-derivations", "derivations", cfg, 120.0,
-         ["twisted-leibniz-100pairs", "star-compatibility-100pairs",
-          "haar-annihilation-100pairs", "twisted-trace-100pairs"])
+         ["twisted-leibniz-100pairs", "twisted-trace-100pairs",
+          "twisted-leibniz-deg4", "k-multiplicative-deg4", "star-rules-deg4",
+          "haar-annihilation-deg4", "k-haar-invariance-deg4", "grading-deg4",
+          "corep-conjugation-deg3"])
 
 
 def test_c3_compression_adjoints(cfg):

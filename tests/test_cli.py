@@ -159,6 +159,16 @@ def test_bad_input_writes_no_artifact(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "derivations"),
+    ("expand", "--expr", "A"),
+], ids=["verify", "expand"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "1/2", "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_out_path_that_cannot_be_written(capsys, tmp_path, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" \
@@ -326,12 +336,15 @@ def test_verify_fails_a_planted_identity_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--q", "1/2", "--suite",
                        "derivations")
     assert code == 2
+    leibniz = ("twisted-leibniz-100pairs", "twisted-leibniz-deg4")
     assert [(c["name"], c["status"], c["residual"])
             for c in json.loads(out)["checks"]] == [
-        ("twisted-leibniz-100pairs", "fail", 1.0),
-        ("star-compatibility-100pairs", "pass", 0.0),
-        ("haar-annihilation-100pairs", "pass", 0.0),
-        ("twisted-trace-100pairs", "pass", 0.0)]
+        (name, "fail", 1.0) if name in leibniz else (name, "pass", 0.0)
+        for name in ("twisted-leibniz-100pairs", "twisted-trace-100pairs",
+                     "twisted-leibniz-deg4", "k-multiplicative-deg4",
+                     "star-rules-deg4", "haar-annihilation-deg4",
+                     "k-haar-invariance-deg4", "grading-deg4",
+                     "corep-conjugation-deg3")]
 
 
 def test_verify_warns_on_an_unconverged_slice(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Twisted derivations: frozen values, Leibniz rule, star behaviour."""
+"""Twisted derivations: frozen values, Leibniz rule, star behaviour, and
+the derivations suite against planted faults."""
 
 from fractions import Fraction
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsphere import UqActions, make_algebra, make_algebra_float, uq_actions
-from qsphere.qhopf import GEN_A, GEN_AS, GEN_B, GEN_BS, generator_word, monomials
+from qsphere.qhopf import (GEN_A, GEN_AS, GEN_B, GEN_BS, Algebra,
+                           AlgebraElement, generator_word, monomials)
+from qsphere.session import SessionConfig
+from qsphere.suites import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -188,23 +192,86 @@ def test_actions_match_their_pairing_definition(q):
             assert act.twisted_derivation("delta4", x) == -d3, mono
 
 
-@pytest.mark.parametrize("eta,gen,value", [
-    ("e", GEN_B, lambda F: F.one / F.q),             # sign of <e,b>
-    ("f", GEN_BS, lambda F: -F.one),                 # sign of <f,bs>
-    ("k", GEN_A, lambda F: F.q_half_power(-1)),      # <k,a> = q^(-1/2)
-])
-def test_planted_pairing_fault_is_rejected(monkeypatch, eta, gen, value):
-    good = uq_actions._pairing_table
+def _table_fault(eta, gen, value):
+    def plant(monkeypatch):
+        good = uq_actions._pairing_table
 
-    def planted(F):
-        table = good(F)
-        table[eta][gen] = value(F)
-        return table
+        def planted(F):
+            table = good(F)
+            table[eta][gen] = value(F)
+            return table
 
-    monkeypatch.setattr(uq_actions, "_pairing_table", planted)
-    monkeypatch.setattr(uq_actions, "_ACCEPTED", set())
-    with pytest.raises(ValueError, match="pairing table rejected"):
-        UqActions(make_algebra(1, 2))
+        monkeypatch.setattr(uq_actions, "_pairing_table", planted)
+
+    return plant
+
+
+def _flipped_twist(monkeypatch):
+    # a^k b^l b*^m scaled by q^(2k) in place of q^(-2k)
+    def planted(alg, x):
+        return AlgebraElement(alg, {m: c * alg.field.q_power(2 * m.a_exp)
+                                    for m, c in x.terms.items()})
+
+    monkeypatch.setattr(Algebra, "modular_twist", planted)
+
+
+def _wrong_right_leg(monkeypatch):
+    # Delta b = a* (x) b + b (x) a* in place of a* (x) b + b (x) a
+    good = Algebra.coproduct_mono
+
+    def planted(alg, mono):
+        out = good(alg, mono)
+        if mono != GEN_B:
+            return out
+        out = dict(out)
+        out[GEN_B, GEN_AS] = out.pop((GEN_B, GEN_A))
+        return out
+
+    monkeypatch.setattr(Algebra, "coproduct_mono", planted)
+
+
+_STAR_FAILS = {"star-rules-deg4", "corep-conjugation-deg3"}
+
+# planted fault -> the derivations checks it fails, the same at every q
+# below; together they fail every check the suite yields
+_PLANTED_FAULTS = {
+    "e-b-sign": (_table_fault("e", GEN_B, lambda F: F.one / F.q),
+                 _STAR_FAILS),
+    "f-bs-sign": (_table_fault("f", GEN_BS, lambda F: -F.one), _STAR_FAILS),
+    "k-a-inverted": (
+        _table_fault("k", GEN_A, lambda F: F.q_half_power(-1)),
+        {"twisted-leibniz-100pairs", "twisted-leibniz-deg4",
+         "k-multiplicative-deg4", "star-rules-deg4", "haar-annihilation-deg4",
+         "k-haar-invariance-deg4", "corep-conjugation-deg3"}),
+    "twist-flipped": (_flipped_twist, {"twisted-trace-100pairs"}),
+    "b-right-leg": (
+        _wrong_right_leg,
+        {"twisted-leibniz-100pairs", "twisted-leibniz-deg4", "star-rules-deg4",
+         "haar-annihilation-deg4", "grading-deg4", "corep-conjugation-deg3"}),
+}
+
+_CONFIGS = {"1/2": SessionConfig(q_text="1/2"),
+            "9/10": SessionConfig(q_text="9/10"),
+            "1": SessionConfig(q_text="1"),
+            "0.37-float": SessionConfig(q_text="0.37", scalar_mode="float")}
+
+
+@pytest.mark.parametrize("q", ["9/10", "1", "0.37-float"])
+def test_derivations_suite_passes(q):
+    report = run_suite("derivations", _CONFIGS[q])
+    assert report.passed, [c.name for c in report.checks
+                           if c.status == "fail"]
+    assert {c.name for c in report.checks} == set().union(
+        *(fails for _, fails in _PLANTED_FAULTS.values()))
+
+
+@pytest.mark.parametrize("q", ["1/2", "9/10", "0.37-float"])
+@pytest.mark.parametrize("fault", list(_PLANTED_FAULTS))
+def test_planted_fault_fails_its_checks(monkeypatch, fault, q):
+    plant, fails = _PLANTED_FAULTS[fault]
+    plant(monkeypatch)
+    report = run_suite("derivations", _CONFIGS[q])
+    assert {c.name for c in report.checks if c.status == "fail"} == fails
 
 
 def test_classical_limit_diagonal():
