@@ -14,7 +14,7 @@ verification suites from `qsphere.suites`.
 from .berezin import Berezin, BerezinSpectrum, SliceCheck
 from .exprs import QExprError, canonical_json, element_to_obj, \
     element_to_text, parse_expression, scalar_to_obj
-from .gns import FuzzyVector, GnsContext, OperatorMatrix
+from .gns import FuzzyVector, GnsContext
 from .qhopf import Algebra, AlgebraElement, Monomial, TensorElement, \
     make_algebra, make_algebra_float
 from .session import SessionConfig, parse_q
@@ -24,9 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algebra", "AlgebraElement", "Berezin", "BerezinSpectrum",
-    "FuzzyVector", "GnsContext", "Monomial", "OperatorMatrix",
-    "QExprError", "SessionConfig", "SliceCheck", "TensorElement",
-    "UqActions", "canonical_json", "element_to_obj", "element_to_text",
-    "make_algebra", "make_algebra_float", "parse_expression", "parse_q",
-    "scalar_to_obj",
+    "FuzzyVector", "GnsContext", "Monomial", "QExprError",
+    "SessionConfig", "SliceCheck", "TensorElement", "UqActions",
+    "canonical_json", "element_to_obj", "element_to_text", "make_algebra",
+    "make_algebra_float", "parse_expression", "parse_q", "scalar_to_obj",
 ]

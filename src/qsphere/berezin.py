@@ -43,10 +43,8 @@ class LayerInconsistency(RuntimeError):
 
 @dataclass
 class BerezinSpectrum:
-    level: int
     eigenvalues: dict          # spin n -> scalar c_{N,n}
     verified_to: int           # layer constancy checked for n <= this
-    residual: float
 
     def eigenvalue(self, n: int):
         return self.eigenvalues[n]
@@ -57,7 +55,6 @@ class SliceCheck:
     lip_slice: float
     bound: float
     converged: bool
-    slice_element: AlgebraElement
 
 
 class Berezin:
@@ -73,7 +70,7 @@ class Berezin:
         self._moments: dict = {}         # (N, t) -> h_N(A^t)
         self._legs: dict = {}            # (N, r, n) -> W_N(r, n)
         self._slices: dict = {}          # (N, m) -> (1 (x) h_N) Delta(m)
-        self._spec_verified: dict = {}   # N -> (verified_to, residual)
+        self._spec_verified: dict = {}   # N -> verified_to
 
     # -- states ------------------------------------------------------------
 
@@ -185,20 +182,15 @@ class Berezin:
         vals = {n: fact[N] * fact[N + 1] / (fact[N - n] * fact[N + n + 1])
                 if n <= N else alg.field.zero for n in range(max_spin + 1)}
 
-        verified_to, residual = self._spec_verified.get(N, (0, 0.0))
+        verified_to = self._spec_verified.get(N, 0)
         if verify and verified_to < max_spin:
-            residual = max(residual,
-                           self._verify_layers(N, verified_to + 1, max_spin,
-                                               vals))
-            self._spec_verified[N] = (max_spin, residual)
-            verified_to = max_spin
-        return BerezinSpectrum(N, vals, verified_to, residual)
+            self._verify_layers(N, verified_to + 1, max_spin, vals)
+            verified_to = self._spec_verified[N] = max_spin
+        return BerezinSpectrum(vals, verified_to)
 
-    def _verify_layers(self, N: int, lo: int, hi: int, vals: dict) -> float:
+    def _verify_layers(self, N: int, lo: int, hi: int, vals: dict) -> None:
         exact = self.alg.field.mode == "exact"
-        basis = self.gns.fuzzy_basis(hi)
-        worst = 0.0
-        for v in basis.vectors:
+        for v in self.gns.fuzzy_basis(hi):
             if v.spin < lo or v.spin > hi:
                 continue
             img = self.via_coproduct(v.element, N)
@@ -211,12 +203,10 @@ class Berezin:
             else:
                 mag = max((abs(c.to_complex()) for c in r.terms.values()),
                           default=0.0)
-                worst = max(worst, mag)
                 if mag > 1e-10:
                     raise LayerInconsistency(
                         "spin-%d weight-%d vector off by %g"
                         % (v.spin, v.weight, mag))
-        return worst
 
     def via_spectrum(self, x: AlgebraElement, N: int) -> AlgebraElement:
         """Spectral route: scale each spin layer by its eigenvalue."""
@@ -262,5 +252,4 @@ class Berezin:
             lip_slice=lip_y.value.lower_bound,
             bound=bound,
             converged=lip_x.value.converged and lip_y.value.converged,
-            slice_element=y,
         )

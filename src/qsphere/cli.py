@@ -330,19 +330,14 @@ def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
 def _cmd_dist(ns, cfg: SessionConfig) -> int:
     from . import mkdist
     ber = Berezin(GnsContext(cfg.build_algebra()))
-    try:
-        prob = mkdist.OptimizationProblem(
-            N=ns.N, M=cfg.search_truncation,
-            norm_truncation=cfg.norm_truncation, mode=ns.mode)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    est = mkdist.estimate_distance(ber, prob)
+    est = mkdist.estimate_distance(ber, ns.N, cfg.search_truncation,
+                                   cfg.norm_truncation, ns.mode)
     payload = {
         "value": est.value,
-        "mode": est.mode,
-        "N": est.N,
-        "M": est.M,
-        "normTruncation": est.norm_truncation,
+        "mode": ns.mode,
+        "N": ns.N,
+        "M": cfg.search_truncation,
+        "normTruncation": cfg.norm_truncation,
         "certifiedValue": est.certified_value,
         "heuristicValue": est.heuristic_value,
         "degraded": est.degraded,
@@ -519,6 +514,11 @@ def main(argv=None) -> int:
                 {"schema": SCHEMA, "kind": "config",
                  "config": cfg.to_obj()}))
             return 0
+        if cfg.output_format == "csv" and not (
+                ns.command in ("spectrum", "sweep")
+                or ns.command == "verify" and not ns.suite):
+            raise UsageError(f"{ns.command} writes no CSV; --format csv is "
+                             "for spectrum, sweep and verify --N")
         return _COMMANDS[ns.command](ns, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Everything here happens inside the GNS space of the Haar state h: the
 inner product h(x* y), one Gram-Schmidt under it, the fuzzy bases of
-the equator sphere's degree filtration, projections onto them, matrix
-compressions of the twisted derivations.
+the equator sphere's degree filtration as lists of FuzzyVector,
+projections onto them, compressions of the twisted derivations as rows.
 
 No inner product multiplies algebra elements.  h(m1* m2) vanishes
 unless the monomials m1 = a^k b^l1 b*^n1 and m2 = a^k b^l2 b*^n2 share
@@ -328,58 +328,6 @@ class FuzzyVector(NamedTuple):
     weight: int
 
 
-class FuzzyBasis:
-    """Orthogonal basis of the degree filtration, tagged and ordered.
-
-    vectors[i].element are pairwise h-orthogonal with exact squared
-    norms vectors[i].snorm; the span of the spin <= N prefix equals the
-    span of all degree <= N monomials in the sphere generators.
-    """
-
-    def __init__(self, level: int, vectors: list):
-        self.level = level
-        self.vectors = vectors
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-class OperatorMatrix:
-    """Compression of a linear map to a fuzzy basis.
-
-    Entries are scalars against the stored (orthogonal, unnormalized)
-    basis; snorms carry the metric, so the adjoint is
-    (T+)_ij = conj(T_ji) s_j / s_i.
-    """
-
-    def __init__(self, entries: list, basis: FuzzyBasis):
-        self.entries = entries
-        self.basis = basis
-
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def adjoint(self) -> "OperatorMatrix":
-        n = self.dim()
-        s = [v.snorm for v in self.basis.vectors]
-        out = [[(self.entries[j][i].conjugate() * s[j]) / s[i]
-                for j in range(n)] for i in range(n)]
-        return OperatorMatrix(out, self.basis)
-
-    def scale(self, scal) -> "OperatorMatrix":
-        return OperatorMatrix([[e * scal for e in row] for row in self.entries],
-                              self.basis)
-
-    def sub(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        n = self.dim()
-        return OperatorMatrix(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(n)]
-             for i in range(n)], self.basis)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-
 class GnsContext:
     """Fuzzy bases, projections and derivation compressions for one
     algebra; the chains behind the bases are cached on the algebra."""
@@ -390,10 +338,11 @@ class GnsContext:
 
     # -- fuzzy basis -------------------------------------------------------
 
-    def fuzzy_basis(self, N: int) -> FuzzyBasis:
-        """Spin <= N vectors, by spin, then weight descending: the
+    def fuzzy_basis(self, N: int) -> list:
+        """Spin <= N FuzzyVectors, by spin, then weight descending: the
         spin-d, weight-2k vector is right-degree-0 chain k at position
-        d - |k|."""
+        d - |k|.  They are pairwise h-orthogonal, with exact squared
+        norms snorm."""
         if N < 0:
             raise ValueError("level must be non-negative")
         ortho = _graded_ortho(self.alg, 0)
@@ -403,7 +352,7 @@ class GnsContext:
             for k in range(d, -d - 1, -1):
                 vec, snorm = ortho.chains[k]["vecs"][d - abs(k)]
                 vectors.append(FuzzyVector(vec, snorm, d, 2 * k))
-        return FuzzyBasis(N, vectors)
+        return vectors
 
     # -- projections -------------------------------------------------------
 
@@ -415,23 +364,25 @@ class GnsContext:
         the sphere filtration degree."""
         cap = x.sphere_degree() if max_spin is None else max_spin
         out: dict = {}
-        for v in self.fuzzy_basis(cap).vectors:
+        for v in self.fuzzy_basis(cap):
             coeff = haar_inner(self.alg, v.element, x) / v.snorm
             _accumulate(out, v.spin, v.element.scale(coeff))
         return out
 
     # -- derivation compressions --------------------------------------------
 
-    def operator_matrix_of(self, label: str, M: int) -> OperatorMatrix:
-        """Matrix of a twisted derivation on the level-M fuzzy subspace.
+    def operator_matrix_of(self, label: str, M: int) -> list:
+        """Matrix of a twisted derivation on the level-M fuzzy subspace,
+        as rows [[<v_i, D v_j> / s_i]] over fuzzy_basis(M).
 
-        The derivations preserve each spin layer, so the compression is
-        exact: a nonzero remainder outside the span signals a bug and
-        raises.
+        The entries are against the stored (orthogonal, unnormalized)
+        basis, whose squared norms s_i carry the metric: the adjoint is
+        (T+)_ij = conj(T_ji) s_j / s_i.  The derivations preserve each
+        spin layer, so the compression is exact: a nonzero remainder
+        outside the span signals a bug and raises.
         """
         basis = self.fuzzy_basis(M)
         alg = self.alg
-        n = len(basis.vectors)
         if alg.field.mode == "exact":
             leak_tol = 0.0
         else:
@@ -440,10 +391,10 @@ class GnsContext:
             # would sit many orders of magnitude above this
             leak_tol = float(alg.field.negligible) ** 0.5
         cols = []
-        for v in basis.vectors:
+        for v in basis:
             img = self.actions.twisted_derivation(label, v.element)
             col = []
-            for w in basis.vectors:
+            for w in basis:
                 c = haar_inner(alg, w.element, img) / w.snorm
                 col.append(c)
                 if not c.is_zero():
@@ -454,5 +405,4 @@ class GnsContext:
                 raise RuntimeError("derivation %s left the level-%d span "
                                    "(leak %g)" % (label, M, leak))
             cols.append(col)
-        entries = [[cols[j][i] for j in range(n)] for i in range(n)]
-        return OperatorMatrix(entries, basis)
+        return [list(row) for row in zip(*cols)]

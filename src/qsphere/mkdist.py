@@ -60,34 +60,6 @@ _LP_MAX_PIVOTS = 1000
 
 
 @dataclass(frozen=True)
-class OptimizationProblem:
-    """Search configuration for one distance lower bound.
-
-    N is the level of the twisted state, M the fuzzy truncation whose
-    charge-0 span is searched, norm_truncation the representation size
-    used for seminorm values.  The search is the same in both modes:
-    one linear program on the truncated seminorm, plus the probes.
-    certified mode divides by the crude upper bound of the Lip
-    seminorm, so the reported value is a true lower bound of the
-    distance; heuristic mode divides by the truncated-representation
-    lower bound.
-    """
-
-    N: int
-    M: int
-    norm_truncation: int = 100
-    mode: str = "certified"
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("level N must be >= 1")
-        if self.M < 1:
-            raise ValueError("search truncation M must be >= 1")
-        if self.mode not in ("certified", "heuristic"):
-            raise ValueError("mode must be certified or heuristic")
-
-
-@dataclass(frozen=True)
 class DistanceEstimate:
     """One witness-based lower bound, with the post-hoc recomputed value.
 
@@ -99,10 +71,6 @@ class DistanceEstimate:
 
     value: float
     witness: AlgebraElement
-    mode: str
-    N: int
-    M: int
-    norm_truncation: int
     certified_value: float
     heuristic_value: float
     degraded: bool = False
@@ -129,7 +97,6 @@ class ChargeZeroLP(NamedTuple):
 class InequalityReport:
     ratio: float
     flagged: bool
-    norm_lower: float
     approximant: ApproximantReport
 
 
@@ -186,7 +153,7 @@ def selfadjoint_basis(gns, M: int, charge_zero: bool = False) -> list:
     half = alg.field.from_rational(1, 2)
     i_unit = alg.field.from_parts(0, 1)
     out = []
-    for vec in gns.fuzzy_basis(M).vectors:
+    for vec in gns.fuzzy_basis(M):
         if vec.spin == 0 or vec.weight < 0 or (charge_zero and vec.weight):
             continue
         v = vec.element
@@ -463,33 +430,43 @@ def _rationalize(coords: np.ndarray,
     return out
 
 
-def estimate_distance(ber: Berezin, problem: OptimizationProblem,
+def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
+                      mode: str = "certified",
                       probes: Sequence | None = None) -> DistanceEstimate:
     """Search the charge-0 fuzzy span for a distance witness.
 
-    The candidate pool is the linear program's optimal witness plus the
-    probes restricted to the span's degree: probes is a sequence of
-    (element, its lip_norm estimate at the norm truncation) pairs,
-    default_probes when omitted.  Every candidate is rescored from its
-    exact element both ways, over the certified and over the truncated
-    Lip scale, so certified values stay true lower bounds and the result
-    dominates the trivial witnesses; if the optimum does not beat them,
-    or the linear program cannot be solved, the probe bound is returned
-    with degraded=True.
+    N is the level of the twisted state, M the fuzzy truncation whose
+    charge-0 span is searched, norm_truncation the representation size
+    of the seminorm values.  The candidate pool is the linear program's
+    optimal witness plus the probes restricted to the span's degree:
+    probes is a sequence of (element, its lip_norm estimate at the norm
+    truncation) pairs, default_probes when omitted.  Both modes search
+    alike, and every candidate is rescored from its exact element both
+    ways: certified mode divides by the crude upper bound of the Lip
+    seminorm, so its values stay true lower bounds of the distance,
+    heuristic mode by the truncated-representation lower bound.  The
+    result dominates the trivial witnesses; if the optimum does not beat
+    them, or the linear program cannot be solved, the probe bound is
+    returned with degraded=True.
     """
+    if N < 1:
+        raise ValueError("level N must be >= 1")
+    if M < 1:
+        raise ValueError("search truncation M must be >= 1")
+    if mode not in ("certified", "heuristic"):
+        raise ValueError("mode must be certified or heuristic")
     actions = ber.gns.actions
-    trunc = problem.norm_truncation
 
     def lip_of(w):
-        return lip_norm(actions, w, trunc, ladder=False).value
+        return lip_norm(actions, w, norm_truncation, ladder=False).value
 
     if probes is None:
         probes = [(p, lip_of(p)) for p in default_probes(ber.alg)
-                  if p.sphere_degree() <= problem.M]
+                  if p.sphere_degree() <= M]
     candidates = [(f"probe{j}", p, (), lip) for j, (p, lip)
-                  in enumerate(probes) if p.sphere_degree() <= problem.M]
+                  in enumerate(probes) if p.sphere_degree() <= M]
     try:
-        lp = charge_zero_lp(ber, problem.N, problem.M, trunc)
+        lp = charge_zero_lp(ber, N, M, norm_truncation)
     except ValueError:
         # the float rows of high-degree elements can lose every digit
         # (spin 10 and up at q = 1/2); the probes still bound the distance
@@ -500,8 +477,7 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
 
     scored = []
     for tag, w, coords, lip in candidates:
-        num = abs(_real_value(ber.h_twisted(w, problem.N)
-                              - ber.alg.counit(w)))
+        num = abs(_real_value(ber.h_twisted(w, N) - ber.alg.counit(w)))
         # certified scale: the crude bound; truncated: the seminorm
         upper, lower = lip.upper_bound, lip.lower_bound
         if upper <= 1e-14 or lower <= 1e-14:
@@ -512,17 +488,13 @@ def estimate_distance(ber: Berezin, problem: OptimizationProblem,
 
     cert_best = max(scored, key=lambda s: s[3])
     heur_best = max(scored, key=lambda s: s[4])
-    pick = cert_best if problem.mode == "certified" else heur_best
+    pick = cert_best if mode == "certified" else heur_best
     tag, witness, coords, cval, hval = pick
-    value = cval if problem.mode == "certified" else hval
+    value = cval if mode == "certified" else hval
     degraded = tag.startswith("probe")
     return DistanceEstimate(
         value=value,
         witness=witness,
-        mode=problem.mode,
-        N=problem.N,
-        M=problem.M,
-        norm_truncation=problem.norm_truncation,
         certified_value=cert_best[3],
         heuristic_value=heur_best[4],
         degraded=degraded,
@@ -551,13 +523,10 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
     if upper <= 1e-14:
         raise ValueError("scalar elements have no Lip scale")
     app = theorem_b_approximant(ber, x, N, trunc, lip_x)
-    norm_lower = app.dist_slack
-    ratio = norm_lower / upper
-    reference = d_estimate.heuristic_value
+    ratio = app.dist_slack / upper
     return InequalityReport(
         ratio=ratio,
-        flagged=ratio > reference + gap,
-        norm_lower=norm_lower,
+        flagged=ratio > d_estimate.heuristic_value + gap,
         approximant=app,
     )
 

@@ -69,6 +69,9 @@ class SessionConfig:
             raise ValueError("precision must be at least 15 digits")
         if self.norm_truncation < 2:
             raise ValueError("norm truncation must be at least 2")
+        if not 0 <= self.estimator_gap < float("inf"):   # NaN fails too
+            raise ValueError("estimator gap must be finite and "
+                             f"non-negative, got {self.estimator_gap}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -266,23 +266,24 @@ def projections_suite(cfg: SessionConfig):
     alg = cfg.build_algebra()
     gns = GnsContext(alg)
     t1, t2, t3 = (gns.operator_matrix_of(f"delta{i}", 5) for i in (1, 2, 3))
-    spins = [v.spin for v in t1.basis.vectors]
+    basis = gns.fuzzy_basis(5)
+    s = [v.snorm for v in basis]
+    pairs = [(i, j) for i in range(len(s)) for j in range(len(s))]
 
     def prefix_residual(T, S, scal) -> float:
-        # T - scal * adjoint(S); the adjoint weights depend only on the
-        # vector norms, so prefix blocks of the adjoint are adjoints of
-        # prefix blocks
-        R = T.sub(S.adjoint().scale(scal))
-        return max(abs(e.to_complex()) for row in R.entries for e in row)
+        # T - scal * adjoint(S), adjoint(S)_ij = conj(S_ji) s_j / s_i; the
+        # adjoint weights depend only on the vector norms, so prefix
+        # blocks of the adjoint are adjoints of prefix blocks
+        return max(abs((T[i][j] - (S[j][i].conjugate() * s[j]) / s[i] * scal)
+                       .to_complex()) for i, j in pairs)
 
     r12 = prefix_residual(t1, t2, alg.field.one / alg.field.q)
     yield "adjoint-pattern-delta12-M5", r12 == 0.0, r12
     r33 = prefix_residual(t3, t3, alg.field.one)
     yield "selfadjoint-delta3-M5", r33 == 0.0, r33
 
-    worst = max([0.0, *(abs(T.entries[i][j].to_complex())
-                        for T in (t1, t2, t3) for i in range(T.dim())
-                        for j in range(T.dim()) if spins[i] != spins[j])])
+    worst = max([0.0, *(abs(T[i][j].to_complex()) for T in (t1, t2, t3)
+                        for i, j in pairs if basis[i].spin != basis[j].spin)])
     yield "projection-commutation-M5", worst == 0.0, worst
 
 
@@ -362,10 +363,8 @@ def theoremb_rows(cfg: SessionConfig, n_values) -> list:
               for p in mkdist.default_probes(alg)]
     rows = []
     for N in n_values:
-        prob = mkdist.OptimizationProblem(
-            N=N, M=cfg.search_truncation,
-            norm_truncation=cfg.norm_truncation, mode="certified")
-        est = mkdist.estimate_distance(ber, prob, probes)
+        est = mkdist.estimate_distance(ber, N, cfg.search_truncation,
+                                       cfg.norm_truncation, probes=probes)
         ratios = []
         flags = []
         slacks = []

@@ -105,6 +105,22 @@ def test_frozen_surd_artifacts(capsys, argv, sha256, text):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("q,suite,sha256", [
+    ("1/2", "projections",
+     "bc2bb07d7abb9003531917f33fe46567691141dd0add0b359293e43051cc2641"),
+    ("9/10", "projections",
+     "acdf4f2ea7a9a2391207688fa079e7bc74ba3ee65acaf98a3dc0a071605390e3"),
+    ("1/2", "berezin",
+     "fcd1fb4cfd7f012c4a8036bb61539af06bbe360a9d909f43ac1e9a8578cc0559"),
+], ids=["projections-half", "projections-nine", "berezin-half"])
+def test_frozen_exact_verify_artifacts(capsys, q, suite, sha256):
+    # exact-mode reports of the compressions and the checked spectra:
+    # every residual is a literal zero, so the bytes do not depend on BLAS
+    code, out, _ = run(capsys, "verify", "--q", q, "--suite", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 _CONFIG_KEYS = {"q", "scalarMode", "precision", "normTruncation",
                 "searchTruncation", "trendTol", "estimatorGap", "seed",
                 "cacheDir", "outputFormat"}
@@ -167,6 +183,32 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--q", "1/2", "--seed", "-1")
     assert code == 1 and out == ""
     assert err == "error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("gap", ["nan", "inf", "-5"])
+def test_gap_that_decides_the_check_is_a_usage_error(capsys, gap):
+    # `ratio > reference + gap` never holds at a NaN or infinite gap, so
+    # probe-ratios-within-gap could not fail; a negative gap fails it on
+    # sound input
+    code, out, err = run(capsys, "verify", "--q", "1/2", "--suite",
+                         "theoremb", "--gap", gap)
+    assert code == 1 and out == ""
+    assert err == ("error: estimator gap must be finite and non-negative, "
+                   f"got {float(gap)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("haar", "--expr", "A"),
+    ("berezin", "--N", "1", "--expr", "A"),
+    ("verify", "--suite", "hopf"),
+], ids=["haar", "berezin", "verify-suite"])
+def test_csv_is_a_usage_error_without_a_csv_form(capsys, argv):
+    # a CSV of berezin could hold the spectrum table but not the
+    # transformed element
+    code, out, err = run(capsys, *argv, "--q", "1/2", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err == (f"error: {argv[0]} writes no CSV; --format csv is for "
+                   "spectrum, sweep and verify --N\n")
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])

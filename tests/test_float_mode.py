@@ -102,7 +102,7 @@ def test_fuzzy_basis_float_matches_exact(level):
     flt = GnsContext(make_algebra_float(0.5)).fuzzy_basis(level)
     ex = GnsContext(make_algebra(1, 2)).fuzzy_basis(level)
     assert len(flt) == len(ex) == (level + 1) ** 2
-    for v, w in zip(flt.vectors, ex.vectors):
+    for v, w in zip(flt, ex):
         assert (v.spin, v.weight) == (w.spin, w.weight)
         assert float(v.snorm.to_complex().real) == float(w.snorm.as_fraction())
 

@@ -10,10 +10,10 @@ from qsphere import GnsContext, UqActions, make_algebra
 from qsphere import mkdist, specnorm
 from qsphere.berezin import Berezin
 from qsphere.exprs import element_to_text
-from qsphere.mkdist import (OptimizationProblem, _ShiftDenominator,
-                            approx_inequality_check, charge_zero_lp,
-                            default_probes, estimate_distance,
-                            selfadjoint_basis, theorem_b_approximant)
+from qsphere.mkdist import (_ShiftDenominator, approx_inequality_check,
+                            charge_zero_lp, default_probes,
+                            estimate_distance, selfadjoint_basis,
+                            theorem_b_approximant)
 from qsphere.qhopf import AlgebraElement
 from qsphere.suites import random_elements
 
@@ -76,26 +76,24 @@ def general_span_ascents(ber, N, M, norm_truncation=200, restarts=8,
 
 @pytest.fixture(scope="module")
 def est1(ber_half):
-    prob = OptimizationProblem(N=1, M=2, **SMALL)
-    return estimate_distance(ber_half, prob)
+    return estimate_distance(ber_half, 1, 2, **SMALL)
 
 
 @pytest.fixture(scope="module")
 def est1_heur(ber_half):
-    prob = OptimizationProblem(N=1, M=2, mode="heuristic", **SMALL)
-    return estimate_distance(ber_half, prob)
+    return estimate_distance(ber_half, 1, 2, mode="heuristic", **SMALL)
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        OptimizationProblem(N=0, M=2)
-    with pytest.raises(ValueError):
-        OptimizationProblem(N=1, M=0)
-    with pytest.raises(ValueError):
-        OptimizationProblem(N=1, M=2, mode="exact")
+def test_problem_validation(ber_half):
+    with pytest.raises(ValueError, match="level N"):
+        estimate_distance(ber_half, 0, 2)
+    with pytest.raises(ValueError, match="search truncation M"):
+        estimate_distance(ber_half, 1, 0)
+    with pytest.raises(ValueError, match="mode"):
+        estimate_distance(ber_half, 1, 2, mode="exact")
     for gone in ("restarts", "max_iters", "seed"):
         with pytest.raises(TypeError):
-            OptimizationProblem(N=1, M=2, **{gone: 1})
+            estimate_distance(ber_half, 1, 2, **{gone: 1})
 
 
 def test_basis_structure(gns_half, alg_half):
@@ -112,7 +110,6 @@ def test_frozen_level_one_value(est1):
     want = float(Fraction(4, 21) / 4)
     assert est1.certified_value == pytest.approx(want, rel=1e-12)
     assert est1.value == est1.certified_value
-    assert est1.mode == "certified"
 
 
 def test_cert_below_heur(est1):
@@ -137,16 +134,14 @@ def test_scale_and_shift_invariance(ber_half, alg_half, est1):
 
 
 def test_deterministic(ber_half, est1):
-    prob = OptimizationProblem(N=1, M=2, **SMALL)
-    again = estimate_distance(ber_half, prob)
+    again = estimate_distance(ber_half, 1, 2, **SMALL)
     assert again.value == est1.value
     assert again.witness == est1.witness
     assert again.coords == est1.coords
 
 
 def test_monotone_in_search_space(ber_half, est1):
-    prob = OptimizationProblem(N=1, M=1, **SMALL)
-    small = estimate_distance(ber_half, prob)
+    small = estimate_distance(ber_half, 1, 1, **SMALL)
     assert small.value <= est1.value + 1e-12
 
 
@@ -323,10 +318,10 @@ def test_search_runs_one_ascent_per_start(monkeypatch, ber_half, ber_one,
         return sigma(self, c)
 
     monkeypatch.setattr(mkdist, "_ascend", spied)
-    estimate_distance(ber_half, OptimizationProblem(N=1, M=4))
-    estimate_distance(ber_one, OptimizationProblem(N=1, M=2, **SMALL))
+    estimate_distance(ber_half, 1, 4)
+    estimate_distance(ber_one, 1, 2, **SMALL)
     monkeypatch.setattr(_ShiftDenominator, "sigma_and_grad", refuse)
-    estimate_distance(ber_half, OptimizationProblem(N=2, M=3))
+    estimate_distance(ber_half, 2, 3)
     assert kinds == []
     monkeypatch.setattr(_ShiftDenominator, "sigma_and_grad", sigma)
     general_span_ascents(ber_half, 1, 2, norm_truncation=60, restarts=3,
@@ -401,8 +396,8 @@ def test_estimate_reports_the_span_optimum(ber_half):
     # q = 1/2, M = 4: N = 1 and 2 reach the optima that the previous
     # ascent missed by about 1% (0.569217 and 0.247085)
     for N, want in ((1, 0.575297), (2, 0.253168)):
-        est = estimate_distance(ber_half, OptimizationProblem(
-            N=N, M=4, norm_truncation=200, mode="heuristic"))
+        est = estimate_distance(ber_half, N, 4, norm_truncation=200,
+                                mode="heuristic")
         assert est.value == pytest.approx(want, abs=1e-6)
         assert est.source == "lp" and not est.degraded
         assert len(est.coords) == 4
@@ -532,12 +527,12 @@ def _lip(ber, x, trunc):
 
 def test_probe_ratios_within_estimate(ber_half, alg_half, est1):
     for p in default_probes(alg_half):
-        rep = approx_inequality_check(ber_half, p, 1, est1, 100,
-                                      _lip(ber_half, p, 100))
+        lip = _lip(ber_half, p, 100)
+        rep = approx_inequality_check(ber_half, p, 1, est1, 100, lip)
         assert rep.ratio <= est1.heuristic_value + 0.05
         assert not rep.flagged
         # the defect norm is the approximant report's, not a second one
-        assert rep.norm_lower == rep.approximant.dist_slack
+        assert rep.ratio == rep.approximant.dist_slack / lip.upper_bound
         assert rep.approximant.approximant == ber_half.via_coproduct(p, 1)
 
 
