@@ -4,8 +4,8 @@ Layers, bottom up: exact and high-precision scalar fields, the quantum
 group algebra with Haar state, an expression grammar with canonical
 serialization, twisted derivations, matrix-seminorm contexts, and the
 level-N transform with its spin spectrum.  The package root exports
-only these exact layers, so `import qsphere` loads neither numpy nor
-scipy.  The numerical layers are imported by name: norm and seminorm
+only these exact layers, so `import qsphere` loads no numpy.  The
+numerical layers, on numpy alone, are imported by name: norm and seminorm
 estimators from `qsphere.specnorm`, distance lower bounds between the
 level-N state and the counit from `qsphere.mkdist`, and the
 verification suites from `qsphere.suites`.

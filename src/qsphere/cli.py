@@ -55,7 +55,10 @@ def _build_parser() -> _Parser:
                         help="estimator-quality gap for probe ratios")
     common.add_argument("--cache-dir", default="",
                         help="cache directory (default: QSPHERE_CACHE)")
-    common.add_argument("--format", default="json", choices=("json", "csv"))
+    # None when not given: verify --N and sweep refuse an explicit json
+    common.add_argument("--format", choices=("json", "csv"),
+                        help="artifact format (default json; verify --N "
+                             "and sweep write only CSV)")
     common.add_argument("--out", default="",
                         help="write the artifact to this path instead of stdout")
     common.add_argument("--print-config", action="store_true",
@@ -136,7 +139,7 @@ def _config_from(ns) -> SessionConfig:
             estimator_gap=ns.gap,
             seed=ns.seed,
             cache_dir=ns.cache_dir,
-            output_format=ns.format,
+            output_format=ns.format or "json",
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -519,6 +522,12 @@ def main(argv=None) -> int:
                 or ns.command == "verify" and not ns.suite):
             raise UsageError(f"{ns.command} writes no CSV; --format csv is "
                              "for spectrum, sweep and verify --N")
+        if ns.format == "json" and (
+                ns.command == "sweep" or ns.command == "verify"
+                and ns.n_range and not (ns.suite or ns.list_suites)):
+            what = "sweep" if ns.command == "sweep" else "verify --N"
+            raise UsageError(f"{what} writes only CSV; omit --format or "
+                             "give --format csv")
         return _COMMANDS[ns.command](ns, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,11 +42,13 @@ from .qhopf import AlgebraElement
 from .berezin import Berezin
 from .specnorm import (
     NormEstimate,
+    PaddedRows,
     RepTruncation,
     delta_block_grid,
     delta_block_matrix,
     lip_norm,
     operator_norm,
+    row_slots,
     top_singular_triplet,
 )
 
@@ -206,16 +208,17 @@ def _shift_rows(actions, basis: Sequence[AlgebraElement],
     elements' truncated derivation matrices.  Each row and column of the
     pattern must hold one entry: then T(c) = sum_r c_r D_r is a phased
     permutation and ||T(c)|| = max |R c|."""
-    mats = [delta_block_matrix(actions, u, trunc).tocoo() for u in basis]
+    mats = [delta_block_matrix(actions, u, trunc) for u in basis]
     n = mats[0].shape[0]
-    keys = np.unique(np.concatenate([D.row * n + D.col for D in mats]))
+    mats = [D.entries() for D in mats]
+    keys = np.unique(np.concatenate([i * n + j for i, j, _v in mats]))
     rows, cols = np.divmod(keys, n)
     if len(np.unique(rows)) < len(keys) or len(np.unique(cols)) < len(keys):
         raise ValueError("derivation matrices of the charge-0 basis share "
                          "a row or a column")
     V = np.zeros((len(keys), len(basis)), dtype=complex)
-    for j, D in enumerate(mats):
-        V[np.searchsorted(keys, D.row * n + D.col), j] = D.data
+    for r, (i, j, v) in enumerate(mats):
+        V[np.searchsorted(keys, i * n + j), r] = v
     return _real_rows(V)
 
 
@@ -328,11 +331,10 @@ class _ShiftDenominator:
     for a dense SVD with vectors (q = 1/2, M = 4, norm truncation 200,
     one AMD EPYC core).  T(c) and the gradient are each one sparse
     product on a sparsity pattern fixed at construction, and the adjoint
-    is a permutation of T(c)'s data.
+    holds a permutation of T(c)'s entries.
     """
 
     def __init__(self, actions, basis: Sequence[AlgebraElement], M: int):
-        from scipy import sparse   # here, so importing qsphere skips scipy
         q = basis[0].alg.field.float_q()
         trunc = RepTruncation(q, M, 0.0)
         self.M = M
@@ -340,36 +342,34 @@ class _ShiftDenominator:
         n = self.n = self.mats[0].shape[0]
         # union sparsity pattern, keyed row * n + col in CSR order; S has
         # one row per pattern entry and one column per basis matrix, so
-        # S @ c is the data of T(c), and the permutation takes the
-        # pattern to the CSR order of the transpose
-        keys = [np.repeat(np.arange(n), np.diff(D.indptr)) * n + D.indices
-                for D in self.mats]
-        mask = np.zeros(n * n, dtype=bool)
-        for k in keys:
-            mask[k] = True
-        pattern = np.flatnonzero(mask)
-        self.S = sparse.csr_matrix(
-            (np.concatenate([D.data for D in self.mats]),
-             (np.searchsorted(pattern, np.concatenate(keys)),
-              np.repeat(np.arange(len(keys)), [len(k) for k in keys]))),
-            shape=(len(pattern), len(keys)))
-        self.ST = self.S.T.tocsr()
+        # S @ c holds the entries of T(c), and perm takes the pattern to
+        # the CSR order of the adjoint
+        ents = [D.entries() for D in self.mats]
+        keys = np.concatenate([i * n + j for i, j, _v in ents])
+        pattern = np.unique(keys)
+        at = np.searchsorted(pattern, keys)
+        basis_of = np.repeat(np.arange(len(ents)), [len(e[0]) for e in ents])
+        vals = np.concatenate([v for *_ij, v in ents])
+        self.S = PaddedRows.from_entries(at, basis_of, vals,
+                                         (len(pattern), len(ents)))
+        self.ST = PaddedRows.from_entries(basis_of, at, vals,
+                                          (len(ents), len(pattern)))
         self.rows, self.cols = np.divmod(pattern, n)
-        self.perm = np.argsort(self.cols * n + self.rows)
-        self.T = sparse.csr_matrix(
-            (np.zeros(len(pattern), dtype=complex), self.cols,
-             np.searchsorted(self.rows, np.arange(n + 1))), shape=(n, n))
-        self.TH = sparse.csr_matrix(
-            (np.zeros(len(pattern), dtype=complex), self.rows[self.perm],
-             np.searchsorted(self.cols[self.perm], np.arange(n + 1))),
-            shape=(n, n))
+        self.perm = np.lexsort((self.rows, self.cols))
+        zeros = np.zeros(len(pattern))
+        self.T = PaddedRows.from_entries(self.rows, self.cols, zeros, (n, n))
+        self.TH = PaddedRows.from_entries(self.cols, self.rows, zeros, (n, n))
+        self.slots = self.rows, row_slots(self.rows)
+        self.adjoint_slots = self.cols[self.perm], row_slots(
+            self.cols[self.perm])
 
     def sigma_and_grad(self, c: np.ndarray):
         # T(c) = sum_r c_r D_r: each pattern entry sums its terms in
         # basis order, the roundings of sequential sparse adds
         T, TH = self.T, self.TH
-        T.data[:] = self.S @ c
-        np.conjugate(T.data[self.perm], out=TH.data)
+        vals = self.S @ c
+        T.data[self.slots] = vals
+        TH.data[self.adjoint_slots] = vals[self.perm].conj()
         sigma, u, v = top_singular_triplet(T, TH, M=self.M)
         if sigma < _TINY:
             return 0.0, np.zeros(len(self.mats)), v

@@ -3,10 +3,11 @@
 For 0 < q < 1 every element is represented on the weighted-shift model
 (a acts as a raising shift with weights sqrt(1 - q^(2n+2)), b as the
 diagonal e^(i theta) q^n), where each monomial is one offset diagonal.
-Truncated to M dimensions, each matrix is one CSR assembled once, and
-its compression norm increases to the true norm.  At q = 1 the algebra
-is commutative and elements are evaluated on an angle grid instead;
-that path reports itself as grid-resolution-limited.
+Truncated to M dimensions, each matrix is one PaddedRows assembled
+once with its adjoint, and its compression norm increases to the true
+norm.  At q = 1 the algebra is commutative and elements are evaluated
+on an angle grid instead; that path reports itself as
+grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
 one kernel that the distance search shares: Lanczos with a residual
@@ -112,31 +113,90 @@ def _diagonals(terms, trunc: RepTruncation) -> dict:
     return out
 
 
-def _csr(grid: list, trunc: RepTruncation) -> sparse.csr_matrix:
-    """One CSR of a square grid of M x M blocks, each given by its
-    (monomial, complex) pairs.  Offset k of block column j puts row r's
-    entry in column j*M + r - k, so sorting by j*M - k orders each row.
-    Sums start at +0, so never hold -0, and exact zeros are left out:
-    bit for bit the arrays of per-term sparse sums stacked by bmat."""
-    from scipy import sparse   # here, so importing qsphere skips scipy
-    M, rows = trunc.M, len(grid)
-    diags = [sorted((j * M - k, k, d) for j, terms in enumerate(row)
-                    for k, d in _diagonals(terms, trunc).items())
-             for row in grid]
-    V = np.zeros((rows, M, max(map(len, diags))), dtype=complex)
-    shift = np.zeros((rows, 1, V.shape[2]), dtype=np.int64)
+class PaddedRows:
+    """A sparse matrix as its rows padded to the widest row: row i holds
+    data[i, s] at column cols[i, s], its nonzero entries in ascending
+    column order (CSR order) and zeros anywhere between them.  T @ x sums
+    each row from +0 in slot order, which are scipy's CSR sums bit for
+    bit: a zero product moves no nonzero sum, and a zero sum stays +0.
+    Products go through einsum, whose complex multiply fuses nothing
+    (numpy's own may use FMA, scipy's does not)."""
+
+    def __init__(self, data: np.ndarray, cols: np.ndarray, ncols: int,
+                 adjoint: PaddedRows | None = None):
+        self.data, self.cols = data, cols
+        self.shape = (data.shape[0], ncols)
+        # one way only: a cycle would hold both until the collector ran
+        self._adjoint = adjoint
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape: tuple) -> PaddedRows:
+        """The matrix of the entries vals[e] at (rows[e], cols[e])."""
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        slots = row_slots(rows)
+        width = int(slots.max(initial=-1)) + 1
+        data = np.zeros((shape[0], width), dtype=complex)
+        idx = np.zeros((shape[0], width), dtype=np.intp)
+        data[rows, slots], idx[rows, slots] = np.asarray(vals)[order], cols
+        return cls(data, idx, shape[1])
+
+    def entries(self) -> tuple:
+        """(rows, cols, vals) of the nonzero entries, in CSR order."""
+        i, s = np.nonzero(self.data)
+        return i, self.cols[i, s], self.data[i, s]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("ik,ik->i", self.data, x[self.cols])
+
+    def __mul__(self, scale: float) -> PaddedRows:
+        """Times a power of two, exact; a stored adjoint comes along."""
+        adj = self._adjoint
+        if adj is not None:
+            adj = PaddedRows(adj.data * scale, adj.cols, self.shape[0])
+        return PaddedRows(self.data * scale, self.cols, self.shape[1], adj)
+
+    def adjoint(self) -> PaddedRows:
+        """T^H: stored by the assembly, else built once from the entries."""
+        if self._adjoint is None:
+            i, j, v = self.entries()
+            self._adjoint = PaddedRows.from_entries(j, i, v.conj(),
+                                                    self.shape[::-1])
+        return self._adjoint
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        i, j, v = self.entries()
+        out[i, j] = v
+        return out
+
+
+def row_slots(rows: np.ndarray) -> np.ndarray:
+    """Each entry's slot in its padded row, for entries sorted by row."""
+    return np.arange(len(rows)) - np.searchsorted(rows, rows)
+
+
+def _padded(blocks: list, M: int, adjoint: PaddedRows | None = None
+            ) -> PaddedRows:
+    """One PaddedRows of a square grid of M x M blocks, blocks[b] the
+    (j, k, d) of block row b: diagonal d at offset k of block column j.
+    Offset k of block column j puts row r's entry in column j*M + r - k,
+    so sorting by j*M - k orders each row; exact zeros hold no entry."""
+    diags = [sorted(((j * M - k, k), d) for j, k, d in row) for row in blocks]
+    rows, width = len(blocks), max(map(len, diags))
+    V = np.zeros((rows, M, width), dtype=complex)
+    C = np.zeros((rows, M, width), dtype=np.intp)
     for b, row in enumerate(diags):
-        for i, (s, k, d) in enumerate(row):
+        for i, ((s, k), d) in enumerate(row):
             V[b, max(k, 0):M + min(k, 0), i] = d
-            shift[b, 0, i] = s
-    keep = V != 0   # block row, row, diagonal: CSR order
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2).ravel())))
-    return sparse.csr_matrix((V[keep], (np.arange(M)[:, None] + shift)[keep],
-                              indptr), shape=(M * rows,) * 2)
+            C[b, :, i] = np.arange(s, M + s)
+    C[V == 0] = 0
+    return PaddedRows(V.reshape(rows * M, width), C.reshape(rows * M, width),
+                      rows * M, adjoint)
 
 
-def represent_element(x: AlgebraElement, trunc: RepTruncation) -> sparse.csr_matrix:
-    """M x M compression of x, one CSR assembled once."""
+def represent_element(x: AlgebraElement, trunc: RepTruncation) -> PaddedRows:
+    """M x M compression of x, assembled once."""
     return _block_rep([[x]], trunc)
 
 
@@ -159,15 +219,30 @@ def _site_gram_blocks(T, TH, M: int) -> tuple:
     """T^H T for T an r x r grid of M x M blocks, its unknowns ordered
     site by site (site s of block column j is unknown s r + j) and cut
     into b x b blocks, b its bandwidth: then it is block tridiagonal, with
-    diagonal blocks D and the blocks U right of them, zero-padded."""
-    G = (TH @ T).tocoo()
-    n, r = G.shape[0], G.shape[0] // M
-    i, j = G.row % M * r + G.row // M, G.col % M * r + G.col // M
+    diagonal blocks D and the blocks U right of them, zero-padded.
+
+    Entry (i, k) sums TH[i, j] T[j, k] from +0 in ascending j, one slot
+    of TH's row i at a time, and exact-zero sums are dropped: scipy's
+    sparse product bit for bit, so b and every certificate decision are
+    those of the CSR route."""
+    n = T.shape[1]
+    TJ, cols = T.data[TH.cols], T.cols[TH.cols]      # row, slot, T's slot
+    live = (TH.data != 0)[:, :, None] & (TJ != 0)
+    keys = (np.arange(n)[:, None, None] * n + cols)[live]
+    prods = np.einsum("is,ist->ist", TH.data, TJ)[live]
+    slot = np.nonzero(live)[1]
+    uniq, at = np.unique(keys, return_inverse=True)
+    G = np.zeros(len(uniq), dtype=complex)
+    for s in range(TH.data.shape[1]):
+        G[at[slot == s]] += prods[slot == s]
+    row, col = np.divmod(uniq[G != 0], n)
+    G, r = G[G != 0], n // M
+    i, j = row % M * r + row // M, col % M * r + col // M
     b = max(1, int(np.abs(i - j).max(initial=0)))
     D = np.zeros((-(-n // b), b, b), dtype=complex)
     U = np.zeros_like(D)
     for out, keep in ((D, i // b == j // b), (U, j // b == i // b + 1)):
-        out[i[keep] // b, i[keep] % b, j[keep] % b] = G.data[keep]
+        out[i[keep] // b, i[keep] % b, j[keep] % b] = G[keep]
     return D, U
 
 
@@ -226,8 +301,8 @@ def top_singular_triplet(T, TH, candidate: float = 0.0, M: int = 0) -> tuple:
        c^2 at step 16;
     3. the step budget runs out: sigma is the lower end of _bracket from
        ||T v||, at most delta below ||T||.
-    The long sums run in numpy's own loops and scipy's sparse products,
-    the bracket's in LAPACK on b x b blocks, b the bandwidth.
+    The long sums run in numpy's own loops and PaddedRows products, the
+    bracket's in LAPACK on b x b blocks, b the bandwidth.
     """
     n = T.shape[1]
     steps = min(_LANCZOS_STEPS, n)
@@ -271,7 +346,7 @@ def dominant_sigma(mat, candidate: float = 0.0, M: int = 0) -> tuple:
     """Largest singular value: (sigma, converged) from top_singular_triplet,
     accurate to roundoff, or certified within 2e-12 below a top the
     Lanczos steps leave unresolved; so converged is always True."""
-    return top_singular_triplet(mat, mat.conj().T, candidate=candidate,
+    return top_singular_triplet(mat, mat.adjoint(), candidate=candidate,
                                 M=M)[0], True
 
 
@@ -405,11 +480,20 @@ def operator_norm(x: AlgebraElement, M: int,
                             x, M, upper, ladder)
 
 
-def _block_rep(entries: list, trunc: RepTruncation) -> sparse.csr_matrix:
-    """Square grid of elements, such as a 2x2 operator-valued matrix,
-    to one CSR."""
-    return _csr([[((m, complex(c.to_complex())) for m, c in e.terms.items())
-                  for e in row] for row in entries], trunc)
+def _block_rep(entries: list, trunc: RepTruncation) -> PaddedRows:
+    """Square grid of elements, such as a 2x2 operator-valued matrix, to
+    one matrix with its adjoint: block (i, j)'s diagonal d at offset k is
+    block (j, i)'s conj(d) at offset -k.  Sums start at +0, so never hold
+    -0: bit for bit the entries of per-term sparse sums stacked by bmat,
+    and of their conjugate transpose."""
+    diags = [[_diagonals(((m, complex(c.to_complex()))
+                          for m, c in e.terms.items()), trunc).items()
+              for e in row] for row in entries]
+    M = trunc.M
+    TH = _padded([[(i, -k, d.conj()) for i, row in enumerate(diags)
+                   for k, d in row[j]] for j in range(len(entries))], M)
+    return _padded([[(j, k, d) for j, ds in enumerate(row) for k, d in ds]
+                    for row in diags], M, TH)
 
 
 def lip_norm(actions: UqActions, x: AlgebraElement, M: int,
@@ -464,7 +548,7 @@ def _crude_lip_bound(entries: list) -> float:
 
 
 def delta_block_matrix(actions: UqActions, x: AlgebraElement,
-                       trunc: RepTruncation) -> sparse.csr_matrix:
+                       trunc: RepTruncation) -> PaddedRows:
     """Truncated representation of the derivation matrix (q < 1)."""
     return _block_rep(actions.delta_matrix(x), trunc)
 
@@ -543,10 +627,10 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
         col_idx.extend([j] * len(col))
     if not (rows and sel):
         return 0.0
-    from scipy import sparse
-    Y = sparse.csr_matrix((data, (row_idx, col_idx)),
-                          shape=(len(rows), len(sel)), dtype=complex)
-    return top_singular_triplet(Y, Y.conj().T)[0]
+    Y = PaddedRows.from_entries(np.array(row_idx, dtype=np.intp),
+                                np.array(col_idx, dtype=np.intp), data,
+                                (len(rows), len(sel)))
+    return top_singular_triplet(Y, Y.adjoint())[0]
 
 
 def lip_norm_gram_oracle(actions: UqActions, x: AlgebraElement,

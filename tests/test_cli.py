@@ -211,6 +211,22 @@ def test_csv_is_a_usage_error_without_a_csv_form(capsys, argv):
                    "spectrum, sweep and verify --N\n")
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("verify", "--N", "1"), "verify --N"),
+    (("sweep", "--q-list", "1/2", "--N", "1", "--M-range", "1"), "sweep"),
+], ids=["verify-N", "sweep"])
+def test_json_is_a_usage_error_for_csv_only_commands(capsys, tmp_path, argv,
+                                                     what):
+    # both print CSV when --format is left out; an explicit json used to
+    # be ignored, printing CSV anyway
+    code, out, err = run(capsys, *argv, "--q", "1/2", "--format", "json",
+                         "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == (f"error: {what} writes only CSV; omit --format or give "
+                   "--format csv\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_out_path_that_cannot_be_written(capsys, tmp_path, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" \

@@ -2,10 +2,10 @@
 
 The exact layers import neither numpy, scipy nor mpmath, so `import
 qsphere`, the benchmark set-up and the exact subcommands must leave all
-three out of sys.modules; `verify` loads numpy for its float checks, only
-a run that builds a sparse matrix loads scipy, and only a float scalar
-field loads mpmath.  Each case runs in a fresh interpreter, since this
-test process has long since imported all three.
+three out of sys.modules; the numerical layers load numpy alone, sparse
+matrices included, and only a float scalar field loads mpmath.  No run
+loads scipy.  Each case runs in a fresh interpreter, since this test
+process has long since imported all three.
 """
 
 import json
@@ -74,9 +74,20 @@ def test_exact_subcommands_load_no_numerics():
 @pytest.mark.parametrize("argv,modules", [
     (("verify", "--q", "1/2", "--suite", "hopf"), ["numpy"]),
     (("lipnorm", "--q", "1/2", "--expr", "B + Bs", "--trunc", "60"),
-     ["numpy", "scipy"]),
+     ["numpy"]),
+    (("dist", "--q", "1/2", "--N", "1", "--M", "4"), ["numpy"]),
+    (("verify", "--q", "1/2", "--suite", "normoracles"), ["numpy"]),
     (("berezin", "--q", "1/2", "--N", "2", "--expr", "A*B+Bs^2",
       "--scalar-mode", "float"), ["mpmath"]),
-], ids=["verify-hopf", "lipnorm", "berezin-float"])
+], ids=["verify-hopf", "lipnorm", "dist", "verify-normoracles",
+        "berezin-float"])
 def test_numeric_subcommands_load_what_they_use(argv, modules):
     assert cli_loaded(argv) == modules
+
+
+def test_benchmark_rounds_load_no_scipy():
+    # a whole round of every benchmark workload runs on numpy alone
+    assert "scipy" not in loaded(
+        "import workloads\n"
+        "for cls in workloads.WORKLOADS.values():\n"
+        "    cls(1).run_round()")

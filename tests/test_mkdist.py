@@ -16,6 +16,7 @@ from qsphere.mkdist import (_ShiftDenominator, approx_inequality_check,
                             theorem_b_approximant)
 from qsphere.qhopf import AlgebraElement
 from qsphere.suites import random_elements
+from scipy_ref import as_csr, from_csr
 
 
 SMALL = dict(norm_truncation=100)
@@ -209,7 +210,8 @@ def test_shift_operator_assembly_exact():
                 if k % 2 == 0:
                     c[0] = 0.0
                 denom.sigma_and_grad(c)
-                T, TH = _old_shift_operator(denom.mats, c)
+                T, TH = _old_shift_operator(
+                    [as_csr(D) for D in denom.mats], c)
                 assert np.array_equal(denom.T.toarray(), T.toarray())
                 assert np.array_equal(denom.TH.toarray(), TH.toarray())
 
@@ -501,20 +503,20 @@ def test_lp_phase_checks_raise(monkeypatch, ber_half):
     real = specnorm.delta_block_matrix
 
     def turned(actions, u, trunc):
-        D = real(actions, u, trunc).copy()
+        D = as_csr(real(actions, u, trunc))
         if len(u.terms) == 3:
             D.data[4] *= 1j
-        return D
+        return from_csr(D)
 
     monkeypatch.setattr(mkdist, "delta_block_matrix", turned)
     with pytest.raises(ValueError, match="phases"):
         charge_zero_lp(ber_half, 1, 3, 50)
 
     def doubled(actions, u, trunc):
-        D = real(actions, u, trunc).tolil()
+        D = as_csr(real(actions, u, trunc)).tolil()
         if len(u.terms) == 3:
             D[0, 0] = 1.0
-        return D.tocsr()
+        return from_csr(D.tocsr())
 
     monkeypatch.setattr(mkdist, "delta_block_matrix", doubled)
     with pytest.raises(ValueError, match="row or a column"):

@@ -20,6 +20,7 @@ from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
                               lip_norm_gram_oracle, operator_norm,
                               represent_element)
 from qsphere.suites import random_elements
+from scipy_ref import as_csr, from_csr
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def test_relation_residuals(half):
     # rows feel the cut
     alg, _ = half
     trunc = RepTruncation(0.5, 120, 0.3)
-    a, b = represent_element(alg.a, trunc), represent_element(alg.b, trunc)
+    a, b = (as_csr(represent_element(g, trunc)) for g in (alg.a, alg.b))
     astar, bstar, q = a.getH(), b.getH(), trunc.q
     eye = sparse.identity(trunc.M, format="csr", dtype=complex)
     rels = [b @ a - q * (a @ b), bstar @ a - q * (a @ bstar),
@@ -48,8 +49,9 @@ def test_representation_multiplicative(half):
     trunc = RepTruncation(0.5, 60, 0.7)
     x = alg.a * alg.b_star + alg.sphere_A
     y = alg.b + alg.a_star
-    lhs = represent_element(x * y, trunc)
-    rhs = represent_element(x, trunc) @ represent_element(y, trunc)
+    lhs = as_csr(represent_element(x * y, trunc))
+    rhs = as_csr(represent_element(x, trunc)) @ as_csr(
+        represent_element(y, trunc))
     # interior agreement; the last rows feel the cut
     k = 40
     assert abs(lhs[:k, :k] - rhs[:k, :k]).max() < 1e-12
@@ -255,7 +257,7 @@ def test_gram_whitening_rounds_the_120_digit_value(q, monkeypatch):
             assert z == complex(ctx.mpc(c.a + c.c * root, c.b + c.d * root)
                                 / scale)
             surds += bool(c.c or c.d)
-        got = [z for T in mats for z in T.tocoo().data.tolist()]
+        got = [z for T in mats for z in T.entries()[2].tolist()]
         assert sorted(got, key=_reim) == sorted(
             (z for *_, z in entries), key=_reim)
     assert surds
@@ -410,7 +412,7 @@ def test_dominant_sigma_of_zero(monkeypatch, no_densify):
     calls = _spy_bracket(monkeypatch)
     with np.errstate(all="raise"):
         for n in (1, 2, 40):
-            zero = sparse.csr_matrix((n, n), dtype=complex)
+            zero = from_csr(sparse.csr_matrix((n, n), dtype=complex))
             assert specnorm.dominant_sigma(zero) == (0.0, True)
     assert calls == []
 
@@ -540,7 +542,8 @@ def _interleaved_banded(rng, M, r, width):
 def test_block_cholesky_matches_eigvalsh(M, r, width, partial):
     T = _interleaved_banded(np.random.default_rng([M, r, width]), M, r, width)
     G = (T.conj().T @ T).toarray()
-    D, U = specnorm._site_gram_blocks(T, T.conj().T, M)
+    P = from_csr(T)
+    D, U = specnorm._site_gram_blocks(P, P.adjoint(), M)
     nb, b, n = D.shape[0], D.shape[1], M * r
     assert nb == -(-n // b) and bool(n % b) == partial
     # the blocks are G in the site-by-site order, zero-padded
@@ -556,6 +559,50 @@ def test_block_cholesky_matches_eigvalsh(M, r, width, partial):
     sigma = math.sqrt(np.linalg.eigvalsh(G)[-1])
     assert specnorm._norm_below(D, U, sigma * (1 + 1e-10))
     assert not specnorm._norm_below(D, U, sigma * (1 - 1e-10))
+
+
+def _scipy_site_gram_blocks(T, M):
+    """specnorm._site_gram_blocks on scipy's product T^H T, as it ran
+    before the program dropped scipy."""
+    G = (T.conj().T @ T).tocoo()
+    n, r = G.shape[0], G.shape[0] // M
+    i, j = G.row % M * r + G.row // M, G.col % M * r + G.col // M
+    b = max(1, int(np.abs(i - j).max(initial=0)))
+    D = np.zeros((-(-n // b), b, b), dtype=complex)
+    U = np.zeros_like(D)
+    for out, keep in ((D, i // b == j // b), (U, j // b == i // b + 1)):
+        out[i[keep] // b, i[keep] % b, j[keep] % b] = G.data[keep]
+    return D, U
+
+
+def test_site_gram_blocks_are_the_scipy_product(nine_tenths,
+                                                fallback_images):
+    # same D and U bytes, so the same bandwidth and factorizations: on
+    # the 7 certified matrices of a contraction round and on the M = 1600
+    # rung of B + Bs at q = 99/100, which are real; on seeded complex
+    # grids, where a fused multiply-add would move bits; and on
+    # [[I, S], [I, -S]], whose exact-zero sums S - S must be dropped, as
+    # scipy drops them, or the bandwidth would grow from 1 to 7
+    _alg, act = nine_tenths
+    cases = [(delta_block_matrix(act, y, RepTruncation(0.9, 200, 0.0)), 200)
+             for y in fallback_images]
+    alg99 = make_algebra(99, 100)
+    cases.append((delta_block_matrix(
+        UqActions(alg99), parse_expression(alg99, "B + Bs"),
+        RepTruncation(0.99, 1600, 0.0)), 1600))
+    for M, r, width in ((37, 2, 2), (23, 3, 1)):
+        cases.append((from_csr(_interleaved_banded(
+            np.random.default_rng([M, r, width]), M, r, width)), M))
+    eye, shift = sparse.identity(10), sparse.eye(10, k=3)
+    cases.append((from_csr(sparse.bmat([[eye, shift], [eye, -shift]],
+                                       format="csr")), 10))
+    assert specnorm._site_gram_blocks(cases[-1][0], cases[-1][0].adjoint(),
+                                      10)[0].shape == (20, 1, 1)
+    for mat, M in cases:
+        got = specnorm._site_gram_blocks(mat, mat.adjoint(), M)
+        want = _scipy_site_gram_blocks(as_csr(mat), M)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9])
@@ -603,7 +650,8 @@ def test_top_below_character_norm_is_bracketed(monkeypatch):
 def test_bracket_contains_the_top(M, r, width):
     T = _interleaved_banded(np.random.default_rng([M, r, width]), M, r, width)
     dense = np.linalg.svd(T.toarray(), compute_uv=False)[0]
-    D, U = specnorm._site_gram_blocks(T, T.conj().T, M)
+    P = from_csr(T)
+    D, U = specnorm._site_gram_blocks(P, P.adjoint(), M)
     # from no information, from far below, and from just below the top
     for start in (0.0, dense / 2, dense * (1 - 1e-6)):
         lo, hi = specnorm._bracket(D, U, start)
@@ -684,12 +732,26 @@ def _reference_element(x, trunc):
     return out
 
 
-def _assert_same_csr(got, want):
+def _assert_same_csr(mat, want):
+    """mat's stored entries, as a CSR, have want's arrays byte for byte."""
+    got = as_csr(mat)
     assert got.has_canonical_format
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _assert_same_products(mat, want):
+    """T @ v and T^H @ w, also after the ladder's power-of-two scaling,
+    are scipy's CSR and CSC products byte for byte."""
+    n = want.shape[0]
+    rng = np.random.default_rng([n, want.nnz])
+    v, w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for _ in range(2))
+    for T, ref in ((mat, want), (mat * 2.0 ** -7, want * 2.0 ** -7)):
+        assert (T @ v).tobytes() == (ref @ v).tobytes()
+        assert (T.adjoint() @ w).tobytes() == (ref.conj().T @ w).tobytes()
 
 
 def _random_coeff(alg, rng):
@@ -729,16 +791,18 @@ def _random_sphere_element(alg, rng, degree):
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 @pytest.mark.parametrize("q", [(1, 2), (9, 10)])
 def test_assembly_bit_identical(q, theta, M):
-    # the one-pass CSR has the arrays of the per-monomial sparse sums and
-    # sparse.bmat, which the Lanczos kernel's bits depend on
+    # the one-pass assembly has the entries of the per-monomial sparse
+    # sums and sparse.bmat, and its products are scipy's: the Lanczos
+    # kernel's bits depend on both
     alg = make_algebra(*q)
     act = UqActions(alg)
     trunc = RepTruncation(q[0] / q[1], M, theta)
     rng = np.random.default_rng([M, int(10 * theta), q[1]])
     for _ in range(4):
         x = _random_element(alg, rng, M - 1)
-        _assert_same_csr(represent_element(x, trunc),
-                         _reference_element(x, trunc))
+        mat, want = represent_element(x, trunc), _reference_element(x, trunc)
+        _assert_same_csr(mat, want)
+        _assert_same_products(mat, want)
         y = _random_sphere_element(alg, rng, 1 if M == 2 else 3)
         entries = act.delta_matrix(y)
         if any(abs(m.a_exp) >= M for row in entries for e in row
@@ -746,7 +810,9 @@ def test_assembly_bit_identical(q, theta, M):
             continue
         want = sparse.bmat([[_reference_element(e, trunc) for e in row]
                             for row in entries], format="csr")
-        _assert_same_csr(delta_block_matrix(act, y, trunc), want)
+        mat = delta_block_matrix(act, y, trunc)
+        _assert_same_csr(mat, want)
+        _assert_same_products(mat, want)
 
 
 @pytest.mark.parametrize("M", [2, 3, 5])
@@ -758,7 +824,7 @@ def test_shift_beyond_truncation_is_zero(half, M):
     for k in (M, M + 1, 2 * M + 3):
         for x in (alg.a ** k, alg.a_star ** k):
             mat = represent_element(x, trunc)
-            assert mat.shape == (M, M) and mat.nnz == 0
+            assert mat.shape == (M, M) and as_csr(mat).nnz == 0
     # the in-range terms of a mixed element are untouched
     x = alg.a ** (M + 1) + alg.b
     _assert_same_csr(represent_element(x, trunc),
