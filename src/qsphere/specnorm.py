@@ -234,7 +234,8 @@ def _site_gram_blocks(T, TH, M: int) -> tuple:
     uniq, at = np.unique(keys, return_inverse=True)
     G = np.zeros(len(uniq), dtype=complex)
     for s in range(TH.data.shape[1]):
-        G[at[slot == s]] += prods[slot == s]
+        here = slot == s
+        G[at[here]] += prods[here]
     row, col = np.divmod(uniq[G != 0], n)
     G, r = G[G != 0], n // M
     i, j = row % M * r + row // M, col % M * r + col // M
