@@ -46,9 +46,6 @@ class BerezinSpectrum:
     eigenvalues: dict          # spin n -> scalar c_{N,n}
     verified_to: int           # layer constancy checked for n <= this
 
-    def eigenvalue(self, n: int):
-        return self.eigenvalues[n]
-
 
 @dataclass
 class SliceCheck:

@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
                         help="estimator-quality gap for probe ratios")
     common.add_argument("--cache-dir", default="",
                         help="cache directory (default: QSPHERE_CACHE)")
-    # None when not given: verify --N and sweep refuse an explicit json
+    # None when not given: verify --N and sweep refuse an explicit json,
+    # verify --list-suites any explicit format
     common.add_argument("--format", choices=("json", "csv"),
                         help="artifact format (default json; verify --N "
                              "and sweep write only CSV)")
@@ -284,7 +285,7 @@ def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
         report = suites.layer_failure(kind, cfg, exc)
         _emit(ns, canonical_json(report.to_obj()))
         return 2
-    rows = [(n, float(spec.eigenvalue(n).to_complex().real))
+    rows = [(n, float(spec.eigenvalues[n].to_complex().real))
             for n in range(top + 1)]
     if cfg.output_format == "csv":
         _emit(ns, _csv_text(["n", "c"],
@@ -292,7 +293,7 @@ def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
         return 0
     payload["N"] = ns.N
     payload["spectrum"] = [
-        {"n": n, "c": exprs.scalar_to_obj(spec.eigenvalue(n), ber.alg.field),
+        {"n": n, "c": exprs.scalar_to_obj(spec.eigenvalues[n], ber.alg.field),
          "float": c} for n, c in rows]
     _emit(ns, canonical_json(_artifact(cfg, kind, payload)))
     return 0
@@ -403,7 +404,7 @@ def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
     row = suites.theoremb_rows(replace(cfg, search_truncation=M), [N])[0]
     spec = Berezin(GnsContext(cfg.build_algebra())).spectrum(
         N, max_spin=max(3, N))
-    cs = [float(spec.eigenvalue(n).to_complex().real) for n in range(4)]
+    cs = [float(spec.eigenvalues[n].to_complex().real) for n in range(4)]
     return {
         "q": cfg.q_text, "N": N, "M": M,
         "dist_lb": row["dist_lb"],
@@ -517,6 +518,9 @@ def main(argv=None) -> int:
                 {"schema": SCHEMA, "kind": "config",
                  "config": cfg.to_obj()}))
             return 0
+        if ns.format and ns.command == "verify" and ns.list_suites:
+            raise UsageError("verify --list-suites prints a plain list; "
+                             "omit --format")
         if cfg.output_format == "csv" and not (
                 ns.command in ("spectrum", "sweep")
                 or ns.command == "verify" and not ns.suite):
@@ -524,7 +528,7 @@ def main(argv=None) -> int:
                              "for spectrum, sweep and verify --N")
         if ns.format == "json" and (
                 ns.command == "sweep" or ns.command == "verify"
-                and ns.n_range and not (ns.suite or ns.list_suites)):
+                and ns.n_range and not ns.suite):
             what = "sweep" if ns.command == "sweep" else "verify --N"
             raise UsageError(f"{what} writes only CSV; omit --format or "
                              "give --format csv")

@@ -67,8 +67,7 @@ class DistanceEstimate:
 
     value is |h_N(witness) - eps(witness)| divided by the mode's
     seminorm scale, recomputed from the exact witness element after the
-    search.  coords are the float coordinates of the linear program's
-    optimum in the charge-0 basis, empty for a probe.
+    search.  The linear program's float coordinates stay in ChargeZeroLP.
     """
 
     value: float
@@ -76,7 +75,6 @@ class DistanceEstimate:
     certified_value: float
     heuristic_value: float
     degraded: bool = False
-    coords: tuple = ()
     source: str = "lp"
 
 
@@ -104,7 +102,6 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class ApproximantReport:
-    approximant: AlgebraElement
     lip_slack: float
     dist_slack: float
 
@@ -463,7 +460,7 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
     if probes is None:
         probes = [(p, lip_of(p)) for p in default_probes(ber.alg)
                   if p.sphere_degree() <= M]
-    candidates = [(f"probe{j}", p, (), lip) for j, (p, lip)
+    candidates = [(f"probe{j}", p, lip) for j, (p, lip)
                   in enumerate(probes) if p.sphere_degree() <= M]
     try:
         lp = charge_zero_lp(ber, N, M, norm_truncation)
@@ -473,32 +470,31 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
         pass
     else:
         w = _rationalize(lp.coords, lp.basis)
-        candidates.insert(0, ("lp", w, tuple(lp.coords), lip_of(w)))
+        candidates.insert(0, ("lp", w, lip_of(w)))
 
     scored = []
-    for tag, w, coords, lip in candidates:
+    for tag, w, lip in candidates:
         num = abs(_real_value(ber.h_twisted(w, N) - ber.alg.counit(w)))
         # certified scale: the crude bound; truncated: the seminorm
         upper, lower = lip.upper_bound, lip.lower_bound
         if upper <= 1e-14 or lower <= 1e-14:
             continue
-        scored.append((tag, w, coords, num / upper, num / lower))
+        scored.append((tag, w, num / upper, num / lower))
     if not scored:
         raise ValueError("all witness candidates were scalar")
 
-    cert_best = max(scored, key=lambda s: s[3])
-    heur_best = max(scored, key=lambda s: s[4])
+    cert_best = max(scored, key=lambda s: s[2])
+    heur_best = max(scored, key=lambda s: s[3])
     pick = cert_best if mode == "certified" else heur_best
-    tag, witness, coords, cval, hval = pick
+    tag, witness, cval, hval = pick
     value = cval if mode == "certified" else hval
     degraded = tag.startswith("probe")
     return DistanceEstimate(
         value=value,
         witness=witness,
-        certified_value=cert_best[3],
-        heuristic_value=heur_best[4],
+        certified_value=cert_best[2],
+        heuristic_value=heur_best[3],
         degraded=degraded,
-        coords=coords,
         source="samples" if degraded else tag,
     )
 
@@ -534,7 +530,7 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
 def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
                           truncation: int,
                           lip_x: NormEstimate) -> ApproximantReport:
-    """Smooth approximant of x at level N with seminorm and norm slacks.
+    """Seminorm and norm slacks of x's smooth approximant at level N.
 
     The approximant is the level-N transform; its Lip seminorm never
     exceeds that of x (lip_slack >= 0 up to estimator noise) and the
@@ -545,9 +541,8 @@ def theorem_b_approximant(ber: Berezin, x: AlgebraElement, N: int,
     ly = lip_norm(ber.gns.actions, y, truncation, ladder=False).value
     diff = x - y
     dist = (0.0 if diff.is_zero()
-            else operator_norm(diff, truncation, ladder=False).lower_bound)
+            else operator_norm(diff, truncation).lower_bound)
     return ApproximantReport(
-        approximant=y,
         lip_slack=lip_x.lower_bound - ly.lower_bound,
         dist_slack=dist,
     )

@@ -24,7 +24,6 @@ may freely mix different q values in one process.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .scalars import ExactField, FloatField
@@ -99,63 +98,26 @@ class AlgebraElement:
         self.alg = alg
         self.terms = terms
 
-    def _coerce(self, other):
-        if isinstance(other, AlgebraElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.alg.scalar_element(self.alg.field.from_rational(other))
-        if other.__class__ in self.alg.scalar_types:
-            return self.alg.scalar_element(other)
-        return None
-
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, AlgebraElement):
             return NotImplemented
         out = dict(self.terms)
-        for mono, c in rhs.terms.items():
+        for mono, c in other.terms.items():
             _accumulate(out, mono, c)
         return AlgebraElement(self.alg, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return self + (-other)
 
     def __neg__(self):
         return AlgebraElement(self.alg, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.alg._elem_mul(self, other)
-        scal = self._coerce_scalar(other)
-        if scal is None:
+        if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.scale(scal)
-
-    def __rmul__(self, other):
-        # Scalars commute with everything, so only elements need care,
-        # and those route through __mul__ on the left operand.
-        scal = self._coerce_scalar(other)
-        if scal is None:
-            return NotImplemented
-        return self.scale(scal)
-
-    def _coerce_scalar(self, other):
-        if other.__class__ in self.alg.scalar_types:
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.alg.field.from_rational(other)
-        return None
+        return self.alg._elem_mul(self, other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -215,9 +177,7 @@ class AlgebraElement:
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         return (self - other).is_zero()
 
     __hash__ = None
@@ -255,18 +215,6 @@ class TensorElement:
         self.alg = alg
         self.terms = terms
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return TensorElement(self.alg, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.alg, {k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         alg = self.alg
         out: dict = {}
@@ -297,16 +245,6 @@ class TensorElement:
             if not w.is_zero():
                 _accumulate(out, m1, c * w)
         return AlgebraElement(self.alg, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
 
     def __repr__(self):
         bits = []

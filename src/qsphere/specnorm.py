@@ -1,12 +1,12 @@
-"""Numerical operator norms for the quantum group and the sphere.
+"""Numerical operator norms and Lip seminorms of sphere elements.
 
 For 0 < q < 1 every element is represented on the weighted-shift model
 (a acts as a raising shift with weights sqrt(1 - q^(2n+2)), b as the
 diagonal e^(i theta) q^n), where each monomial is one offset diagonal.
 Truncated to M dimensions, each matrix is one PaddedRows assembled
 once with its adjoint, and its compression norm increases to the true
-norm.  At q = 1 the algebra is commutative and elements are evaluated
-on an angle grid instead; that path reports itself as
+norm.  At q = 1 the algebra is commutative and sphere elements are
+evaluated on an angle grid instead; that path reports itself as
 grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
@@ -351,20 +351,6 @@ def dominant_sigma(mat, candidate: float = 0.0, M: int = 0) -> tuple:
                                 M=M)[0], True
 
 
-# -- theta reduction ----------------------------------------------------------
-
-
-def _single_theta_suffices(x: AlgebraElement) -> bool:
-    """True when the gauge torus makes the compression norm
-    theta-independent: either the b-charge l-m is constant across terms
-    (theta becomes a global phase) or the element lives in the sphere
-    subalgebra, where the a-phase gauge absorbs theta."""
-    charges = {m.b_exp - m.bs_exp for m in x.terms}
-    if len(charges) <= 1:
-        return True
-    return all(m.right_degree() == 0 for m in x.terms)
-
-
 # -- q = 1 commutative grid model ---------------------------------------------
 
 
@@ -388,26 +374,15 @@ def _grid_eval(x: AlgebraElement, eta: np.ndarray, alpha: np.ndarray,
     return out
 
 
-def _classical_points(x_list: list, sphere_only: bool):
-    """Grid evaluations of several elements on a shared grid, flattened."""
+def _classical_points(x_list: list):
+    """Grid evaluations of several sphere elements on a shared grid,
+    flattened.  Right-degree-0 elements depend on the phases only
+    through alpha - beta, so a 2-torus slice carries the full range."""
     eta = np.linspace(0.0, math.pi / 2, _ETA_POINTS)
-    if sphere_only:
-        # right-degree-0 elements depend on the phases only through
-        # alpha - beta, so a 2-torus slice carries the full range
-        chi = np.linspace(0.0, 2 * math.pi, 2 * _PHASE_POINTS, endpoint=False)
-        E, C = np.meshgrid(eta, chi, indexing="ij")
-        Z = np.zeros_like(E)
-        return [_grid_eval(x, E, C, Z).ravel() for x in x_list]
-    alpha = np.linspace(0.0, 2 * math.pi, _PHASE_POINTS, endpoint=False)
-    beta = np.linspace(0.0, 2 * math.pi, _PHASE_POINTS, endpoint=False)
-    E, Al, Be = np.meshgrid(eta, alpha, beta, indexing="ij")
-    return [_grid_eval(x, E, Al, Be).ravel() for x in x_list]
-
-
-def _classical_norm(x: AlgebraElement) -> float:
-    sphere = all(m.right_degree() == 0 for m in x.terms)
-    vals = _classical_points([x], sphere)[0]
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    chi = np.linspace(0.0, 2 * math.pi, 2 * _PHASE_POINTS, endpoint=False)
+    E, C = np.meshgrid(eta, chi, indexing="ij")
+    Z = np.zeros_like(E)
+    return [_grid_eval(x, E, C, Z).ravel() for x in x_list]
 
 
 # -- public norm API -----------------------------------------------------------
@@ -415,12 +390,12 @@ def _classical_norm(x: AlgebraElement) -> float:
 
 def _ladder_estimate(build, x: AlgebraElement, M: int, upper: float,
                      ladder: bool, candidate: float = 0.0) -> NormEstimate:
-    """Compression norm of the matrices build(trunc) representing x.
+    """Compression norm of the matrices build(trunc) representing the
+    sphere element x.
 
-    One angle, theta = 0, suffices: x is a sphere element, where the
-    a-phase gauge absorbs theta, or carries one b-charge, where theta is
-    a global phase.  lower_bound is the dominant singular value at the
-    final truncation; ladder=True doubles the truncation until
+    One angle, theta = 0, suffices, because the a-phase gauge absorbs
+    theta on the sphere.  lower_bound is the dominant singular value at
+    the final truncation; ladder=True doubles the truncation until
     successive values agree, ladder=False reports the first one as
     converged.  candidate goes to dominant_sigma at every truncation, in
     the units of the matrices times _range_scale(upper).
@@ -459,26 +434,23 @@ def _range_scale(upper: float) -> float:
     return 2.0 ** min(1023, -math.frexp(upper)[1])
 
 
-def operator_norm(x: AlgebraElement, M: int,
-                  ladder: bool = True) -> NormEstimate:
-    """Compression norm of one element, with convergence bookkeeping.
+def operator_norm(x: AlgebraElement, M: int) -> NormEstimate:
+    """Compression norm of one sphere element at truncation M; other
+    elements raise ValueError.
 
     For 0 < q < 1 the shift model is read at the one angle theta = 0,
-    so x must be a sphere element or carry one b-charge; other elements
-    raise ValueError.
+    at the single truncation max(M, degree + 2), with no ladder.
     """
+    x.require_sphere()
     upper = coefficient_sum_bound(x)
     if not x.terms:
         return NormEstimate(0.0, 0.0, True, 0)
     if x.alg.field.float_q() == 1.0:
-        val = _classical_norm(x)
+        val = float(np.abs(_classical_points([x])[0]).max())
         return NormEstimate(val, upper, True, _ETA_POINTS,
                             notes=("classical-grid",))
-    if not _single_theta_suffices(x):
-        raise ValueError("operator_norm needs a sphere element or one "
-                         "b-charge: the shift model is read at theta = 0")
     return _ladder_estimate(lambda trunc: represent_element(x, trunc),
-                            x, M, upper, ladder)
+                            x, M, upper, False)
 
 
 def _block_rep(entries: list, trunc: RepTruncation) -> PaddedRows:
@@ -558,7 +530,7 @@ def delta_block_grid(actions: UqActions, x: AlgebraElement) -> np.ndarray:
     """Pointwise 2x2 derivation matrices on the classical grid (q = 1),
     stacked as an array of shape (points, 2, 2)."""
     flat = [e for row in actions.delta_matrix(x) for e in row]
-    pts = _classical_points(flat, sphere_only=True)
+    pts = _classical_points(flat)
     return np.stack(pts, axis=1).reshape(-1, 2, 2)
 
 

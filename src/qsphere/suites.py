@@ -301,8 +301,8 @@ def berezin_suite(cfg: SessionConfig):
     devs = [0.0]
     for N in (1, 2, 3):
         spec = ber.spectrum(N, max_spin=4)
-        devs.append(abs((spec.eigenvalue(0) - alg.field.one).to_complex()))
-        devs += [abs(spec.eigenvalue(n).to_complex()) for n in range(N + 1, 5)]
+        devs.append(abs((spec.eigenvalues[0] - alg.field.one).to_complex()))
+        devs += [abs(spec.eigenvalues[n].to_complex()) for n in range(N + 1, 5)]
     worst = max(devs)
     yield "spectrum-endpoints", worst == 0.0, worst
 
@@ -436,7 +436,7 @@ def classical_suite(cfg: SessionConfig):
     for N in range(1, 6):
         spec = ber.spectrum(N, max_spin=max(2, N))
         for n in range(3):
-            c = spec.eigenvalue(n).to_complex()
+            c = spec.eigenvalues[n].to_complex()
             vals[N, n] = c.real
             complex_value = complex_value or abs(c.imag) > 0
     outside = [max(-v, v - 1.0) for v in vals.values()

@@ -64,17 +64,17 @@ def test_frozen_level_one(ber_half, alg_half):
 
 def test_frozen_spectra(ber_half):
     spec1 = ber_half.spectrum(1, max_spin=3)
-    assert _fr(spec1.eigenvalue(0)) == 1
-    assert _fr(spec1.eigenvalue(1)) == Fraction(16, 21)
-    assert _fr(spec1.eigenvalue(2)) == 0
-    assert _fr(spec1.eigenvalue(3)) == 0
+    assert _fr(spec1.eigenvalues[0]) == 1
+    assert _fr(spec1.eigenvalues[1]) == Fraction(16, 21)
+    assert _fr(spec1.eigenvalues[2]) == 0
+    assert _fr(spec1.eigenvalues[3]) == 0
     spec2 = ber_half.spectrum(2, max_spin=3)
-    assert _fr(spec2.eigenvalue(1)) == Fraction(16, 17)
-    assert _fr(spec2.eigenvalue(2)) == Fraction(4096, 5797)
+    assert _fr(spec2.eigenvalues[1]) == Fraction(16, 17)
+    assert _fr(spec2.eigenvalues[2]) == Fraction(4096, 5797)
     spec3 = ber_half.spectrum(3, max_spin=3)
-    assert _fr(spec3.eigenvalue(1)) == Fraction(336, 341)
-    assert _fr(spec3.eigenvalue(2)) == Fraction(4096, 4433)
-    assert _fr(spec3.eigenvalue(3)) == Fraction(16777216, 24208613)
+    assert _fr(spec3.eigenvalues[1]) == Fraction(336, 341)
+    assert _fr(spec3.eigenvalues[2]) == Fraction(4096, 4433)
+    assert _fr(spec3.eigenvalues[3]) == Fraction(16777216, 24208613)
 
 
 def test_routes_agree(ber_half, alg_half):
@@ -113,7 +113,7 @@ def test_monotone_in_level(ber_half):
     # eigenvalues increase toward 1 with the level, per fixed layer
     prev = None
     for N in (1, 2, 3, 4):
-        c = _fr(ber_half.spectrum(N, max_spin=max(3, N)).eigenvalue(1))
+        c = _fr(ber_half.spectrum(N, max_spin=max(3, N)).eigenvalues[1])
         if prev is not None:
             assert c > prev
         prev = c
@@ -124,7 +124,7 @@ def test_classical_eigenvalues(berezin):
     # at q=1 the first layer eigenvalue is N/(N+2)
     ber = berezin((1, 1))
     for N in (1, 2, 3):
-        c = ber.spectrum(N, max_spin=max(2, N)).eigenvalue(1)
+        c = ber.spectrum(N, max_spin=max(2, N)).eigenvalues[1]
         assert _fr(c) == Fraction(N, N + 2)
 
 
@@ -143,9 +143,9 @@ def test_spectrum_is_the_verified_closed_form(berezin, q, mode):
         for n in range(N + 3):
             want = _closed_form(qf, N, n)
             if mode == "exact":
-                assert _fr(spec.eigenvalue(n)) == want
+                assert _fr(spec.eigenvalues[n]) == want
             else:
-                got = spec.eigenvalue(n)
+                got = spec.eigenvalues[n]
                 assert (got - F.from_rational(want.numerator,
                                               want.denominator)).is_zero()
 

@@ -227,6 +227,15 @@ def test_json_is_a_usage_error_for_csv_only_commands(capsys, tmp_path, argv,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_format_is_a_usage_error_for_list_suites(capsys, fmt):
+    # the list is plain text, so any explicit format is refused
+    code, out, err = run(capsys, "verify", "--list-suites", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == ("error: verify --list-suites prints a plain list; "
+                   "omit --format\n")
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_out_path_that_cannot_be_written(capsys, tmp_path, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" \

@@ -97,7 +97,8 @@ def test_text_round_trip_handpicked(alg):
     min_size=1, max_size=3))
 def test_text_round_trip_random(terms):
     alg = make_algebra(1, 2)
-    x = sum(alg.monomial(*t) for t in terms)
+    x = sum((alg.monomial(*t) for t in terms),
+            alg.scalar_element(alg.field.zero))
     if x.is_zero():
         return
     assert parse_expression(alg, element_to_text(x)) == x
@@ -118,9 +119,9 @@ def test_obj_round_trip(alg):
     x = parse_expression(alg, "a*b + (2/7)*A")
     obj = element_to_obj(x)
     # rebuild from the serialized terms
-    y = sum(alg.monomial(t["aExp"], t["bExp"], t["bStarExp"],
-                         Fraction(t.get("coeffNum", 0), t.get("coeffDen", 1)))
-            for t in obj)
+    y = sum((alg.monomial(t["aExp"], t["bExp"], t["bStarExp"],
+                          Fraction(t.get("coeffNum", 0), t.get("coeffDen", 1)))
+             for t in obj), alg.scalar_element(alg.field.zero))
     assert y == x
 
 

@@ -71,15 +71,19 @@ def test_operator_norm_frozen(half):
     assert est.converged
 
 
-def test_operator_norm_one_angle(half):
-    # a and b each carry one b-charge, so the angle theta = 0 gives their
-    # norm; a + b mixes charges off the sphere, which one angle cannot
-    alg, _ = half
-    for x in (alg.a, alg.b):
-        assert operator_norm(x, 150).lower_bound == \
-            pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        operator_norm(alg.a + alg.b, 150)
+@pytest.mark.parametrize("q", [(1, 2), (1, 1)], ids=["q=1/2", "q=1"])
+def test_operator_norm_takes_sphere_elements_and_elements_no_scalars(q):
+    # operator_norm, like lip_norm, refuses elements off the sphere, on the
+    # shift model and the q = 1 grid alike; elements add and multiply only
+    # with elements, and scalars enter through .scale()
+    alg = make_algebra(*q)
+    for x in (alg.a, alg.b, alg.a + alg.b):
+        with pytest.raises(ValueError, match="sphere subalgebra"):
+            operator_norm(x, 150)
+    with pytest.raises(TypeError):
+        alg.sphere_A + 1
+    with pytest.raises(TypeError):
+        2 * alg.sphere_A
 
 
 def test_cstar_identity(half):
@@ -101,7 +105,7 @@ def test_norm_upper_dominates(half):
 def test_ladder_monotone(half):
     alg, _ = half
     x = alg.sphere_B + alg.sphere_B_star
-    vals = [operator_norm(x, M, ladder=False).lower_bound
+    vals = [operator_norm(x, M).lower_bound
             for M in (40, 80, 160)]
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
@@ -675,7 +679,7 @@ def test_bracket_routes_never_densify(monkeypatch, nine_tenths, no_densify):
     y = Berezin(GnsContext(alg, act)).via_coproduct(
         parse_expression(alg, "A - A^2"), 1)
     calls.clear()
-    assert operator_norm(y, 200, ladder=False).lower_bound > 0
+    assert operator_norm(y, 200).lower_bound > 0
     assert len(calls) == 1
     calls.clear()
     est = lip_norm_gram_oracle(act, parse_expression(alg, "B + Bs"), 100)
