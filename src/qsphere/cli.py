@@ -23,7 +23,7 @@ from dataclasses import replace
 from . import exprs
 from .berezin import Berezin, LayerInconsistency
 from .exprs import QExprError, canonical_json
-from .gns import GnsContext
+from .gns import GnsContext, PrecisionExhausted
 from .qhopf import Algebra
 from .session import SCHEMA, SessionConfig
 from .uq_actions import ACTIONS, UqActions
@@ -542,6 +542,10 @@ def main(argv=None) -> int:
     except OverflowError:
         # a value the float layers cannot hold, e.g. a coefficient 1e400
         print("error: value beyond float range", file=sys.stderr)
+        return 1
+    except PrecisionExhausted as exc:
+        print(f"error: {exc}; the float digits ran out, raise --precision",
+              file=sys.stderr)
         return 1
 
 

@@ -83,6 +83,11 @@ class _HaarInnerCache:
         return hit
 
 
+class PrecisionExhausted(RuntimeError):
+    """A Gram-Schmidt squared norm cancelled below the float field's
+    digits: the basis needs a higher working precision."""
+
+
 class _GradedOrtho:
     """Orthogonal chains of graded monomials, one per a-exponent.
 
@@ -149,7 +154,7 @@ class _GradedOrtho:
         step = self._integer_step if self.exact else self._scalar_step
         vec, snorm, col, ints = step(ch, mono)
         if self._degenerate(vec, mono, snorm):
-            raise RuntimeError(
+            raise PrecisionExhausted(
                 "Haar Gram-Schmidt degenerated at %r (squared norm %g lost "
                 "to cancellation)" % (mono, abs(snorm.to_complex())))
         if self.exact:                   # col holds Fractions

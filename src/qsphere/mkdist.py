@@ -9,12 +9,13 @@ averaging a witness over it keeps the numerator and does not raise L:
 the best witness in a fuzzy span lies in its charge-0 part, the
 polynomials f(A) of degree at most M (the Monge-Kantorovich picture of
 Rieffel, Metrics on state spaces, Doc. Math. 1999).  On f(A), d3
-vanishes and d1, d2 are one offset diagonal each, so the truncated
-derivation matrix of sum_j c_j u_j has one entry per row and column and
-its norm is max |R c|, for a real matrix R read off the basis elements'
-own derivation matrices.  The search is therefore one linear program,
-maximize eta . c subject to |R c| <= 1, solved by a dense simplex whose
-dual y (R^T y = eta, sum |y| = eta . c) certifies the optimum.
+vanishes and d1, d2 are one offset diagonal each, whose entries are, up
+to sign, the slopes (f(lambda_n) - f(lambda_(n+1))) / rho_n along
+spec(A) = {lambda_n = q^(2n)} u {0}, rho_n = q^n (1 - q^2) /
+sqrt(1 - q^(2n+2)).  So the truncated seminorm of sum_j c_j u_j is
+max |R c|, one row of R per site n, and the search is one linear
+program, maximize eta . c subject to |R c| <= 1, solved by a dense
+simplex whose dual y (R^T y = eta, sum |y| = eta . c) certifies it.
 
 The optimal witness is rationalized and scored by lip_norm on its full
 derivation matrix, a second route that never reads R; the probe
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, sqrt
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -53,8 +56,8 @@ from .specnorm import (
 )
 
 _TINY = 1e-300
-# the derivation blocks of charge-0 elements share one phase per entry:
-# exactly below q = 1, to 1.2e-15 on the q = 1 grid
+# the q = 1 derivation blocks of charge-0 elements share one phase per
+# grid point, to 1.2e-15
 _PHASE_TOL = 1e-12
 # reduced costs and pivots of the simplex, in units of the constraint |R c| <= 1
 _LP_TOL = 1e-12
@@ -81,9 +84,10 @@ class DistanceEstimate:
 class ChargeZeroLP(NamedTuple):
     """The charge-0 search at one level: maximize eta . coords subject to
     |rows @ coords| <= 1 over the basis, with the dual certificate
-    rows^T dual = eta, sum |dual| = eta . coords.  value is the ratio
-    eta . coords / max |rows @ coords|, the optimum of the truncated
-    seminorm ratio over the span."""
+    rows^T dual = eta, sum |dual| = eta . coords.  rows holds one row per
+    site of spec(A) below q = 1, one per grid point at q = 1.  value is
+    the ratio eta . coords / max |rows @ coords|, the optimum of the
+    truncated seminorm ratio over the span."""
 
     basis: tuple
     rows: np.ndarray
@@ -113,54 +117,21 @@ def _real_value(scal) -> float:
     return z.real
 
 
-def _canonical_rescale(u: AlgebraElement) -> AlgebraElement:
-    """Divide by a real rational read off the leading coefficient.
-
-    The divisor scales linearly under rational rescaling of u, so the
-    result is exactly invariant under u -> s u for rational s != 0.
-    Selfadjointness survives because the divisor is real.
-    """
-    lead = min(u.terms)
-    c = u.terms[lead]
-    if hasattr(c, "re"):
-        for comp in (c.re, c.im, c.sre, c.sim):
-            if comp != 0:
-                inv = u.alg.field.from_rational(comp.denominator,
-                                                comp.numerator)
-                return u.scale(inv)
-        raise ValueError("zero leading coefficient")
-    ctx = u.alg.field.ctx
-    re, im = ctx.re(c.val), ctx.im(c.val)
-    pick = re if abs(re) > abs(im) else im
-    if pick == 0:
-        raise ValueError("zero leading coefficient")
-    return u.scale(u.alg.field.from_float(1.0 / float(pick)))
-
-
-def selfadjoint_basis(gns, M: int, charge_zero: bool = False) -> list:
-    """Real basis of the nonscalar selfadjoint part of the fuzzy span.
-
-    Weight-0 vectors contribute their symmetrization, each positive
-    weight vector contributes v + v* and i(v - v*); negative weights are
-    the stars of these.  charge_zero keeps the weight-0 vectors alone,
-    the orthogonal polynomials in A of degrees 1..M.  The unit is
-    excluded, pinning the scalar component of every combination to 0.
-    Elements are canonically rescaled so that the basis, hence the
-    search, is invariant under rational rescaling of the fuzzy vectors.
-    """
-    alg = gns.alg
-    half = alg.field.from_rational(1, 2)
-    i_unit = alg.field.from_parts(0, 1)
+def charge_zero_basis(gns, M: int) -> list:
+    """The weight-0 fuzzy vectors of spins 1..M, the orthogonal
+    polynomials in A of degrees 1..M, whose coefficients are real.  The
+    unit is excluded, pinning the scalar component of every combination
+    to 0.  Each is divided by its leading coefficient, so that the basis,
+    hence the search, is invariant under rational rescaling of the fuzzy
+    vectors."""
+    F = gns.alg.field
     out = []
-    for vec in gns.fuzzy_basis(M):
-        if vec.spin == 0 or vec.weight < 0 or (charge_zero and vec.weight):
-            continue
-        v = vec.element
-        if vec.weight == 0:
-            out.append(_canonical_rescale((v + v.star()).scale(half)))
-        else:
-            out.append(_canonical_rescale(v + v.star()))
-            out.append(_canonical_rescale((v - v.star()).scale(i_unit)))
+    for v in gns.fuzzy_basis(M):
+        if v.spin and not v.weight:
+            c = v.element.terms[min(v.element.terms)]
+            out.append(v.element.scale(
+                F.from_rational(1, c.as_fraction()) if F.mode == "exact"
+                else F.from_float(1.0 / float(F.ctx.re(c.val)))))
     return out
 
 
@@ -199,24 +170,41 @@ def _real_rows(V: np.ndarray) -> np.ndarray:
     return W.real
 
 
-def _shift_rows(actions, basis: Sequence[AlgebraElement],
-                trunc: RepTruncation) -> np.ndarray:
-    """One row per entry of the union sparsity pattern of the basis
-    elements' truncated derivation matrices.  Each row and column of the
-    pattern must hold one entry: then T(c) = sum_r c_r D_r is a phased
-    permutation and ||T(c)|| = max |R c|."""
-    mats = [delta_block_matrix(actions, u, trunc) for u in basis]
-    n = mats[0].shape[0]
-    mats = [D.entries() for D in mats]
-    keys = np.unique(np.concatenate([i * n + j for i, j, _v in mats]))
-    rows, cols = np.divmod(keys, n)
-    if len(np.unique(rows)) < len(keys) or len(np.unique(cols)) < len(keys):
-        raise ValueError("derivation matrices of the charge-0 basis share "
-                         "a row or a column")
-    V = np.zeros((len(keys), len(basis)), dtype=complex)
-    for r, (i, j, v) in enumerate(mats):
-        V[np.searchsorted(keys, i * n + j), r] = v
-    return _real_rows(V)
+def _spectral_rows(basis: Sequence[AlgebraElement], T: int) -> np.ndarray:
+    """One row per site n < T - 1 below q = 1: f(A) has the entry
+    g(lambda_n) / rho_n, g(x) = f(x) - f(q^2 x).  At q = p/r the sum is
+    on integers, H_n = sum_l N_l p^(2nl) r^(2n(d-l)) with N_l g's
+    numerators over den r^(2d), rounded once as H_n / (den D_n), where
+    D_n = r^(2d(n+1)) p^n (r^2 - p^2) / r^(n+2) holds 1 / rho_n's
+    rational part.  Float fields run it on mpf values with r = 1."""
+    field = basis[0].alg.field
+    exact = field.mode == "exact"
+    if exact:
+        p, r = field.q_fraction.numerator, field.q_fraction.denominator
+    else:
+        p, r = field.ctx.re(field.q.val), 1
+    d = max(m.b_exp for u in basis for m in u.terms)
+    polys = []
+    for u in basis:
+        c = [0] * (d + 1)
+        for m, v in u.terms.items():
+            c[m.b_exp] = v.as_fraction() if exact else field.ctx.re(v.val)
+        den = lcm(*(x.denominator for x in c)) if exact else 1
+        N = [x * den * (r ** (2 * l) - p ** (2 * l)) * r ** (2 * (d - l))
+             for l, x in enumerate(c)]
+        polys.append((den, [int(x) for x in N] if exact else N))
+    p2, r2 = p * p, r * r
+    steps = [p ** (2 * l) * r ** (2 * (d - l)) for l in range(d + 1)]
+    powers = [1] * (d + 1)          # p^(2nl) r^(2n(d-l))
+    Q, S, D = p2, r2, r ** (2 * d - 2) * (r2 - p2)   # Q / S = q^(2n+2)
+    rows = []
+    for _n in range(T - 1):
+        root = sqrt((S - Q) / S)
+        rows.append([float(sum(map(mul, N, powers)) / (den * D)) * root
+                     for den, N in polys])
+        powers = list(map(mul, powers, steps))
+        Q, S, D = Q * p2, S * r2, D * r ** (2 * d - 1) * p
+    return np.array(rows)
 
 
 def _grid_rows(actions, basis: Sequence[AlgebraElement]) -> np.ndarray:
@@ -296,21 +284,21 @@ def charge_zero_lp(ber: Berezin, N: int, M: int,
                    norm_truncation: int) -> ChargeZeroLP:
     """The charge-0 search at level N over spins 1..M.
 
-    Below q = 1 the rows come from the derivation matrices at the size
-    lip_norm scores a degree-2M witness at; at q = 1 from the classical
-    grid that lip_norm reads there.
+    Below q = 1 the rows are the closed form on spec(A), one per site
+    of the size T = max(norm_truncation, 2M + 2) that lip_norm scores a
+    degree-2M witness at; at q = 1 they come from the classical grid
+    that lip_norm reads there.
     """
     gns = ber.gns
     alg = gns.alg
-    basis = selfadjoint_basis(gns, M, charge_zero=True)
+    basis = charge_zero_basis(gns, M)
     eta = np.array([_real_value(ber.h_twisted(u, N) - alg.counit(u))
                     for u in basis])
     q = alg.field.float_q()
     if q == 1.0:
         R = _grid_rows(gns.actions, basis)
     else:
-        R = _shift_rows(gns.actions, basis,
-                        RepTruncation(q, max(norm_truncation, 2 * M + 2)))
+        R = _spectral_rows(basis, max(norm_truncation, 2 * M + 2))
     c, y = _simplex(R, eta)
     return ChargeZeroLP(tuple(basis), R, eta, c, y,
                         float(eta @ c) / float(np.abs(R @ c).max()))
@@ -465,8 +453,9 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
     try:
         lp = charge_zero_lp(ber, N, M, norm_truncation)
     except ValueError:
-        # the float rows of high-degree elements can lose every digit
-        # (spin 10 and up at q = 1/2); the probes still bound the distance
+        # the simplex refuses rank-deficient rows and rows too
+        # ill-conditioned for its pivot budget; the probes still bound
+        # the distance
         pass
     else:
         w = _rationalize(lp.coords, lp.basis)

@@ -262,6 +262,21 @@ def test_coefficient_beyond_float_range(capsys, argv):
     assert out == "" and err == "error: value beyond float range\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("dist", "--N", "1", "--M", "7"),
+    ("spectrum", "--N", "1", "--max-spin", "8"),
+    ("verify", "--N", "1..2", "--M", "7"),
+], ids=["dist", "spectrum", "verify-N"])
+def test_float_digits_that_run_out_are_an_input_error(capsys, argv):
+    # at 50 digits the spin-7 Gram-Schmidt cancels below the field's
+    # precision: one error line naming the option, exit 1
+    code, out, err = run(capsys, *argv, "--q", "0.5", "--scalar-mode",
+                         "float", "--precision", "50")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Haar Gram-Schmidt degenerated")
+    assert err.endswith("raise --precision\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("factor", ["1e300", "1e-300"])
 @pytest.mark.parametrize("expr", ["A", "B + Bs"])
 def test_lipnorm_large_in_range_coefficient(capsys, expr, factor):

@@ -1,8 +1,8 @@
 """Distance search invariants at desk scale."""
 
-import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,18 +12,19 @@ from qsphere.berezin import Berezin
 from qsphere.exprs import element_to_text
 from qsphere.mkdist import (_ShiftDenominator, approx_inequality_check,
                             charge_zero_lp, default_probes,
-                            estimate_distance, selfadjoint_basis,
-                            theorem_b_approximant)
+                            estimate_distance, theorem_b_approximant)
 from qsphere.qhopf import AlgebraElement
+from qsphere.specnorm import RepTruncation, delta_block_matrix
 from qsphere.suites import random_elements
-from scipy_ref import as_csr, from_csr
+from scipy_ref import as_csr
 
 
 SMALL = dict(norm_truncation=100)
 # the general-span oracle's settings of the frozen search path
 ORACLE_SMALL = dict(norm_truncation=100, restarts=2, max_iters=40, seed=3)
-# item 1's closed form of d(h_1, eps) at q = 1/2
+# item 1's closed form of d(h_1, eps) at q = 1/2 and q = 9/10
 DIST_HALF_N1 = 0.6323410944
+DIST_NINE_N1 = 1.09192994263
 
 
 def objective_value(ber, x, N, mode, norm_truncation):
@@ -50,6 +51,56 @@ def ber_one(alg_one):
     return Berezin(GnsContext(alg_one, UqActions(alg_one)))
 
 
+def _canonical_rescale(u):
+    """Divide by a real rational read off the leading coefficient.
+
+    The divisor scales linearly under rational rescaling of u, so the
+    result is exactly invariant under u -> s u for rational s != 0.
+    Selfadjointness survives because the divisor is real.
+    """
+    lead = min(u.terms)
+    c = u.terms[lead]
+    if hasattr(c, "re"):
+        for comp in (c.re, c.im, c.sre, c.sim):
+            if comp != 0:
+                inv = u.alg.field.from_rational(comp.denominator,
+                                                comp.numerator)
+                return u.scale(inv)
+        raise ValueError("zero leading coefficient")
+    ctx = u.alg.field.ctx
+    re, im = ctx.re(c.val), ctx.im(c.val)
+    pick = re if abs(re) > abs(im) else im
+    if pick == 0:
+        raise ValueError("zero leading coefficient")
+    return u.scale(u.alg.field.from_float(1.0 / float(pick)))
+
+
+def _general_basis(gns, M):
+    """Real basis of the nonscalar selfadjoint part of the fuzzy span.
+
+    Weight-0 vectors contribute their symmetrization, each positive
+    weight vector contributes v + v* and i(v - v*); negative weights are
+    the stars of these.  The unit is excluded, pinning the scalar
+    component of every combination to 0.  Elements are canonically
+    rescaled so that the basis, hence the search, is invariant under
+    rational rescaling of the fuzzy vectors.
+    """
+    alg = gns.alg
+    half = alg.field.from_rational(1, 2)
+    i_unit = alg.field.from_parts(0, 1)
+    out = []
+    for vec in gns.fuzzy_basis(M):
+        if vec.spin == 0 or vec.weight < 0:
+            continue
+        v = vec.element
+        if vec.weight == 0:
+            out.append(_canonical_rescale((v + v.star()).scale(half)))
+        else:
+            out.append(_canonical_rescale(v + v.star()))
+            out.append(_canonical_rescale((v - v.star()).scale(i_unit)))
+    return out
+
+
 def general_span_ascents(ber, N, M, norm_truncation=200, restarts=8,
                          max_iters=150, seed=0):
     """The general-span oracle: one projected subgradient ascent on the
@@ -58,7 +109,7 @@ def general_span_ascents(ber, N, M, norm_truncation=200, restarts=8,
     Returns (tag, best ratio, its coordinates, the basis) per start."""
     gns = ber.gns
     alg = gns.alg
-    basis = selfadjoint_basis(gns, M)
+    basis = _general_basis(gns, M)
     eta = np.array([mkdist._real_value(ber.h_twisted(u, N) - alg.counit(u))
                     for u in basis])
     denom = _ShiftDenominator(gns.actions, basis, norm_truncation)
@@ -98,7 +149,7 @@ def test_problem_validation(ber_half):
 
 
 def test_basis_structure(gns_half, alg_half):
-    basis = selfadjoint_basis(gns_half, 2)
+    basis = _general_basis(gns_half, 2)
     assert len(basis) == 8      # (M+1)^2 - 1
     for v in basis:
         assert v == v.star()
@@ -200,7 +251,7 @@ def test_shift_operator_assembly_exact():
         alg = make_algebra(qn, qd)
         gns = GnsContext(alg, UqActions(alg))
         for M in (2, 3, 4):
-            basis = selfadjoint_basis(gns, M)
+            basis = _general_basis(gns, M)
             denom = _ShiftDenominator(gns.actions, basis, 40)
             rng = np.random.default_rng([M, qd])
             for k in range(6):
@@ -267,7 +318,7 @@ def test_shift_sigma_bracket_fallback(monkeypatch, gns_half):
         return bracket(D, U, lo)
 
     monkeypatch.setattr(specnorm, "_bracket", spied)
-    basis = selfadjoint_basis(gns_half, 3)
+    basis = _general_basis(gns_half, 3)
     denom = _ShiftDenominator(gns_half.actions, basis, 100)
     rng = np.random.default_rng(11)
     for k in range(4):
@@ -413,14 +464,28 @@ def test_lp_values_rise_toward_the_distance(ber_half):
     assert vals[-1] > 0.63
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="beyond M = 9 at q = 1/2 the float shift model "
-                          "loses the digits of the orthogonal polynomials' "
-                          "cancelling coefficients (ROADMAP item 2)")
 @pytest.mark.parametrize("M", [10, 11, 12])
 def test_lp_values_rise_beyond_spin_nine(ber_half, M):
     assert 0.630556 < charge_zero_lp(ber_half, 1, M, 100).value < \
         DIST_HALF_N1
+
+
+@pytest.fixture(scope="module")
+def lps_twelve(ber_half, ber_nine):
+    """The spin-12 linear programs at q = 1/2 and q = 9/10, N = 1."""
+    return {0.5: charge_zero_lp(ber_half, 1, 12, 100),
+            0.9: charge_zero_lp(ber_nine, 1, 12, 100)}
+
+
+def test_lp_values_beyond_spin_nine_are_pinned(ber_half, lps_twelve):
+    # values of an independent prototype (Lagrange rows at 60 digits,
+    # another LP solver); each stays below the distance
+    for lp, want, dist in ((lps_twelve[0.5], 0.632118, DIST_HALF_N1),
+                           (charge_zero_lp(ber_half, 1, 16, 100), 0.632327,
+                            DIST_HALF_N1),
+                           (lps_twelve[0.9], 1.000496, DIST_NINE_N1)):
+        assert lp.value == pytest.approx(want, abs=1e-6)
+        assert lp.value < dist
 
 
 def _gauge(x, k=1):
@@ -449,25 +514,25 @@ def test_gauge_invariance_of_the_seminorm(bers, which):
         assert la.lower_bound <= lx.lower_bound * (1 + 1e-12)
 
 
-def _closed_form_rows(lp, q, planted_sqrt=False):
-    """Item 1's rows (f(lambda_n) - f(lambda_(n+1))) / rho_n over the
-    truncation, lambda_n = q^(2n), rho_n = q^n (1 - q^2) /
-    sqrt(1 - q^(2n+2)), with f evaluated exactly."""
-    T = (len(lp.rows) + 2) // 2
-    Q = Fraction(q).limit_denominator(1000)
-    out = np.zeros((T - 1, len(lp.basis)))
-    for j, u in enumerate(lp.basis):
-        coeffs = {}
-        for m, c in u.terms.items():
-            assert m.a_exp == 0 and m.b_exp == m.bs_exp
-            coeffs[m.b_exp] = c.as_fraction()
-        vals = [sum(c * Q ** (2 * n * l) for l, c in coeffs.items())
-                for n in range(T)]
-        for n in range(T - 1):
-            root = 1.0 if planted_sqrt else math.sqrt(1 - q ** (2 * n + 2))
-            rho = q ** n * (1 - q * q) / root
-            out[n, j] = float(vals[n] - vals[n + 1]) / rho
-    return out
+def _shift_rows(actions, basis, trunc):
+    """The rows read off the truncated derivation matrices in the float
+    shift model, the program's route before the closed form: one row per
+    entry of the union sparsity pattern of the basis elements' matrices.
+    Each row and column of the pattern must hold one entry: then
+    T(c) = sum_r c_r D_r is a phased permutation and ||T(c)|| = max |R c|.
+    """
+    mats = [delta_block_matrix(actions, u, trunc) for u in basis]
+    n = mats[0].shape[0]
+    mats = [D.entries() for D in mats]
+    keys = np.unique(np.concatenate([i * n + j for i, j, _v in mats]))
+    rows, cols = np.divmod(keys, n)
+    if len(np.unique(rows)) < len(keys) or len(np.unique(cols)) < len(keys):
+        raise ValueError("derivation matrices of the charge-0 basis share "
+                         "a row or a column")
+    V = np.zeros((len(keys), len(basis)), dtype=complex)
+    for r, (i, j, v) in enumerate(mats):
+        V[np.searchsorted(keys, i * n + j), r] = v
+    return mkdist._real_rows(V)
 
 
 def _match_counts(R, K):
@@ -484,42 +549,41 @@ def _match_counts(R, K):
 
 
 @pytest.mark.parametrize("which,q,M", [("half", 0.5, 4), ("nine", 0.9, 3)])
-def test_lp_rows_are_the_closed_form(bers, which, q, M):
-    # d1 and d2 each give every row once
-    lp = charge_zero_lp(bers[which], 1, M, 100)
-    K = _closed_form_rows(lp, q)
-    counts = _match_counts(lp.rows, K)
+def test_lp_rows_are_the_closed_form(monkeypatch, bers, which, q, M):
+    # the shift model's d1 and d2 each give every closed-form row once,
+    # up to sign, where its float rows still hold their digits
+    ber = bers[which]
+    lp = charge_zero_lp(ber, 1, M, 100)
+    T = len(lp.rows) + 1
+    oracle = _shift_rows(ber.gns.actions, lp.basis, RepTruncation(q, T))
+    counts = _match_counts(oracle, lp.rows)
     assert counts is not None and (counts == 2).all()
-    # planted errors: one dropped LP row, rho_n without its square root
-    dropped = _match_counts(np.delete(lp.rows, 7, axis=0), K)
-    assert dropped is not None and not (dropped == 2).all()
-    assert _match_counts(lp.rows, _closed_form_rows(lp, q, True)) is None
+    # planted errors: one dropped row, rho_n without its square root
+    assert _match_counts(oracle, np.delete(lp.rows, 7, axis=0)) is None
+    monkeypatch.setattr(mkdist, "sqrt", lambda x: 1.0)
+    assert _match_counts(oracle, mkdist._spectral_rows(lp.basis, T)) is None
 
 
-def test_lp_phase_checks_raise(monkeypatch, ber_half):
-    # a basis element whose derivation entries turn by i at one row, or
-    # a second entry in one row, is refused
-    real = specnorm.delta_block_matrix
-
-    def turned(actions, u, trunc):
-        D = as_csr(real(actions, u, trunc))
-        if len(u.terms) == 3:
-            D.data[4] *= 1j
-        return from_csr(D)
-
-    monkeypatch.setattr(mkdist, "delta_block_matrix", turned)
-    with pytest.raises(ValueError, match="phases"):
-        charge_zero_lp(ber_half, 1, 3, 50)
-
-    def doubled(actions, u, trunc):
-        D = as_csr(real(actions, u, trunc)).tolil()
-        if len(u.terms) == 3:
-            D[0, 0] = 1.0
-        return from_csr(D.tocsr())
-
-    monkeypatch.setattr(mkdist, "delta_block_matrix", doubled)
-    with pytest.raises(ValueError, match="row or a column"):
-        charge_zero_lp(ber_half, 1, 3, 50)
+def test_lp_rows_match_the_exact_reference(lps_twelve):
+    # through spin 12, against f(lambda_n) in Fractions and rho_n at 40
+    # digits: (f(lambda_n) - f(lambda_(n+1))) / rho_n to 5e-15 relative
+    ctx = mpmath.mp.clone()
+    ctx.dps = 40
+    for q, lp in lps_twelve.items():
+        Q = Fraction(q).limit_denominator(10)
+        qq = ctx.mpf(Q.numerator) / Q.denominator
+        lam = [Q ** (2 * n) for n in range(len(lp.rows) + 1)]
+        for j, u in enumerate(lp.basis):
+            coeffs = {}
+            for m, c in u.terms.items():
+                assert m.a_exp == 0 and m.b_exp == m.bs_exp
+                coeffs[m.b_exp] = c.as_fraction()
+            f = [sum(c * x ** l for l, c in coeffs.items()) for x in lam]
+            for n, got in enumerate(lp.rows[:, j]):
+                rho = qq ** n * (1 - qq ** 2) / ctx.sqrt(1 - qq ** (2 * n + 2))
+                diff = f[n] - f[n + 1]
+                want = ctx.mpf(diff.numerator) / diff.denominator / rho
+                assert abs(got - want) <= 5e-15 * abs(want)
 
 
 def _lip(ber, x, trunc):
