@@ -1,7 +1,7 @@
 """Command line surface: one binary, subcommands per operation.
 
 Every artifact embeds the full session configuration and the schema tag
-"qsphere/3" (session.SCHEMA); reruns with identical configuration and
+"qsphere/4" (session.SCHEMA); reruns with identical configuration and
 seed reproduce the bytes.  Wall-clock timings never enter artifacts
 unless asked for, so they do not break reproducibility.
 
@@ -51,22 +51,10 @@ def _build_parser() -> _Parser:
     common.add_argument("--M", type=int, default=4, dest="M",
                         help="fuzzy truncation level for search spaces")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--gap", type=float, default=0.05,
-                        help="estimator-quality gap for probe ratios")
-    common.add_argument("--cache-dir", default="",
-                        help="cache directory (default: QSPHERE_CACHE)")
-    # None when not given: verify --N and sweep refuse an explicit json,
-    # verify --list-suites any explicit format
-    common.add_argument("--format", choices=("json", "csv"),
-                        help="artifact format (default json; verify --N "
-                             "and sweep write only CSV)")
     common.add_argument("--out", default="",
                         help="write the artifact to this path instead of stdout")
     common.add_argument("--print-config", action="store_true",
                         help="dump the resolved configuration and exit")
-    common.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in verify reports "
-                             "(non-reproducible)")
 
     p = _Parser(prog="qsphere", description=__doc__)
     sub = p.add_subparsers(dest="command")
@@ -97,6 +85,7 @@ def _build_parser() -> _Parser:
                         help="transform eigenvalues by spin layer")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--max-spin", type=int, default=4)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("lipnorm", parents=[common],
                         help="Lip seminorm estimate with provenance")
@@ -117,6 +106,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--N", default="", dest="n_range",
                     help="level range like 1..5 for the trend harness")
     sp.add_argument("--list-suites", action="store_true")
+    sp.add_argument("--timings", action="store_true",
+                    help="include wall-clock timings in suite reports "
+                         "(non-reproducible)")
 
     sp = sub.add_parser("sweep", parents=[common],
                         help="grid run over (q, N, M) cells, resumable")
@@ -126,6 +118,9 @@ def _build_parser() -> _Parser:
                     help="level range like 1..3")
     sp.add_argument("--M-range", required=True,
                     help="search truncation range like 2..4")
+    sp.add_argument("--cache-dir", default="",
+                    help="cell cache (default: $QSPHERE_CACHE, else "
+                         "~/.cache/qsphere)")
     return p
 
 
@@ -137,10 +132,7 @@ def _config_from(ns) -> SessionConfig:
             precision=ns.precision,
             norm_truncation=ns.trunc,
             search_truncation=ns.M,
-            estimator_gap=ns.gap,
             seed=ns.seed,
-            cache_dir=ns.cache_dir,
-            output_format=ns.format or "json",
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -271,7 +263,7 @@ def _cmd_act(ns, cfg: SessionConfig) -> int:
 
 
 def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
-                   kind: str, payload: dict) -> int:
+                   kind: str, payload: dict, as_csv: bool) -> int:
     """Emit the level-N eigenvalues of spins 0..top: as an n,c CSV, or
     added to payload as the artifact of the given kind.  A spin layer
     that fails the coproduct check emits the failed layer-consistency
@@ -287,7 +279,7 @@ def _emit_spectrum(ns, cfg: SessionConfig, ber: Berezin, top: int,
         return 2
     rows = [(n, float(spec.eigenvalues[n].to_complex().real))
             for n in range(top + 1)]
-    if cfg.output_format == "csv":
+    if as_csv:
         _emit(ns, _csv_text(["n", "c"],
                             [(n, _fmt_float(c)) for n, c in rows]))
         return 0
@@ -308,14 +300,15 @@ def _cmd_berezin(ns, cfg: SessionConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return _emit_spectrum(ns, cfg, ber, max(x.sphere_degree(), 1),
-                          "berezin", _element_payload(y))
+                          "berezin", _element_payload(y), False)
 
 
 def _cmd_spectrum(ns, cfg: SessionConfig) -> int:
     if ns.max_spin < 0:
         raise UsageError("--max-spin must be non-negative")
     ber = Berezin(GnsContext(cfg.build_algebra()))
-    return _emit_spectrum(ns, cfg, ber, ns.max_spin, "spectrum", {})
+    return _emit_spectrum(ns, cfg, ber, ns.max_spin, "spectrum", {},
+                          ns.format == "csv")
 
 
 def _cmd_lipnorm(ns, cfg: SessionConfig) -> int:
@@ -454,22 +447,22 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
     levels = _parse_range(ns.n_range)
     m_values = _parse_range(ns.M_range)
 
-    cache_dir = cfg.resolved_cache_dir()
+    cache_dir = (ns.cache_dir or os.environ.get("QSPHERE_CACHE", "")
+                 or os.path.join(os.path.expanduser("~"), ".cache", "qsphere"))
     os.makedirs(cache_dir, exist_ok=True)
     code = _package_digest()
 
     rows = []
     for q_text in q_texts:
         try:
-            qcfg = cfg.with_q(q_text)
+            qcfg = replace(cfg, q_text=q_text)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         for N in levels:
             for M in m_values:
                 key_src = canonical_json({
                     "cell": [q_text, N, M],
-                    "config": {k: v for k, v in qcfg.to_obj().items()
-                               if k not in ("cacheDir", "outputFormat")},
+                    "config": qcfg.to_obj(),
                     "code": code,
                 })
                 key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
@@ -518,20 +511,6 @@ def main(argv=None) -> int:
                 {"schema": SCHEMA, "kind": "config",
                  "config": cfg.to_obj()}))
             return 0
-        if ns.format and ns.command == "verify" and ns.list_suites:
-            raise UsageError("verify --list-suites prints a plain list; "
-                             "omit --format")
-        if cfg.output_format == "csv" and not (
-                ns.command in ("spectrum", "sweep")
-                or ns.command == "verify" and not ns.suite):
-            raise UsageError(f"{ns.command} writes no CSV; --format csv is "
-                             "for spectrum, sweep and verify --N")
-        if ns.format == "json" and (
-                ns.command == "sweep" or ns.command == "verify"
-                and ns.n_range and not ns.suite):
-            what = "sweep" if ns.command == "sweep" else "verify --N"
-            raise UsageError(f"{what} writes only CSV; omit --format or "
-                             "give --format csv")
         return _COMMANDS[ns.command](ns, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

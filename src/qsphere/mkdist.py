@@ -17,10 +17,10 @@ max |R c|, one row of R per site n, and the search is one linear
 program, maximize eta . c subject to |R c| <= 1, solved by a dense
 simplex whose dual y (R^T y = eta, sum |y| = eta . c) certifies it.
 
-The optimal witness is rationalized and scored by lip_norm on its full
-derivation matrix, a second route that never reads R; the probe
-elements compete with it, and every candidate is scored both ways,
-certified and truncated, from one seminorm call.  A projected
+The optimal witness is rationalized and scored on the same rows, max
+|R c| at its rational coordinates, and by the crude bound of its
+derivation matrix; the probe elements compete with it, each scored both
+ways, certified and truncated, from one seminorm call.  A projected
 subgradient ascent over the whole selfadjoint span (_ascend on
 _ShiftDenominator) stays as the test oracle: its value may not exceed
 the charge-0 optimum.  The module also packages the smooth-approximant
@@ -47,6 +47,7 @@ from .specnorm import (
     NormEstimate,
     PaddedRows,
     RepTruncation,
+    crude_lip_bound,
     delta_block_grid,
     delta_block_matrix,
     lip_norm,
@@ -400,19 +401,18 @@ def _ascend(eta: np.ndarray, denom, c0: np.ndarray, max_iters: int) -> tuple:
 
 
 def _rationalize(coords: np.ndarray,
-                 basis: Sequence[AlgebraElement]) -> AlgebraElement:
-    alg = basis[0].alg
+                 basis: Sequence[AlgebraElement]) -> tuple:
+    """(witness, its float coordinates): coords scaled to max 1 and
+    rounded to fractions of denominator at most 10^9."""
+    field = basis[0].alg.field
     scale = float(np.abs(coords).max())
-    out = None
-    for cr, u in zip(coords, basis):
-        fr = Fraction(float(cr) / scale).limit_denominator(10 ** 9)
-        if fr == 0:
-            continue
-        term = u.scale(alg.field.from_rational(fr.numerator, fr.denominator))
-        out = term if out is None else out + term
-    if out is None:
+    fracs = [Fraction(float(cr) / scale).limit_denominator(10 ** 9)
+             for cr in coords]
+    terms = [u.scale(field.from_rational(fr.numerator, fr.denominator))
+             for fr, u in zip(fracs, basis) if fr]
+    if not terms:
         raise ValueError("witness rationalized to zero")
-    return out
+    return sum(terms[1:], terms[0]), np.array(fracs, dtype=float)
 
 
 def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
@@ -426,13 +426,14 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
     optimal witness plus the probes restricted to the span's degree:
     probes is a sequence of (element, its lip_norm estimate at the norm
     truncation) pairs, default_probes when omitted.  Both modes search
-    alike, and every candidate is rescored from its exact element both
-    ways: certified mode divides by the crude upper bound of the Lip
+    alike, and every candidate's numerator is recomputed from its exact
+    element: certified mode divides by the crude upper bound of the Lip
     seminorm, so its values stay true lower bounds of the distance,
-    heuristic mode by the truncated-representation lower bound.  The
-    result dominates the trivial witnesses; if the optimum does not beat
-    them, or the linear program cannot be solved, the probe bound is
-    returned with degraded=True.
+    heuristic mode by the truncated seminorm, which for the optimum is
+    max |R c| on the linear program's rows.  The result dominates the
+    trivial witnesses; if the optimum does not beat them, or the linear
+    program cannot be solved, the probe bound is returned with
+    degraded=True.
     """
     if N < 1:
         raise ValueError("level N must be >= 1")
@@ -441,15 +442,15 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
     if mode not in ("certified", "heuristic"):
         raise ValueError("mode must be certified or heuristic")
     actions = ber.gns.actions
-
-    def lip_of(w):
-        return lip_norm(actions, w, norm_truncation, ladder=False).value
-
     if probes is None:
-        probes = [(p, lip_of(p)) for p in default_probes(ber.alg)
+        probes = [(p, lip_norm(actions, p, norm_truncation,
+                               ladder=False).value)
+                  for p in default_probes(ber.alg) if p.sphere_degree() <= M]
+    # (tag, witness, certified scale: the crude bound, truncated scale:
+    # the seminorm)
+    candidates = [(f"probe{j}", p, lip.upper_bound, lip.lower_bound)
+                  for j, (p, lip) in enumerate(probes)
                   if p.sphere_degree() <= M]
-    candidates = [(f"probe{j}", p, lip) for j, (p, lip)
-                  in enumerate(probes) if p.sphere_degree() <= M]
     try:
         lp = charge_zero_lp(ber, N, M, norm_truncation)
     except ValueError:
@@ -458,14 +459,16 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
         # the distance
         pass
     else:
-        w = _rationalize(lp.coords, lp.basis)
-        candidates.insert(0, ("lp", w, lip_of(w)))
+        # the witness's truncated seminorm is max |R c| on the LP's own
+        # rows at its rationalized coordinates
+        w, c = _rationalize(lp.coords, lp.basis)
+        candidates.insert(0, ("lp", w,
+                              crude_lip_bound(actions.delta_matrix(w)),
+                              float(np.abs(lp.rows @ c).max())))
 
     scored = []
-    for tag, w, lip in candidates:
+    for tag, w, upper, lower in candidates:
         num = abs(_real_value(ber.h_twisted(w, N) - ber.alg.counit(w)))
-        # certified scale: the crude bound; truncated: the seminorm
-        upper, lower = lip.upper_bound, lip.lower_bound
         if upper <= 1e-14 or lower <= 1e-14:
             continue
         scored.append((tag, w, num / upper, num / lower))
@@ -488,15 +491,18 @@ def estimate_distance(ber: Berezin, N: int, M: int, norm_truncation: int = 100,
     )
 
 
+# a probe's defect ratio above the heuristic distance plus this is flagged
+ESTIMATOR_GAP = 0.05
+
+
 def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
                             d_estimate: DistanceEstimate, trunc: int,
-                            lip_x: NormEstimate,
-                            gap: float = 0.05) -> InequalityReport:
+                            lip_x: NormEstimate) -> InequalityReport:
     """Certified transform-defect ratio of x against a distance estimate.
 
     r(x) = lower bound of the norm of x - (transform of x), divided by
     lip_x.upper_bound, the certified upper bound of Lip(x).  An r(x)
-    above the heuristic estimate plus the gap marks an estimator-quality
+    above the heuristic estimate plus ESTIMATOR_GAP marks an estimator-quality
     event; it is never a contradiction, because both numbers are
     approximations from the same side.  The norm is the dist_slack of
     theorem_b_approximant for the same x, N, truncation and lip_x (x's
@@ -511,7 +517,7 @@ def approx_inequality_check(ber: Berezin, x: AlgebraElement, N: int,
     ratio = app.dist_slack / upper
     return InequalityReport(
         ratio=ratio,
-        flagged=ratio > d_estimate.heuristic_value + gap,
+        flagged=ratio > d_estimate.heuristic_value + ESTIMATOR_GAP,
         approximant=app,
     )
 

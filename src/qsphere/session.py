@@ -1,4 +1,4 @@
-"""Session configuration: one record that pins down every default.
+"""Session configuration: one record of the settings that change a number.
 
 Each emitted artifact embeds the full configuration, so any number in a
 report can be reproduced from the artifact alone.  Identical config and
@@ -16,14 +16,14 @@ a bisection point could still move a bracketed value, by at most 1e-12.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .qhopf import Algebra, make_algebra, make_algebra_float
 
 # schema tag of every artifact; raised whenever an artifact's keys change
-SCHEMA = "qsphere/3"
+SCHEMA = "qsphere/4"
 
 
 def parse_q(text: str) -> Fraction:
@@ -39,13 +39,15 @@ def parse_q(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """All numeric defaults in one place.
+    """The six settings that change a number; output and deployment
+    options live on the subcommands they affect.
 
     q_text keeps the user's literal spelling so the echo in artifacts
     round-trips; scalar_mode 'exact' uses rational/cyclotomic-free
     arithmetic, 'float' uses arbitrary-precision complex at `precision`
     digits.  norm_truncation is the representation size for norm
     estimates, search_truncation the fuzzy level for distance search.
+    trend_tol, the slack of the distance-trend checks, is not a setting.
     """
 
     q_text: str = "1/2"
@@ -53,34 +55,23 @@ class SessionConfig:
     precision: int = 50
     norm_truncation: int = 200
     search_truncation: int = 4
-    trend_tol: float = 1e-3
-    estimator_gap: float = 0.05
     seed: int = 0
-    cache_dir: str = ""
-    output_format: str = "json"
+    trend_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         parse_q(self.q_text)
         if self.scalar_mode not in ("exact", "float"):
             raise ValueError("scalar_mode must be exact or float")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output_format must be json or csv")
         if self.precision < 15:
             raise ValueError("precision must be at least 15 digits")
         if self.norm_truncation < 2:
             raise ValueError("norm truncation must be at least 2")
-        if not 0 <= self.estimator_gap < float("inf"):   # NaN fails too
-            raise ValueError("estimator gap must be finite and "
-                             f"non-negative, got {self.estimator_gap}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def q(self) -> Fraction:
         return parse_q(self.q_text)
-
-    def with_q(self, q_text: str) -> "SessionConfig":
-        return replace(self, q_text=q_text)
 
     def build_algebra(self) -> Algebra:
         q = self.q
@@ -89,14 +80,6 @@ class SessionConfig:
         return make_algebra_float(q.numerator / q.denominator,
                                   precision=self.precision)
 
-    def resolved_cache_dir(self) -> str:
-        if self.cache_dir:
-            return self.cache_dir
-        env = os.environ.get("QSPHERE_CACHE", "")
-        if env:
-            return env
-        return os.path.join(os.path.expanduser("~"), ".cache", "qsphere")
-
     def to_obj(self) -> dict:
         return {
             "q": self.q_text,
@@ -104,9 +87,5 @@ class SessionConfig:
             "precision": self.precision,
             "normTruncation": self.norm_truncation,
             "searchTruncation": self.search_truncation,
-            "trendTol": self.trend_tol,
-            "estimatorGap": self.estimator_gap,
             "seed": self.seed,
-            "cacheDir": self.cache_dir,
-            "outputFormat": self.output_format,
         }

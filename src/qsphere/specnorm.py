@@ -481,7 +481,7 @@ def lip_norm(actions: UqActions, x: AlgebraElement, M: int,
         "delta1": entries[1][0], "delta2": entries[0][1],
         "delta3": entries[1][1],
     }
-    upper = _crude_lip_bound(entries)
+    upper = crude_lip_bound(entries)
     if all(e.is_zero() for row in entries for e in row):
         return LipResult(NormEstimate(0.0, 0.0, True, 0), components)
     if x.alg.field.float_q() == 1.0:
@@ -513,7 +513,7 @@ def _character_norm(entries: list, scale: float = 1.0) -> float:
     return math.sqrt((p + r) / 2 + math.hypot((p - r) / 2, abs(z)))
 
 
-def _crude_lip_bound(entries: list) -> float:
+def crude_lip_bound(entries: list) -> float:
     """2 x the largest coefficient sum over the derivation-matrix entries:
     each entry's image is at most its coefficient sum in norm, and a 2x2
     operator matrix is at most twice its largest entry."""

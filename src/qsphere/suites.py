@@ -370,8 +370,7 @@ def theoremb_rows(cfg: SessionConfig, n_values) -> list:
         slacks = []
         for p, lip in probes:
             rep = mkdist.approx_inequality_check(
-                ber, p, N, est, cfg.norm_truncation, gap=cfg.estimator_gap,
-                lip_x=lip)
+                ber, p, N, est, cfg.norm_truncation, lip_x=lip)
             ratios.append(rep.ratio)
             flags.append(rep.flagged)
             slacks.append(rep.approximant.lip_slack)

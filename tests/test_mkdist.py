@@ -214,7 +214,7 @@ def test_frozen_heuristic_search_path(ber_half, est1_heur):
     # seminorm came from LAPACK's dense SVD, and the Lanczos kernel that
     # scores it now agrees with that SVD to roundoff, not bit for bit.
     runs = general_span_ascents(ber_half, 1, 2, **ORACLE_SMALL)
-    scores = [objective_value(ber_half, mkdist._rationalize(c, basis), 1,
+    scores = [objective_value(ber_half, mkdist._rationalize(c, basis)[0], 1,
                               "heuristic", 100)
               for _tag, _f, c, basis in runs]
     tag, _f, c, basis = runs[int(np.argmax(scores))]
@@ -225,7 +225,7 @@ def test_frozen_heuristic_search_path(ber_half, est1_heur):
         -1.4802869652136395e-12, 2.3559937232206227e-12,
         -0.6526000971680765)
     assert max(scores) == pytest.approx(0.44375529658809226, rel=1e-14)
-    assert element_to_text(mkdist._rationalize(c, basis)) == (
+    assert element_to_text(mkdist._rationalize(c, basis)[0]) == (
         "72337223/521492211 + 765238115/173830737*b*bs"
         " - 13362360893/2781291792*b^2*bs^2")
     # the ascent stopped under the span optimum, which the estimate now
@@ -347,7 +347,7 @@ def test_ascent_reports_its_witness(ber_half, oracle_m4):
     # ratio its own witness scores
     assert len(oracle_m4) == 8
     for _tag, f, c, basis in oracle_m4:
-        w = mkdist._rationalize(c, basis)
+        w = mkdist._rationalize(c, basis)[0]
         assert objective_value(ber_half, w, 1, "heuristic", 200) == \
             pytest.approx(f, rel=1e-8)
 
@@ -423,7 +423,7 @@ def test_lp_value_is_its_witness_score(bers, which, N, M):
     # its full derivation matrix (the q = 1 grid at q = 1)
     ber = bers[which]
     lp = charge_zero_lp(ber, N, M, 200)
-    w = mkdist._rationalize(lp.coords, lp.basis)
+    w, _c = mkdist._rationalize(lp.coords, lp.basis)
     assert objective_value(ber, w, N, "heuristic", 200) == \
         pytest.approx(lp.value, rel=1e-9)
 
@@ -453,6 +453,17 @@ def test_estimate_reports_the_span_optimum(ber_half):
         assert est.value == pytest.approx(want, abs=1e-6)
         assert est.source == "lp" and not est.degraded
         assert len(charge_zero_lp(ber_half, N, 4, 200).coords) == 4
+
+
+@pytest.mark.parametrize("M", [4, 9, 12])
+def test_heuristic_value_is_the_lp_value(ber_half, M):
+    # the witness is scored on the linear program's own rows, which keep
+    # their digits beyond spin 9 where the float shift model loses them
+    est = estimate_distance(ber_half, 1, M, norm_truncation=200,
+                            mode="heuristic")
+    assert est.source == "lp" and not est.degraded
+    assert est.heuristic_value == pytest.approx(
+        charge_zero_lp(ber_half, 1, M, 200).value, rel=1e-12)
 
 
 def test_lp_values_rise_toward_the_distance(ber_half):
