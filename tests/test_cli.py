@@ -184,6 +184,21 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     assert err == "error: seed must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("gap", ["nan", "inf", "-5"])
+def test_gap_that_decides_the_check_is_a_usage_error(capsys, tmp_path, gap):
+    # `ratio > reference + gap` never holds at a NaN or infinite gap, and a
+    # negative gap fails sound input; the gap is the fixed ESTIMATOR_GAP,
+    # so no value given on the command line reaches probe-ratios-within-gap
+    from qsphere.mkdist import ESTIMATOR_GAP
+    assert 0 <= ESTIMATOR_GAP < float("inf")
+    out = tmp_path / "artifact"
+    code, stdout, err = run(capsys, "verify", "--q", "1/2", "--suite",
+                            "theoremb", "--gap", gap, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: unrecognized arguments: --gap {gap}")
+    assert list(tmp_path.iterdir()) == []
+
+
 # one valid call of every subcommand, and of verify's three forms
 _CALLS = {
     "expand": ("expand", "--expr", "A"),
