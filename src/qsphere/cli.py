@@ -101,14 +101,15 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("verify", parents=[common],
                         help="run a verification suite, or the trend "
                              "harness over a level range")
-    sp.add_argument("--suite", default="",
-                    help="suite name or 'all' (see --list-suites)")
-    sp.add_argument("--N", default="", dest="n_range",
-                    help="level range like 1..5 for the trend harness")
-    sp.add_argument("--list-suites", action="store_true")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--suite", default="",
+                      help="suite name or 'all' (see --list-suites)")
+    mode.add_argument("--N", default="", dest="n_range",
+                      help="level range like 1..5 for the trend harness")
+    mode.add_argument("--list-suites", action="store_true")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings in suite reports "
-                         "(non-reproducible)")
+                         "(non-reproducible; --suite only)")
 
     sp = sub.add_parser("sweep", parents=[common],
                         help="grid run over (q, N, M) cells, resumable")
@@ -348,6 +349,8 @@ def _cmd_dist(ns, cfg: SessionConfig) -> int:
 
 def _cmd_verify(ns, cfg: SessionConfig) -> int:
     from . import suites
+    if ns.timings and not ns.suite:
+        raise UsageError("--timings needs --suite")
     if ns.list_suites:
         _emit(ns, "\n".join(sorted(suites.SUITES)) + "\n")
         return 0

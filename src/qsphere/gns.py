@@ -13,8 +13,8 @@ h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987); see
 _HaarInnerCache.  So the monomials of one right degree split into
 mutually orthogonal chains of fixed a-exponent, and _GradedOrtho
 orthogonalizes each chain on its own.  The Gram oracle in specnorm
-reads its bases off the chains of right degree +-1 and projects the
-symbol's images onto chains with _GradedOrtho.image_columns.
+reads its bases off the chains of right degree +-1; image_columns
+projects each symbol term times each chain monomial once, on integers.
 
 The fuzzy basis is read off the chains of right degree 0: B^i A^j and
 B*^i A^j are single monomials up to a q-power, so the spin-d,
@@ -103,8 +103,8 @@ class _GradedOrtho:
     of nonzero projections that _append computed, ending in
     (t, snorm_t).  Raw monomial Gram matrices are singular far beyond
     double precision, so the chains run exact (or at a lifted precision)
-    and the Gram oracle rounds each whitened entry once, against the
-    inv_sqrt of each snorm that inv_root caches.
+    and the Gram oracle rounds each entry once, in field.whiten, against
+    the inv_sqrt of each snorm that inv_root caches.
 
     At rational q every chain value is rational (self.exact), so the
     chains run on integers: vector t is also kept as its numerators over
@@ -239,45 +239,70 @@ class _GradedOrtho:
         return ch, pos
 
     def image_columns(self, y: AlgebraElement, domain: "_GradedOrtho",
-                      sel: list) -> list:
-        """Per selected domain vector w_j, the exact projections
-        {(kt, alpha): <w_alpha, y w_j>} onto these chains, zeros left
-        out.  Float fields project each term of the image y w_j; exact
-        chains take each term (m, c) of y alone, in chain kt = a(m) + kj:
-        with w_j = sum_t L_jt m_t, r_alpha = sum_t L_jt <w_alpha, m m_t>
-        is an integer sum through the columns, times c once per entry."""
-        out = []
-        for kj, pos_j in sel:
-            col: dict = {}
-            out.append(col)
-            if not self.exact:
+                      sel: list):
+        """Yield (j, {(kt, alpha): <w_alpha, y w_j>}) for each selected
+        domain vector w_j = sel[j], zeros left out.  Float fields project
+        each term of the image y w_j.  Exact chains go domain chain by
+        chain: each term (m, c) of y projects m m_t once per position t
+        of chain kj, into chain kt = a(m) + kj, as integers over one
+        denominator, scaled by c's four integer parts; then w_j =
+        sum_t L_jt m_t makes each entry four integer dot products with
+        L_j, kept unreduced as (a, b, c, d, den), the value
+        (a + b*i + (c + d*i)*sqrt(m)) / den that ExactField.whiten rounds."""
+        if not self.exact:
+            for j, (kj, pos_j) in enumerate(sel):
+                col: dict = {}
                 w = domain.chains[kj]["vecs"][pos_j][0]
                 for n, c in (y * w).terms.items():
                     ch, pos = self._locate(n)
                     for alpha, p in ch["cols"][pos]:
                         _accumulate(col, (n.a_exp, alpha), c * p)
-                continue
+                yield j, col
+            return
+        by_chain: dict = {}
+        for j, (kj, pos_j) in enumerate(sel):
+            by_chain.setdefault(kj, []).append((j, pos_j))
+        for kj, vecs in by_chain.items():
             dom = domain.chains[kj]
-            N, monos = dom["ints"][pos_j], dom["monos"]
+            T = max(pos for _, pos in vecs) + 1
+            terms: dict = {}             # kt -> [(c, P, den)]
             for m, c in y.terms.items():
-                prods = [(n, n_t * s.a, s.den)
-                         for n_t, m_t in zip(N, monos) if n_t
-                         for n, s in self.alg.mono_mul(m, m_t).items()]
-                S = lcm(*(den for _, _, den in prods))
-                image: dict = {}
-                for n, num, den in prods:
-                    image[n] = image.get(n, 0) + num * (S // den)
-                r: dict = {}
-                for n, v in image.items():
-                    ch, pos = self._locate(n)
-                    for alpha, p in ch["cols"][pos]:
-                        r[alpha] = r.get(alpha, 0) + v * p
-                den = S * N[-1] * ch["den"]
-                for alpha, v in r.items():
-                    if v:
-                        _accumulate(col, (m.a_exp + kj, alpha),
-                                    c * self.alg.field.from_rational(v, den))
-        return out
+                prods = [self.alg.mono_mul(m, m_t) for m_t in dom["monos"][:T]]
+                D = lcm(*(s.den for p in prods for s in p.values()))
+                P = [{} for _ in prods]  # P[t] = {alpha: numerator}
+                for r, prod in zip(P, prods):
+                    for n, s in prod.items():
+                        ch, pos = self._locate(n)
+                        v = s.a * (D // s.den)
+                        for alpha, p in ch["cols"][pos]:
+                            r[alpha] = r.get(alpha, 0) + v * p
+                terms.setdefault(m.a_exp + kj, []).append(
+                    (c, P, c.den * D * ch["den"]))
+            groups = []                  # (kt, alphas, [(part, rows)], den)
+            for kt, group in terms.items():
+                G, R = lcm(*(d for *_, d in group)), {}
+                alphas = sorted({a for _, P, _ in group for r in P for a in r})
+                for c, P, den in group:
+                    for i, x in enumerate((c.a, c.b, c.c, c.d)):
+                        if x:            # c's nonzero parts scale P
+                            x *= G // den
+                            rows = R.setdefault(i, {a: [0] * T
+                                                    for a in alphas})
+                            for t, r in enumerate(P):
+                                for alpha, v in r.items():
+                                    rows[alpha][t] += x * v
+                groups.append((kt, alphas, list(R.items()), G))
+            for j, pos_j in vecs:
+                N, col = dom["ints"][pos_j], {}
+                for kt, alphas, comps, G in groups:
+                    den = G * N[-1]
+                    for alpha in alphas:
+                        parts = [0, 0, 0, 0, den]
+                        for i, rows in comps:
+                            parts[i] = sum(map(mul, N, rows[alpha]))
+                        if parts[0] or parts[1] or parts[2] or parts[3]:
+                            col[kt, alpha] = tuple(parts)
+                yield j, col
 
     def inv_root(self, k: int, alpha: int):
         """field.inv_sqrt of chain k's squared norm alpha, made once."""

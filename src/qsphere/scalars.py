@@ -16,8 +16,8 @@ Two scalar modes are supported, chosen once per algebra context:
 
 The two scalar classes share one informal interface: +, -, *, /, unary
 minus, conjugate(), is_zero(), to_complex(), and a few constructors on
-their field object.  Code above this layer never touches Fractions or
-mpmath directly.
+their field object, whose inv_sqrt and whiten round the Gram oracle's
+entries.  Code above this layer never touches Fractions or mpmath.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isinf, isqrt, lcm
 
-WHITEN_BITS = 320     # whitened()'s fixed point: 267 guard bits past a double
+WHITEN_BITS = 320     # whiten's fixed point: 267 guard bits past a double
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -163,15 +163,6 @@ class ExactScalar:
         return complex(self.a / den + self.c / den * root,
                        self.b / den + self.d / den * root)
 
-    def whitened(self, r1: int, r2: int) -> complex:
-        """self / sqrt(s1 s2) rounded once, r = ExactField.inv_sqrt(s):
-        in fixed point at K = WHITEN_BITS, sqrt(m) as floor(2^K sqrt(m)),
-        then int / int true division, which rounds correctly."""
-        K, root, scale = WHITEN_BITS, self.field.sqrt_m_fixed, r1 * r2
-        den = self.den << 3 * K
-        return complex(((self.a << K) + self.c * root) * scale / den,
-                       ((self.b << K) + self.d * root) * scale / den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
@@ -231,6 +222,18 @@ class ExactField:
         2^-K relative when s <= 1, as Haar squared norms are."""
         f = s.as_fraction()
         return isqrt((f.denominator << 2 * WHITEN_BITS) // f.numerator)
+
+    def whiten(self, parts: tuple, r1: int, r2: int) -> complex:
+        """(a + b*i + (c + d*i)*sqrt(m)) / den / sqrt(s1 s2) rounded once,
+        for parts = (a, b, c, d, den) in any scale and r = inv_sqrt(s): in
+        fixed point at K = WHITEN_BITS, sqrt(m) as floor(2^K sqrt(m)), then
+        int / int true division, which rounds the quotient correctly, so
+        the result depends on the value of parts alone."""
+        a, b, c, d, den = parts
+        K, root, scale = WHITEN_BITS, self.sqrt_m_fixed, r1 * r2
+        den <<= 3 * K
+        return complex(((a << K) + c * root) * scale / den,
+                       ((b << K) + d * root) * scale / den)
 
     def from_rational(self, num, den=1) -> ExactScalar:
         if type(num) is int and type(den) is int and den:
@@ -298,13 +301,6 @@ class FloatScalar:
     def to_complex(self) -> complex:
         return complex(self.val)
 
-    def whitened(self, r1, r2) -> complex:
-        """self * r1 * r2 rounded once, r = FloatField.inv_sqrt(s)."""
-        z = complex(self.val * r1 * r2)
-        if isinf(z.real) or isinf(z.imag):
-            raise OverflowError("whitened value beyond float range")
-        return z
-
     def __eq__(self, other):
         if not isinstance(other, FloatScalar):
             return NotImplemented
@@ -342,6 +338,13 @@ class FloatField:
     def inv_sqrt(self, s: FloatScalar):
         """1 / sqrt(Re s) at the field's precision."""
         return 1 / self.ctx.sqrt(self.ctx.re(s.val))
+
+    def whiten(self, z: FloatScalar, r1, r2) -> complex:
+        """z * r1 * r2 rounded once, r = inv_sqrt(s)."""
+        w = complex(z.val * r1 * r2)
+        if isinf(w.real) or isinf(w.imag):
+            raise OverflowError("whitened value beyond float range")
+        return w
 
     def from_rational(self, num, den=1) -> FloatScalar:
         f = Fraction(num, den)

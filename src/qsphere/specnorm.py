@@ -585,14 +585,13 @@ def _mult_op_sigma(alg: Algebra, y: AlgebraElement, rdeg: int,
     rows = {key: i for i, key in enumerate(
         (k, alpha) for k, ch in sorted(cod.chains.items())
         for alpha in range(len(ch["monos"])))}
-    data, row_idx, col_idx = [], [], []
-    for j, ((kj, pos_j), col) in enumerate(
-            zip(sel, cod.image_columns(y, ortho, sel))):
+    whiten, data, row_idx, col_idx = alg.field.whiten, [], [], []
+    for j, col in cod.image_columns(y, ortho, sel):
         # the projections are huge and cancel; summing them exactly and
-        # rounding once, in whitened(), keeps the entries accurate
-        rj = ortho.inv_root(kj, pos_j)
+        # rounding once, in field.whiten, keeps the entries accurate
+        rj = ortho.inv_root(*sel[j])
         try:
-            data.extend(val.whitened(cod.inv_root(kt, alpha), rj)
+            data.extend(whiten(val, cod.inv_root(kt, alpha), rj)
                         for (kt, alpha), val in col.items())
         except OverflowError:
             raise RuntimeError("whitened operator matrix overflowed") from None

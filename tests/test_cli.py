@@ -240,6 +240,35 @@ def test_option_off_its_subcommand_is_a_usage_error(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# verify runs one of three forms: a suite, a level range or the suite
+# list; --timings only reaches a suite report
+_VERIFY_MISUSE = {
+    "list-suites-timings": (("--list-suites", "--timings"),
+                            "error: --timings needs --suite"),
+    "N-timings": (("--N", "1..1", "--timings"),
+                  "error: --timings needs --suite"),
+    "suite-N": (("--suite", "hopf", "--N", "1..1"),
+                "error: argument --N: not allowed with argument --suite"),
+    "list-suites-suite": (("--list-suites", "--suite", "hopf"),
+                          "error: argument --suite: not allowed with "
+                          "argument --list-suites"),
+    "N-list-suites": (("--N", "1..1", "--list-suites"),
+                      "error: argument --list-suites: not allowed with "
+                      "argument --N"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFY_MISUSE))
+def test_verify_takes_one_form(capsys, tmp_path, case):
+    argv, message = _VERIFY_MISUSE[case]
+    out = tmp_path / "artifact"
+    code, stdout, err = run(capsys, "verify", "--q", "1/2", *argv,
+                            "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_out_path_that_cannot_be_written(capsys, tmp_path, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" \

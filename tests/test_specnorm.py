@@ -14,7 +14,7 @@ from qsphere.exprs import parse_expression
 from qsphere.gns import _HaarInnerCache
 from qsphere.mkdist import default_probes
 from qsphere.qhopf import AlgebraElement, monomials
-from qsphere.scalars import ExactScalar
+from qsphere.scalars import ExactField
 from qsphere.specnorm import (RepTruncation, coefficient_sum_bound,
                               delta_block_grid, delta_block_matrix, lip_norm,
                               lip_norm_gram_oracle, operator_norm,
@@ -221,6 +221,44 @@ def test_gram_oracle_frozen_values(q):
     assert got == _FROZEN_GRAM[q]
 
 
+# two more oracle values, as the per-entry scalar route gave them: the
+# sqrt(6) field of q = 2/3 and basis 200
+_FROZEN_GRAM_PINS = {
+    ((2, 3), "A + sqrt(q)*(B + Bs)", 100): 1.4189381347454035,
+    ((1, 2), "B + Bs", 200): 1.9999999974722533,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FROZEN_GRAM_PINS), ids=lambda key: (
+    "q%d/%d-basis%d" % (*key[0], key[2])))
+def test_gram_oracle_frozen_pins(key):
+    q, expr, basis = key
+    alg = make_algebra(*q)
+    B = alg.sphere_B + alg.sphere_B_star
+    x = (alg.sphere_A + B.scale(alg.field.sqrt_q) if "sqrt" in expr
+         else parse_expression(alg, expr))
+    got = lip_norm_gram_oracle(UqActions(alg), x, basis_size=basis)
+    assert got.lower_bound == _FROZEN_GRAM_PINS[key]
+
+
+def test_gram_oracle_multiplies_each_chain_position_once(monkeypatch):
+    # the exact columns project m m_t once per symbol term m and domain
+    # position t, not once per selected vector whose chain reaches t
+    alg = make_algebra(1, 2)
+    act = UqActions(alg)
+    x = parse_expression(alg, "B + Bs")
+    calls, mono_mul = [], alg.mono_mul
+    monkeypatch.setattr(alg, "mono_mul",
+                        lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    act.dirac_components(x)
+    calls.clear()
+    terms = sum(len(y.terms) for y in act.dirac_components(x))
+    in_symbols = len(calls)
+    calls.clear()
+    lip_norm_gram_oracle(act, x, basis_size=100)
+    assert 0 < len(calls) - in_symbols <= terms * 100
+
+
 @pytest.mark.parametrize("q", [(1, 2), (1, 8), (2, 3)])
 def test_gram_whitening_rounds_the_120_digit_value(q, monkeypatch):
     # every entry c / sqrt(s1 s2) of the oracle's matrices, whitened in
@@ -232,19 +270,19 @@ def test_gram_whitening_rounds_the_120_digit_value(q, monkeypatch):
     ctx.dps = 120
     root = ctx.sqrt(alg.field.m)
     norms, entries, mats = {}, [], []
-    inv_sqrt, whitened = alg.field.inv_sqrt, ExactScalar.whitened
+    inv_sqrt, whiten = alg.field.inv_sqrt, ExactField.whiten
     top = specnorm.top_singular_triplet
 
     def spy_root(s):
         norms[inv_sqrt(s)] = s.as_fraction()
         return inv_sqrt(s)
 
-    def spy_whitened(c, r1, r2):
-        entries.append((c, r1, r2, whitened(c, r1, r2)))
+    def spy_whiten(field, parts, r1, r2):
+        entries.append((parts, r1, r2, whiten(field, parts, r1, r2)))
         return entries[-1][-1]
 
     monkeypatch.setattr(alg.field, "inv_sqrt", spy_root)
-    monkeypatch.setattr(ExactScalar, "whitened", spy_whitened)
+    monkeypatch.setattr(ExactField, "whiten", spy_whiten)
     monkeypatch.setattr(specnorm, "top_singular_triplet",
                         lambda T, TH: mats.append(T) or top(T, TH))
     surd = alg.sphere_A + (alg.sphere_B + alg.sphere_B_star).scale(
@@ -255,12 +293,11 @@ def test_gram_whitening_rounds_the_120_digit_value(q, monkeypatch):
         mats.clear()
         lip_norm_gram_oracle(act, x, basis_size=100)
         assert entries
-        for c, r1, r2, z in entries:
+        for (a, b, c, d, den), r1, r2, z in entries:
             s = norms[r1] * norms[r2]
-            scale = c.den * ctx.sqrt(ctx.mpf(s.numerator) / s.denominator)
-            assert z == complex(ctx.mpc(c.a + c.c * root, c.b + c.d * root)
-                                / scale)
-            surds += bool(c.c or c.d)
+            scale = den * ctx.sqrt(ctx.mpf(s.numerator) / s.denominator)
+            assert z == complex(ctx.mpc(a + c * root, b + d * root) / scale)
+            surds += bool(c or d)
         got = [z for T in mats for z in T.entries()[2].tolist()]
         assert sorted(got, key=_reim) == sorted(
             (z for *_, z in entries), key=_reim)
