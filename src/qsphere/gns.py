@@ -245,10 +245,12 @@ class _GradedOrtho:
         each term of the image y w_j.  Exact chains go domain chain by
         chain: each term (m, c) of y projects m m_t once per position t
         of chain kj, into chain kt = a(m) + kj, as integers over one
-        denominator, scaled by c's four integer parts; then w_j =
-        sum_t L_jt m_t makes each entry four integer dot products with
-        L_j, kept unreduced as (a, b, c, d, den), the value
-        (a + b*i + (c + d*i)*sqrt(m)) / den that ExactField.whiten rounds."""
+        denominator times c's integer parts; w_j = sum_t L_jt m_t makes
+        each entry integer dot products with L_j, kept unreduced as
+        [a, b, c, d, den] for ExactField.whiten.  Only entries with
+        |deg m_alpha - deg m_j| <= deg y are formed: <w_alpha, y w_j> =
+        <y* w_alpha, w_j>, no product exceeds its factors' degrees, and
+        each chain vector is orthogonal to its chain's lower degrees."""
         if not self.exact:
             for j, (kj, pos_j) in enumerate(sel):
                 col: dict = {}
@@ -262,6 +264,7 @@ class _GradedOrtho:
         by_chain: dict = {}
         for j, (kj, pos_j) in enumerate(sel):
             by_chain.setdefault(kj, []).append((j, pos_j))
+        reach = y.total_degree()
         for kj, vecs in by_chain.items():
             dom = domain.chains[kj]
             T = max(pos for _, pos in vecs) + 1
@@ -277,31 +280,28 @@ class _GradedOrtho:
                         for alpha, p in ch["cols"][pos]:
                             r[alpha] = r.get(alpha, 0) + v * p
                 terms.setdefault(m.a_exp + kj, []).append(
-                    (c, P, c.den * D * ch["den"]))
-            groups = []                  # (kt, alphas, [(part, rows)], den)
+                    (c, P, c.den * D * self.chains[m.a_exp + kj]["den"]))
+            groups = []                  # (kt, den, degs, {(alpha, i): row})
             for kt, group in terms.items():
                 G, R = lcm(*(d for *_, d in group)), {}
-                alphas = sorted({a for _, P, _ in group for r in P for a in r})
-                for c, P, den in group:
-                    for i, x in enumerate((c.a, c.b, c.c, c.d)):
-                        if x:            # c's nonzero parts scale P
-                            x *= G // den
-                            rows = R.setdefault(i, {a: [0] * T
-                                                    for a in alphas})
-                            for t, r in enumerate(P):
-                                for alpha, v in r.items():
-                                    rows[alpha][t] += x * v
-                groups.append((kt, alphas, list(R.items()), G))
+                degs = [m.total_degree() for m in self.chains[kt]["monos"]]
+                for c, P, den in group:  # c's nonzero parts i scale P
+                    xs = [(i, x * (G // den))
+                          for i, x in enumerate((c.a, c.b, c.c, c.d)) if x]
+                    for t, r in enumerate(P):
+                        for alpha, v in r.items():
+                            for i, x in xs:
+                                R.setdefault((alpha, i), [0] * T)[t] += x * v
+                groups.append((kt, G, degs, R))
             for j, pos_j in vecs:
                 N, col = dom["ints"][pos_j], {}
-                for kt, alphas, comps, G in groups:
-                    den = G * N[-1]
-                    for alpha in alphas:
-                        parts = [0, 0, 0, 0, den]
-                        for i, rows in comps:
-                            parts[i] = sum(map(mul, N, rows[alpha]))
-                        if parts[0] or parts[1] or parts[2] or parts[3]:
-                            col[kt, alpha] = tuple(parts)
+                d_j = dom["monos"][pos_j].total_degree()
+                for kt, G, degs, R in groups:
+                    for (alpha, i), row in R.items():
+                        if abs(degs[alpha] - d_j) <= reach and (
+                                v := sum(map(mul, N, row))):
+                            col.setdefault((kt, alpha),
+                                           [0, 0, 0, 0, G * N[-1]])[i] = v
                 yield j, col
 
     def inv_root(self, k: int, alpha: int):

@@ -223,9 +223,9 @@ class ExactField:
         f = s.as_fraction()
         return isqrt((f.denominator << 2 * WHITEN_BITS) // f.numerator)
 
-    def whiten(self, parts: tuple, r1: int, r2: int) -> complex:
+    def whiten(self, parts: list, r1: int, r2: int) -> complex:
         """(a + b*i + (c + d*i)*sqrt(m)) / den / sqrt(s1 s2) rounded once,
-        for parts = (a, b, c, d, den) in any scale and r = inv_sqrt(s): in
+        for parts = [a, b, c, d, den] in any scale and r = inv_sqrt(s): in
         fixed point at K = WHITEN_BITS, sqrt(m) as floor(2^K sqrt(m)), then
         int / int true division, which rounds the quotient correctly, so
         the result depends on the value of parts alone."""

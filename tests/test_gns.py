@@ -225,7 +225,7 @@ def test_integer_oracle_columns_match_scalar_columns(q):
                         for k, pos in sel) + y.total_degree()
             fcod.ensure_degree(reach)
             rcod.ensure_degree(reach)
-            # the integer tuples (a, b, c, d, den), unreduced, against the
+            # the integer parts [a, b, c, d, den], unreduced, against the
             # scalar loop's canonical values
             got = dict(fcod.image_columns(y, fast, sel))
             want = dict(rcod.image_columns(y, ref, sel))
