@@ -84,14 +84,12 @@ class Berezin:
 
     def _moment(self, N: int, t: int):
         """M_N(t) = h_N(A^t) = [N+1] h(a*^N A^t a^N)
-        = [N+1] q^(2Nt) sum_s P_N[s] h(A^(t+s)), P_N = contraction_poly(N)."""
+        = [N+1] q^(2Nt) h(P_N(A) A^t), the last factor alg.poly_moment."""
         val = self._moments.get((N, t))
         if val is None:
             alg = self.alg
-            c, tot = alg.field.q_power(2 * N * t), alg.field.zero
-            for s, p in enumerate(alg.contraction_poly(N)):
-                tot = tot + c * p * alg.haar_weight(t + s)
-            val = self._moments[N, t] = alg.q_bracket(N + 1) * tot
+            val = self._moments[N, t] = alg.q_bracket(N + 1) * (
+                alg.field.q_power(2 * N * t) * alg.poly_moment(N, t))
         return val
 
     def _right_leg(self, N: int, r: int, n: int):

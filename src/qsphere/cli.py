@@ -414,12 +414,17 @@ def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
 
 def _read_cell(path: str) -> dict | None:
     """Cached sweep row; None when the cell is missing or unreadable,
-    so a damaged cell is recomputed and overwritten."""
+    so a damaged cell is recomputed and overwritten.  Readable means a
+    JSON object with every sweep column and a number in each float one."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            row = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not (isinstance(row, dict) and set(_SWEEP_COLUMNS) <= row.keys()
+            and all(type(row[k]) in (int, float) for k in _SWEEP_FLOATS)):
+        return None
+    return row
 
 
 def _write_cell(path: str, row: dict) -> None:
@@ -449,6 +454,10 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
         raise UsageError("empty --q-list")
     levels = _parse_range(ns.n_range)
     m_values = _parse_range(ns.M_range)
+    try:                                 # every q checked before any cell
+        qcfgs = [replace(cfg, q_text=q_text) for q_text in q_texts]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     cache_dir = (ns.cache_dir or os.environ.get("QSPHERE_CACHE", "")
                  or os.path.join(os.path.expanduser("~"), ".cache", "qsphere"))
@@ -456,11 +465,7 @@ def _cmd_sweep(ns, cfg: SessionConfig) -> int:
     code = _package_digest()
 
     rows = []
-    for q_text in q_texts:
-        try:
-            qcfg = replace(cfg, q_text=q_text)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    for q_text, qcfg in zip(q_texts, qcfgs):
         for N in levels:
             for M in m_values:
                 key_src = canonical_json({

@@ -9,8 +9,8 @@ No inner product multiplies algebra elements.  h(m1* m2) vanishes
 unless the monomials m1 = a^k b^l1 b*^n1 and m2 = a^k b^l2 b*^n2 share
 the a-exponent k and the b-charge; then m1* m2 = P_k(A) A^s with
 A = b b*, and h(m1* m2) is a sum against the closed-form weights
-h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987); see
-_HaarInnerCache.  So the monomials of one right degree split into
+h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987), read off
+Algebra.poly_moment.  So the monomials of one right degree split into
 mutually orthogonal chains of fixed a-exponent, and _GradedOrtho
 orthogonalizes each chain on its own.  The Gram oracle in specnorm
 reads its bases off the chains of right degree +-1; image_columns
@@ -37,52 +37,6 @@ from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
 from .uq_actions import UqActions
 
 
-class _HaarInnerCache:
-    """h(m1* m2) for monomial pairs, in closed form.
-
-    The Haar state vanishes unless m1 = a^k b^l1 b*^n1 and
-    m2 = a^k b^l2 b*^n2 share both degrees, that is the a-exponent k and
-    the b-charge l1 - n1 = l2 - n2.  Then m1* m2 = P_k(A) A^s with
-    A = b b*, s = n1 + l2 and P_k = a^(-k) a^k = alg.contraction_poly(k),
-    so h(m1* m2) = sum_j [P_k]_j h(A^(j+s)), with the weights
-    h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987).  No algebra
-    product is formed; the result is the same field element that
-    alg.haar(m1.star() * m2) gives.
-    """
-
-    def __init__(self, alg: Algebra):
-        self.alg = alg
-        self.cache: dict = {}            # (k, s) -> h(P_k(A) A^s)
-        self.sizes: dict = {}            # (k, s) -> sum_j |[P_k]_j| h(A^(j+s))
-
-    def __call__(self, m1: Monomial, m2: Monomial):
-        alg = self.alg
-        if (m1.left_degree() != m2.left_degree()
-                or m1.right_degree() != m2.right_degree()):
-            return alg.field.zero
-        key = (m1.a_exp, m1.bs_exp + m2.b_exp)
-        hit = self.cache.get(key)
-        if hit is None:
-            k, s = key
-            hit = alg.field.zero
-            for j, c in enumerate(self.alg.contraction_poly(k)):
-                hit = hit + c * alg.haar_weight(j + s)
-            self.cache[key] = hit
-        return hit
-
-    def size(self, m1: Monomial, m2: Monomial):
-        """Float mode: the magnitude of the terms that cancel in
-        self(m1, m2), for a same-bidegree pair."""
-        key = (m1.a_exp, m1.bs_exp + m2.b_exp)
-        hit = self.sizes.get(key)
-        if hit is None:
-            k, s = key
-            hit = sum(abs(c.val) * abs(self.alg.haar_weight(j + s).val)
-                      for j, c in enumerate(self.alg.contraction_poly(k)))
-            self.sizes[key] = hit
-        return hit
-
-
 class PrecisionExhausted(RuntimeError):
     """A Gram-Schmidt squared norm cancelled below the float field's
     digits: the basis needs a higher working precision."""
@@ -93,11 +47,12 @@ class _GradedOrtho:
 
     Monomials of a fixed right degree split into chains sharing the same
     a-exponent k; Haar inner products vanish across chains, so the
-    chains can be orthogonalized independently.  Within chain k every
-    inner product is a closed form (see _HaarInnerCache), so
-    Gram-Schmidt never multiplies algebra elements.  Each chain vector
-    is monic: its chain monomial minus the projection on the earlier,
-    orthogonal vectors, so its squared norm is read off a projection,
+    chains can be orthogonalized independently.  Chain k is m_0 A^t,
+    t = 0, 1, ..., so <m_t, m_u> = alg.poly_moment(k, s) with s growing
+    by one in t and in u: the Gram matrix is Hankel, and Gram-Schmidt
+    never multiplies algebra elements.  Each chain vector is monic: its
+    chain monomial minus the projection on the earlier, orthogonal
+    vectors, so its squared norm is read off a projection,
     <w, w> = <w, mono>.  Its terms come in the order mono, m_0, m_1, ...
     Chain k keeps, per position t, the column [(alpha, <w_alpha, m_t>)]
     of nonzero projections that _append computed, ending in
@@ -123,7 +78,7 @@ class _GradedOrtho:
         self.alg = alg
         self.rdeg = rdeg
         self.exact = alg.field.mode == "exact"
-        self.inner = _haar_inner_cache(alg)
+        self.sizes: dict = {}            # _size's cache
         # chain key k -> {"monos": [...], "index": {mono: pos},
         # "vecs": [(w, snorm)], "cols": [[(alpha, p)]], "roots": {alpha: r}}
         self.chains: dict = {}
@@ -172,14 +127,15 @@ class _GradedOrtho:
 
     def _scalar_step(self, ch: dict, mono: Monomial) -> tuple:
         """(vector, squared norm, column, None) for mono."""
-        vec = AlgebraElement(self.alg, {mono: self.alg.field.one})
+        alg = self.alg
+        vec = e = AlgebraElement(alg, {mono: alg.field.one})
         col = []
         for alpha, (w, s) in enumerate(ch["vecs"]):
-            p = self._elem_mono_inner(w, mono)
+            p = haar_inner(alg, w, e)
             if not p.is_zero():
                 col.append((alpha, p))
                 vec = vec - w.scale(p / s)
-        snorm = self._elem_mono_inner(vec, mono)
+        snorm = haar_inner(alg, vec, e)
         return vec, snorm, col + [(len(ch["vecs"]), snorm)], None
 
     def _integer_step(self, ch: dict, mono: Monomial) -> tuple:
@@ -189,7 +145,8 @@ class _GradedOrtho:
         mono - sum (p_alpha/s_alpha) w_alpha is summed over the lcm of its
         terms' denominators and reduced by one gcd."""
         field, monos = self.alg.field, ch["monos"]
-        gram = [self.inner(m, mono) for m in monos + [mono]]
+        gram = [self.alg.poly_moment(mono.a_exp, m.bs_exp + mono.b_exp)
+                for m in monos + [mono]]
         D = lcm(*(x.den for x in gram))
         g = [x.a * (D // x.den) for x in gram]
         col, terms = [], []
@@ -216,19 +173,24 @@ class _GradedOrtho:
                 field.from_rational(snorm.numerator, snorm.denominator),
                 col + [(len(monos), snorm)], new)
 
-    def _elem_mono_inner(self, w: AlgebraElement, mono: Monomial):
-        tot = self.alg.field.zero
-        for m, c in w.terms.items():
-            tot = tot + c.conjugate() * self.inner(m, mono)
-        return tot
-
     def _degenerate(self, vec: AlgebraElement, mono: Monomial, snorm) -> bool:
         F = self.alg.field
         if F.mode == "exact":
             return snorm.is_zero()
-        size = sum(abs(c.val) * self.inner.size(m, mono)
+        size = sum(abs(c.val) * self._size(m.a_exp, m.bs_exp + mono.b_exp)
                    for m, c in vec.terms.items())
         return abs(snorm.val) < F.negligible * size
+
+    def _size(self, k: int, s: int):
+        """Float mode: sum_j |[P_k]_j| h(A^(j+s)), the magnitude of the
+        terms that cancel in alg.poly_moment(k, s); cached."""
+        hit = self.sizes.get((k, s))
+        if hit is None:
+            alg = self.alg
+            hit = self.sizes[k, s] = sum(
+                abs(c.val) * abs(alg.haar_weight(j + s).val)
+                for j, c in enumerate(alg.contraction_poly(k)))
+        return hit
 
     def _locate(self, mono: Monomial) -> tuple:
         """(chain, position) of a monomial of these chains."""
@@ -320,13 +282,6 @@ class _GradedOrtho:
         return self.order[:count]
 
 
-def _haar_inner_cache(alg: Algebra) -> _HaarInnerCache:
-    inner = getattr(alg, "_haar_inner_cache", None)
-    if inner is None:
-        inner = alg._haar_inner_cache = _HaarInnerCache(alg)
-    return inner
-
-
 def _graded_ortho(alg: Algebra, rdeg: int) -> _GradedOrtho:
     """The chains of right degree rdeg, built once per algebra."""
     cache = getattr(alg, "_graded_ortho_cache", None)
@@ -338,16 +293,21 @@ def _graded_ortho(alg: Algebra, rdeg: int) -> _GradedOrtho:
 
 
 def haar_inner(alg: Algebra, x: AlgebraElement, y: AlgebraElement):
-    """h(x* y); linear in the second slot.  A sum of closed-form monomial
-    inner products; alg.haar(x.star() * y) is the same value."""
-    inner = _haar_inner_cache(alg)
+    """h(x* y); linear in the second slot, alg.haar(x.star() * y) with
+    no product formed.  h(m1* m2) vanishes unless m1 = a^k b^l1 b*^n1
+    and m2 = a^k b^l2 b*^n2 share the a-exponent k and the b-charge
+    l1 - n1 = l2 - n2 (equal right degrees); then m1* m2 = P_k(A) A^s
+    with A = b b*, s = n1 + l2 and P_k = a^(-k) a^k, and the value is
+    alg.poly_moment(k, s) = sum_j [P_k]_j h(A^(j+s)) against Podleś'
+    weights h(A^l) = 1/[l+1]_{q^2} (Quantum spheres, 1987)."""
     tot = alg.field.zero
     for m1, c1 in x.terms.items():
         c1 = c1.conjugate()
         for m2, c2 in y.terms.items():
             if (m1.a_exp == m2.a_exp
                     and m1.right_degree() == m2.right_degree()):
-                tot = tot + c1 * c2 * inner(m1, m2)
+                tot = tot + c1 * c2 * alg.poly_moment(
+                    m1.a_exp, m1.bs_exp + m2.b_exp)
     return tot
 
 

@@ -262,6 +262,7 @@ class Algebra:
         self._prod_cache: dict = {}
         self._coprod_cache: dict = {}
         self._haar_table: dict[int, object] = {}
+        self._poly_moments: dict = {}
         self._polys: dict = {}
         self._rows: dict = {}
         one = field.one
@@ -461,6 +462,22 @@ class Algebra:
         """h((b b*)^l), cached."""
         val = self._haar_table.get(l)
         return self._solve_haar_table(l) if val is None else val
+
+    def poly_moment(self, k: int, s: int):
+        """h(P_k(A) A^s) = sum_j [P_k]_j h(A^(j+s)), cached, with A = b b*,
+        P_k = a^(-k) a^k = contraction_poly(k) and Podleś' weights
+        h(A^l) = 1/[l+1]_{q^2} (Quantum spheres, 1987).  These are the
+        inner products h(m1* m2) of monomials a^k b^l1 b*^n1, a^k b^l2
+        b*^n2 of one b-charge, m1* m2 = P_k(A) A^s, s = n1 + l2
+        (gns.haar_inner), and the moments of h_N (Berezin._moment).  No
+        product is formed; self.haar of the product is the same value."""
+        val = self._poly_moments.get((k, s))
+        if val is None:
+            val = self.field.zero
+            for j, c in enumerate(self.contraction_poly(k)):
+                val = val + c * self.haar_weight(j + s)
+            self._poly_moments[k, s] = val
+        return val
 
     def haar(self, x: AlgebraElement):
         """The Haar state: vanishes off the (b b*)^l line."""

@@ -609,6 +609,45 @@ def test_sweep_cache_resume(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == cached
 
 
+_SWEEP_ARGS = ("sweep", "--q-list", "1/2", "--N", "1..1", "--M-range", "1..1",
+               "--trunc", "60")
+
+
+@pytest.fixture(scope="module")
+def sweep_cell(tmp_path_factory):
+    """(cell file name, sweep output, cell text) of one fresh sweep."""
+    cache = tmp_path_factory.mktemp("sweep")
+    out = tmp_path_factory.mktemp("out")
+    assert main([*_SWEEP_ARGS, "--cache-dir", str(cache),
+                 "--out", str(out / "rows.csv")]) == 0
+    (cell,) = cache.glob("sweep-*.json")
+    return (cell.name, (out / "rows.csv").read_text(encoding="utf-8"),
+            cell.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("damage", ["{}", "[1, 2]", "string-dist-lb"])
+def test_sweep_recomputes_cells_that_parse_but_are_no_row(
+        capsys, tmp_path, sweep_cell, damage):
+    # JSON that is not a full row with numbers in the float columns is a
+    # cache miss: the cell is recomputed and overwritten
+    name, fresh, full = sweep_cell
+    if damage == "string-dist-lb":
+        damage = canonical_json(dict(json.loads(full), dist_lb="0.1"))
+    (tmp_path / name).write_text(damage, encoding="utf-8")
+    code, out, _ = run(capsys, *_SWEEP_ARGS, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == fresh
+    assert (tmp_path / name).read_text(encoding="utf-8") == full
+
+
+def test_sweep_checks_every_q_before_the_first_cell(capsys, tmp_path):
+    code, out, err = run(capsys, "sweep", "--q-list", "1/2,abc", "--N", "1",
+                         "--M-range", "1", "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_cells_keyed_by_package_sources(tmp_path):
     # two copies of the package that differ by one comment share one
     # cache directory: each computes its own cell

@@ -241,6 +241,30 @@ def test_contraction_poly_is_the_contracted_pair(alg_half):
         assert got == want, k
 
 
+def _moment_products(alg):
+    """(k, s, h(P_k(A) A^s)) for k = -3..3 and s <= 4, with P_k(A) =
+    a^(-k) a^k and A^s formed by algebra products."""
+    for k in range(-3, 4):
+        left, right = (alg.a_star, alg.a) if k >= 0 else (alg.a, alg.a_star)
+        pk = left ** abs(k) * right ** abs(k)
+        for s in range(5):
+            yield k, s, alg.haar(pk * alg.sphere_A ** s)
+
+
+@pytest.mark.parametrize("q", [(1, 2), (2, 3), (1, 1)],
+                         ids=["1/2", "2/3", "1"])
+def test_poly_moment_is_the_haar_product(q):
+    alg = make_algebra(*q)
+    for k, s, want in _moment_products(alg):
+        assert alg.poly_moment(k, s) == want, (k, s)
+
+
+def test_poly_moment_is_the_haar_product_float():
+    alg = make_algebra_float(0.37)
+    for k, s, want in _moment_products(alg):
+        assert abs((alg.poly_moment(k, s) - want).val) < 1e-40, (k, s)
+
+
 # -- the closed-form coproduct against the letter walk ---------------------
 
 

@@ -11,7 +11,7 @@ from scipy import sparse
 from qsphere import (Berezin, GnsContext, UqActions, make_algebra,
                      make_algebra_float, specnorm)
 from qsphere.exprs import parse_expression
-from qsphere.gns import _HaarInnerCache
+from qsphere.gns import haar_inner
 from qsphere.mkdist import default_probes
 from qsphere.qhopf import AlgebraElement, monomials
 from qsphere.scalars import ExactField
@@ -328,22 +328,20 @@ def _same_bidegree_pairs(max_degree):
 @pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 3), (1, 1)])
 def test_haar_inner_closed_form_exact(q):
     alg = make_algebra(*q)
-    inner = _HaarInnerCache(alg)
     pairs = _same_bidegree_pairs(7)
     assert len(pairs) == 456
     for m1, m2 in pairs:
         e1 = AlgebraElement(alg, {m1: alg.field.one})
         e2 = AlgebraElement(alg, {m2: alg.field.one})
-        assert inner(m1, m2) == alg.haar(e1.star() * e2), (m1, m2)
+        assert haar_inner(alg, e1, e2) == alg.haar(e1.star() * e2), (m1, m2)
 
 
 def test_haar_inner_closed_form_float():
     alg = make_algebra_float(0.9)
-    inner = _HaarInnerCache(alg)
     for m1, m2 in _same_bidegree_pairs(7):
         e1 = AlgebraElement(alg, {m1: alg.field.one})
         e2 = AlgebraElement(alg, {m2: alg.field.one})
-        diff = inner(m1, m2) - alg.haar(e1.star() * e2)
+        diff = haar_inner(alg, e1, e2) - alg.haar(e1.star() * e2)
         assert abs(diff.val) < 1e-40, (m1, m2)
 
 
