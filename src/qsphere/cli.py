@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from . import exprs
 from .berezin import Berezin, LayerInconsistency
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache    # parse_args keeps no state between calls: one tree per process
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", default="1/2",

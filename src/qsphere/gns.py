@@ -1,8 +1,8 @@
 """The L2 layer over the Haar state.
 
 Everything here happens inside the GNS space of the Haar state h: the
-inner product h(x* y), one Gram-Schmidt under it, the fuzzy bases of
-the equator sphere's degree filtration as lists of FuzzyVector,
+inner product h(x* y), the orthogonal chains under it, the fuzzy bases
+of the equator sphere's degree filtration as lists of FuzzyVector,
 projections onto them, compressions of the twisted derivations as rows.
 
 No inner product multiplies algebra elements.  h(m1* m2) vanishes
@@ -12,9 +12,10 @@ A = b b*, and h(m1* m2) is a sum against the closed-form weights
 h(A^l) = 1/[l+1]_{q^2} (Podleś, Quantum spheres, 1987), read off
 Algebra.poly_moment.  So the monomials of one right degree split into
 mutually orthogonal chains of fixed a-exponent, and _GradedOrtho
-orthogonalizes each chain on its own.  The Gram oracle in specnorm
-reads its bases off the chains of right degree +-1; image_columns
-projects each symbol term times each chain monomial once, on integers.
+orthogonalizes each chain on its own, in closed form at rational q
+(_LittleQJacobi).  The Gram oracle in specnorm reads its bases off the
+chains of right degree +-1; image_columns projects each symbol term
+times each chain monomial once, on integers.
 
 The fuzzy basis is read off the chains of right degree 0: B^i A^j and
 B*^i A^j are single monomials up to a q-power, so the spin-d,
@@ -29,6 +30,7 @@ prefix of the level-(N+1) basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -42,31 +44,78 @@ class PrecisionExhausted(RuntimeError):
     digits: the basis needs a higher working precision."""
 
 
+class _LittleQJacobi:
+    """Chain k in closed form (Koekoek, Lesky and Swarttouw,
+    Hypergeometric orthogonal polynomials and their q-analogues, 2010,
+    section 14.12).  With p = q^2, h weighs A = b b* = p^n by (1 - p) p^n
+    and m_t* m_u = P_k(A) A^(s0+t+u), s0 = b_exp + bs_exp of m_0: the
+    little q-Jacobi weight with a = p^s0, b = p^|k|, ab = p^e.  So the
+    monic w_t = sum_j c_j m_j is P_t(A; a, b; p), in A / b if k < 0.
+    With s_t = <w_t, w_t> = <w_t, m_t>, and each ratio times 1/b, b^2, b
+    if k < 0:
+      c_(j+1) / c_j = (1 - p^(j-t)) (1 - ab p^(t+1+j)) p
+                      / ((1 - a p^(j+1)) (1 - p^(j+1))),
+      s_t / s_(t-1) = A_(t-1) C_t, the recurrence coefficients of 14.12,
+      <w_alpha, m_t> / <w_alpha, m_(t-1)> = (1 - a p^t) (1 - p^-t)
+        (1 - p^(-t-1-e)) / ((1 - ab p^(t+1)) (1 - p^(alpha-t))
+        (1 - p^(-alpha-t-1-e))) for alpha < t, by q-Pfaff-Saalschuetz.
+    With p = P/Q in lowest terms, 1 - p^m = (Q - P) [m] / Q^m; each ratio
+    has as many brackets [m] = (Q^m - P^m) / (Q - P) above as below, so
+    the methods return it in integers, finite at q = 1, where [m] = m."""
+
+    def __init__(self, q, k: int, s0: int, brackets: list):
+        self.P, self.Q = q.numerator ** 2, q.denominator ** 2
+        self.neg, self.K, self.s0, self.e = k < 0, abs(k), s0, s0 + abs(k)
+        self.brackets = brackets         # [0], [1], ..., shared per q
+
+    def bracket(self, m: int) -> int:
+        vals = self.brackets             # [m + 1] = Q [m] + P^m
+        while len(vals) <= m:
+            vals.append(self.Q * vals[-1] + self.P ** (len(vals) - 1))
+        return vals[m]
+
+    def vector_ratio(self, t: int, j: int) -> tuple:
+        """c_(j+1) / c_j of w_t as (num, den), j < t."""
+        br, b = self.bracket, self.K if self.neg else 0
+        return (-br(t - j) * br(self.e + t + 1 + j),
+                br(self.s0 + j + 1) * br(j + 1) * self.P ** (t - j - 1 + b)
+                * self.Q ** (t - j + self.K - b))
+
+    def norm_ratio(self, t: int) -> tuple:
+        """s_t / s_(t-1) as (num, den), t >= 1."""
+        br, b, s0, e = self.bracket, self.K if self.neg else 0, self.s0, self.e
+        return (br(s0 + t) * br(e + t) * br(t) * br(self.K + t)
+                * self.P ** (2 * t + s0 - 1 + 2 * b)
+                * self.Q ** (2 * t + s0 + 1 + 2 * self.K - 2 * b),
+                br(e + 2 * t - 1) * br(e + 2 * t) ** 2 * br(e + 2 * t + 1))
+
+    def column_ratio(self, t: int) -> tuple:
+        """(f, [d_alpha]): <w_alpha, m_t> = <w_alpha, m_(t-1)> f / d_alpha."""
+        br, b, e = self.bracket, self.K if self.neg else 0, self.e
+        f = br(self.s0 + t) * br(t) * self.Q ** (self.K + 1 - b) * self.P ** b
+        return f, [br(t - al) * br(al + t + 1 + e) for al in range(t)]
+
+
 class _GradedOrtho:
-    """Orthogonal chains of graded monomials, one per a-exponent.
+    """Orthogonal chains of graded monomials of one right degree.
 
-    Monomials of a fixed right degree split into chains sharing the same
-    a-exponent k; Haar inner products vanish across chains, so the
-    chains can be orthogonalized independently.  Chain k is m_0 A^t,
-    t = 0, 1, ..., so <m_t, m_u> = alg.poly_moment(k, s) with s growing
-    by one in t and in u: the Gram matrix is Hankel, and Gram-Schmidt
-    never multiplies algebra elements.  Each chain vector is monic: its
-    chain monomial minus the projection on the earlier, orthogonal
-    vectors, so its squared norm is read off a projection,
-    <w, w> = <w, mono>.  Its terms come in the order mono, m_0, m_1, ...
-    Chain k keeps, per position t, the column [(alpha, <w_alpha, m_t>)]
-    of nonzero projections that _append computed, ending in
-    (t, snorm_t).  Raw monomial Gram matrices are singular far beyond
-    double precision, so the chains run exact (or at a lifted precision)
-    and the Gram oracle rounds each entry once, in field.whiten, against
-    the inv_sqrt of each snorm that inv_root caches.
+    Chain k holds the monomials m_t = m_0 A^t of a-exponent k, t = 0, 1,
+    ..., with <m_t, m_u> = alg.poly_moment(k, s0 + t + u).  Each chain
+    vector w_t is monic, m_t minus its projection on the earlier ones,
+    so <w_t, w_t> = <w_t, m_t>; its terms come in the order m_t, m_0,
+    m_1, ...  Per position t a chain keeps the column [(alpha,
+    <w_alpha, m_t>)] of nonzero projections, ending in (t, snorm_t).  Raw
+    monomial Gram matrices are singular far beyond double precision, so
+    the chains are exact (or at a lifted precision) and the Gram oracle
+    rounds each entry once, in field.whiten, against the inv_sqrt of
+    each snorm that inv_root caches.
 
-    At rational q every chain value is rational (self.exact), so the
-    chains run on integers: vector t is also kept as its numerators over
-    the positions 0..t, the last one its denominator ("ints"), each
-    projection is an integer dot product, and the columns are integer
-    numerators over one lcm per chain ("den").  Float values have no
-    integer view; float fields run the scalar loop, _scalar_step.
+    At rational q (self.exact) _closed_step reads each position off
+    _LittleQJacobi, with one Haar moment per chain: vector t as its
+    primitive integer numerators over positions 0..t, the last one
+    positive ("ints"), the columns as integer numerators over one lcm
+    per chain ("den"), and the vector as an element at right degree 0
+    only.  Float fields run Gram-Schmidt, _scalar_step.
 
     In exact mode a zero squared norm is a degenerate chain.  In float
     mode the squared norm must also stand above the field's negligible
@@ -78,9 +127,11 @@ class _GradedOrtho:
         self.alg = alg
         self.rdeg = rdeg
         self.exact = alg.field.mode == "exact"
+        self.brackets = [0]              # _LittleQJacobi's, in exact mode
         self.sizes: dict = {}            # _size's cache
         # chain key k -> {"monos": [...], "index": {mono: pos},
-        # "vecs": [(w, snorm)], "cols": [[(alpha, p)]], "roots": {alpha: r}}
+        # "vecs": [(w, snorm)], "cols": [[(alpha, p)]], "roots": {alpha: r},
+        # "ints": [[n]], "den": int, "jacobi": _LittleQJacobi}
         self.chains: dict = {}
         self.order: list = []            # (k, pos) in graded enumeration order
         self.built_degree = -1
@@ -106,19 +157,20 @@ class _GradedOrtho:
         if mono in ch["index"]:          # kept from a pass that raised
             return
         pos = len(ch["monos"])
-        step = self._integer_step if self.exact else self._scalar_step
+        step = self._closed_step if self.exact else self._scalar_step
         vec, snorm, col, ints = step(ch, mono)
         if self._degenerate(vec, mono, snorm):
             raise PrecisionExhausted(
                 "Haar Gram-Schmidt degenerated at %r (squared norm %g lost "
                 "to cancellation)" % (mono, abs(snorm.to_complex())))
-        if self.exact:                   # col holds Fractions
+        if self.exact:                   # col is (den, numerators)
             ch["ints"].append(ints)
-            E = lcm(ch["den"], *(p.denominator for _, p in col))
+            E = lcm(ch["den"], col[0])
             up, ch["den"] = E // ch["den"], E
             if up != 1:
                 ch["cols"] = [[(a, n * up) for a, n in c] for c in ch["cols"]]
-            col = [(a, p.numerator * (E // p.denominator)) for a, p in col]
+            up = E // col[0]
+            col = [(a, n * up) for a, n in enumerate(col[1])]
         ch["monos"].append(mono)
         ch["index"][mono] = pos
         ch["vecs"].append((vec, snorm))
@@ -138,40 +190,46 @@ class _GradedOrtho:
         snorm = haar_inner(alg, vec, e)
         return vec, snorm, col + [(len(ch["vecs"]), snorm)], None
 
-    def _integer_step(self, ch: dict, mono: Monomial) -> tuple:
-        """_scalar_step's values on integers, the column as Fractions,
-        and the new vector's integer view.  With <m_beta, mono> = g_beta/D
-        and w_alpha = N_alpha/d_alpha, p_alpha = (N_alpha . g)/(d_alpha D);
-        mono - sum (p_alpha/s_alpha) w_alpha is summed over the lcm of its
-        terms' denominators and reduced by one gcd."""
-        field, monos = self.alg.field, ch["monos"]
-        gram = [self.alg.poly_moment(mono.a_exp, m.bs_exp + mono.b_exp)
-                for m in monos + [mono]]
-        D = lcm(*(x.den for x in gram))
-        g = [x.a * (D // x.den) for x in gram]
-        col, terms = [], []
-        for alpha, N in enumerate(ch["ints"]):
-            p = sum(map(mul, N, g))
-            if p:
-                col.append((alpha, Fraction(p, N[-1] * D)))
-                c = col[-1][1] / ch["vecs"][alpha][1].as_fraction()
-                terms.append((c.numerator, c.denominator * N[-1], N))
-        den = lcm(*(v for _, v, _ in terms))
-        new = [0] * len(monos) + [den]
-        for u, v, N in terms:
-            u *= den // v
-            for beta, n in enumerate(N):
-                new[beta] -= u * n
-        div = gcd(*new)
-        new = [n // div for n in new]
-        d = new[-1]
-        snorm = Fraction(sum(map(mul, new, g)), d * D)
-        vec = {mono: field.one}
-        vec.update((m, field.from_rational(n, d))
-                   for m, n in zip(monos, new) if n)
-        return (AlgebraElement(self.alg, vec),
-                field.from_rational(snorm.numerator, snorm.denominator),
-                col + [(len(monos), snorm)], new)
+    def _closed_step(self, ch: dict, mono: Monomial) -> tuple:
+        """(vector, squared norm, column as (den, numerators), integer
+        view) of mono from _LittleQJacobi's ratios; the vector is an
+        element only at right degree 0, where fuzzy_basis reads it."""
+        F, monos, t = self.alg.field, ch["monos"], len(ch["monos"])
+        if not t:
+            ch["jacobi"] = jac = _LittleQJacobi(
+                F.q_fraction, mono.a_exp, mono.b_exp + mono.bs_exp,
+                self.brackets)
+            s = self.alg.poly_moment(mono.a_exp, jac.s0).as_fraction()
+            row, col = [1], (s.denominator, [s.numerator])
+        else:
+            jac = ch["jacobi"]
+            # c_j prod_i up_i = prod_(i < j) up_i * prod_(i >= j) down_i
+            ups, downs = zip(*(jac.vector_ratio(t, j) for j in range(t)))
+            row = list(map(mul, accumulate(ups, mul, initial=1), reversed(
+                list(accumulate(reversed(downs), mul, initial=1)))))
+            div = gcd(*row) if row[-1] > 0 else -gcd(*row)
+            row = [n // div for n in row]
+            s = ch["vecs"][-1][1].as_fraction() * Fraction(*jac.norm_ratio(t))
+            # cancel each small d_alpha against its n_alpha first: the one
+            # gcd over the column then has only a small common part to find
+            f, divs = jac.column_ratio(t)
+            pairs = []
+            for (_, n), d in zip(ch["cols"][-1], divs):
+                g = gcd(n, d)
+                pairs.append((n // g, d // g))
+            L = lcm(*(d for _, d in pairs))
+            EL = ch["den"] * L
+            D = lcm(EL, s.denominator)
+            f *= D // EL
+            nums = [n * f * (L // d) for n, d in pairs]
+            nums.append(s.numerator * (D // s.denominator))
+            g = gcd(D, *nums)
+            col = (D // g, [n // g for n in nums])
+        vec = None
+        if self.rdeg == 0:
+            vec = AlgebraElement(self.alg, {mono: F.one, **{
+                m: F.from_rational(n, row[-1]) for m, n in zip(monos, row)}})
+        return vec, F.from_rational(s.numerator, s.denominator), col, row
 
     def _degenerate(self, vec: AlgebraElement, mono: Monomial, snorm) -> bool:
         F = self.alg.field

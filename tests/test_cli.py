@@ -22,6 +22,27 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main builds its argparse tree once per process: a usage error, a
+    # run and --print-config in a row give what each gives in a fresh
+    # process
+    src = str(Path(qsphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    calls = (["haar", "--q", "1/2", "--expr", "A", "--cache-dir", "x"],
+             ["haar", "--q", "1/2", "--expr", "b*bs"],
+             ["dist", "--q", "2/3", "--N", "2", "--print-config"])
+    for argv, want in zip(calls, (1, 0, 0)):
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from qsphere.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, timeout=300)
+        assert code == proc.returncode == want
+        assert out == proc.stdout.decode()
+
+
 def test_haar_example(capsys):
     code, out, _ = run(capsys, "haar", "--q", "1/2", "--expr", "b*bs")
     assert code == 0

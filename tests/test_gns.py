@@ -1,11 +1,13 @@
 """Fuzzy bases, projections, and compressed derivation matrices."""
 
+import copy
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qsphere import GnsContext, UqActions, make_algebra
-from qsphere.gns import _GradedOrtho, haar_inner
+from qsphere.gns import _GradedOrtho, _LittleQJacobi, haar_inner
 from qsphere.mkdist import default_probes
 from qsphere.qhopf import monomials
 from qsphere.scalars import ExactScalar
@@ -152,7 +154,7 @@ def test_compression_commutes(gns):
                    if (spins[i] <= 1) != (spins[j] <= 1))
 
 
-# -- the integer Gram-Schmidt against the scalar loop -------------------------
+# -- the closed-form chains against the scalar Gram-Schmidt ------------------
 
 
 @pytest.mark.parametrize("q", [(1, 2), (9, 10)])
@@ -172,40 +174,91 @@ def test_chains_list_the_graded_monomials(q):
 
 
 def _chain_pair(alg, rdeg):
-    """The chains of right degree rdeg on the integer route and, on the
-    same exact field, on the scalar loop that float fields run."""
+    """The chains of right degree rdeg in closed form and, on the same
+    exact field, on the scalar Gram-Schmidt that float fields run."""
     fast, ref = _GradedOrtho(alg, rdeg), _GradedOrtho(alg, rdeg)
     ref.exact = False
     return fast, ref
 
 
-@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 8), (2, 3)])
+def _assert_chains_match(alg, rdeg, degree):
+    fast, ref = _chain_pair(alg, rdeg)
+    fast.ensure_degree(degree)
+    ref.ensure_degree(degree)
+    assert fast.order == ref.order
+    assert fast.chains.keys() == ref.chains.keys()
+    for k, ch in ref.chains.items():
+        fch = fast.chains[k]
+        assert fch["monos"] == ch["monos"]
+        for (fw, fs), (w, s) in zip(fch["vecs"], ch["vecs"]):
+            assert fs == s
+            if rdeg:                 # the Gram oracle reads "ints" alone
+                assert fw is None
+                continue
+            # term order too: the float shift model sums in dict order
+            assert list(fw.terms) == list(w.terms), (k, w)
+            assert all(fw.terms[m] == c for m, c in w.terms.items())
+        E = fch["den"]
+        for fcol, col in zip(fch["cols"], ch["cols"]):
+            assert ([(alpha, Fraction(n, E)) for alpha, n in fcol]
+                    == [(alpha, p.as_fraction()) for alpha, p in col])
+        for N, (w, _s) in zip(fch["ints"], ch["vecs"]):
+            assert N[-1] > 0 and gcd(*N) == 1
+            assert all(Fraction(n, N[-1]) == w.coefficient(m).as_fraction()
+                       for m, n in zip(ch["monos"], N))
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 8), (2, 3), (1, 1),
+                               (99, 100)])
 def test_integer_chains_match_scalar_chains(q):
     alg = make_algebra(*q)
     for rdeg in (0, 1, -1, 2, -2):
-        fast, ref = _chain_pair(alg, rdeg)
-        fast.ensure_degree(16)
-        ref.ensure_degree(16)
-        assert fast.order == ref.order
-        assert fast.chains.keys() == ref.chains.keys()
-        for k, ch in ref.chains.items():
-            fch = fast.chains[k]
-            assert fch["monos"] == ch["monos"]
-            for (fw, fs), (w, s) in zip(fch["vecs"], ch["vecs"]):
-                # term order too: the float shift model sums in dict order
-                assert list(fw.terms) == list(w.terms), (k, w)
-                assert all(fw.terms[m] == c for m, c in w.terms.items())
-                assert fs == s
-            E = fch["den"]
-            for fcol, col in zip(fch["cols"], ch["cols"]):
-                assert ([(alpha, Fraction(n, E)) for alpha, n in fcol]
-                        == [(alpha, p.as_fraction()) for alpha, p in col])
-            for N, (w, _s) in zip(fch["ints"], ch["vecs"]):
-                assert all(Fraction(n, N[-1]) == w.coefficient(m).as_fraction()
-                           for m, n in zip(ch["monos"], N))
+        _assert_chains_match(alg, rdeg, 16)
 
 
-@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 8), (2, 3)])
+def _swap_a_b(self, t, j):
+    # a = p^s0 and b = p^|k| trade places; ab = p^e stays
+    swapped = copy.copy(self)
+    swapped.s0, swapped.K = self.K, self.s0
+    return _VECTOR_RATIO(swapped, t, j)
+
+
+def _no_vector_b(self, t, j):
+    num, den = _VECTOR_RATIO(self, t, j)
+    if self.neg:                     # undo the division by b = P^K / Q^K
+        return num * self.P ** self.K, den * self.Q ** self.K
+    return num, den
+
+
+def _no_norm_b2(self, t):
+    num, den = _NORM_RATIO(self, t)
+    if self.neg:                     # undo the factor b^2
+        return (num * self.Q ** (2 * self.K),
+                den * self.P ** (2 * self.K))
+    return num, den
+
+
+_VECTOR_RATIO = _LittleQJacobi.vector_ratio
+_NORM_RATIO = _LittleQJacobi.norm_ratio
+
+
+@pytest.mark.parametrize("name, wrong, q", [
+    ("vector_ratio", _swap_a_b, (1, 2)),
+    ("vector_ratio", _no_vector_b, (1, 2)),
+    ("norm_ratio", _no_norm_b2, (1, 2)),
+    # Q^m - P^m is (Q - P)[m]: the same ratios below q = 1, zero at it
+    ("bracket", lambda self, m: self.Q ** m - self.P ** m, (1, 1)),
+], ids=["swap-a-b", "vector-without-b", "norm-without-b2", "bracket-at-q1"])
+def test_planted_closed_form_errors_fail(monkeypatch, name, wrong, q):
+    monkeypatch.setattr(_LittleQJacobi, name, wrong)
+    alg = make_algebra(*q)
+    with pytest.raises((AssertionError, ZeroDivisionError)):
+        for rdeg in (1, -1):
+            _assert_chains_match(alg, rdeg, 8)
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 8), (2, 3), (1, 1),
+                               (99, 100)])
 def test_integer_oracle_columns_match_scalar_columns(q):
     alg = make_algebra(*q)
     actions = UqActions(alg)
