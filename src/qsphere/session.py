@@ -4,10 +4,11 @@ Each emitted artifact embeds the full configuration, so any number in a
 report can be reproduced from the artifact alone.  Identical config and
 seed must give bit-identical JSON; wall-clock timings are therefore kept
 out of the canonical serialization.  No value is read off a dense SVD:
-LAPACK sees only the Cholesky factorizations of b x b blocks behind the
-character-norm certificate and the bisection bracket (b = 3-4 for the
-seminorms, up to about 100 for Gram oracle matrices), the 2 x 2 SVDs
-of the q = 1 grid and the M x M solves of the distance search's simplex.
+LAPACK sees only the block Cholesky factorizations, in odd-even order,
+of b x b blocks behind the character-norm certificate and the bisection
+bracket (b = 3-4 for the seminorms, up to about 100 for Gram oracle
+matrices), the 2 x 2 SVDs of the q = 1 grid and the M x M solves of the
+distance search's simplex.
 `lipnorm --q 99/100 --expr "B + Bs" --trunc 100`
 and `verify --q 9/10 --suite normoracles` give the same bytes under one
 and two OpenBLAS threads; a factorization that rounded differently near

@@ -2,18 +2,19 @@
 
 For 0 < q < 1 every element is represented on the weighted-shift model
 (a acts as a raising shift with weights sqrt(1 - q^(2n+2)), b as the
-diagonal e^(i theta) q^n), where each monomial is one offset diagonal.
-Truncated to M dimensions, each matrix is one PaddedRows assembled
-once with its adjoint, and its compression norm increases to the true
-norm.  At q = 1 the algebra is commutative and sphere elements are
-evaluated on an angle grid instead; that path reports itself as
-grid-resolution-limited.
+diagonal e^(i theta) q^n), where each monomial is one offset diagonal,
+cached per (q, M, theta) and monomial.  Truncated to M dimensions, each
+matrix is one PaddedRows assembled once with its adjoint, and its
+compression norm increases to the true norm.  At q = 1 the algebra is
+commutative and sphere elements are evaluated on an angle grid instead;
+that path reports itself as grid-resolution-limited.
 
 Lower bounds are top singular values of the truncated matrices, from
 one kernel that the distance search shares: Lanczos with a residual
 stop; a seminorm top seen by step 16 to stall below the character norm
-is certified there by banded Cholesky, and any other top the step
-budget leaves unresolved is bracketed to 1e-12 by the same factorization.
+is certified there by block Cholesky of t^2 I - T^H T in odd-even
+order, and any other top the step budget leaves unresolved is bracketed
+to 1e-12 by the same factorization.
 Upper bounds are the crude coefficient-sum estimate.  The Gram oracle at the
 bottom reaches the same Lip seminorm through Haar inner products alone,
 with no representation matrices, which is what makes it an independent
@@ -88,28 +89,36 @@ def coefficient_sum_bound(x: AlgebraElement) -> float:
 # -- weighted-shift model (0 < q < 1) ---------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_diagonal(q: float, M: int, theta: float, k: int, l: int,
+                   m: int) -> np.ndarray:
+    """a^k b^l b*^m's diagonal at offset k, read-only: b^l b*^m acts
+    first, as q^(n(l+m)) e^(i theta (l-m)); then a^k raises by weights
+    w[n+1..n+k], or a*^|k| lowers by w[n-|k|+1..n]."""
+    n = np.arange(M, dtype=float)
+    w = np.sqrt(np.maximum(0.0, 1.0 - q ** (2 * n)))   # shift weights
+    diag = (q ** (n * (l + m))) * np.exp(1j * theta * (l - m))
+    amp = np.ones(M)
+    for j in range(1, k + 1):
+        amp[:M - j] *= w[j:]
+    for j in range(-k):
+        amp[j:] *= w[:M - j]
+    vals = (diag * amp)[max(-k, 0):M - max(k, 0)]
+    vals.flags.writeable = False
+    return vals
+
+
 def _diagonals(terms, trunc: RepTruncation) -> dict:
     """{k: diagonal} of (monomial, complex) pairs, summed in their order
     from zeros.  a^k b^l b*^m maps e_n into C e_(n+k), so it is the one
     diagonal at offset k; a shift by M or more leaves the truncation."""
-    q, M, theta = trunc.q, trunc.M, trunc.theta
-    n = np.arange(M, dtype=float)
-    w = np.sqrt(np.maximum(0.0, 1.0 - q ** (2 * n)))   # shift weights
     out = {}
     for m, c in terms:
-        k, l, mm = m.a_exp, m.b_exp, m.bs_exp
-        if abs(k) >= M:
-            continue
-        # b^l b*^m acts first, as q^(n(l+m)) e^(i theta (l-m)); then a^k
-        # raises by weights w[n+1..n+k], or a*^|k| lowers by w[n-|k|+1..n]
-        diag = (q ** (n * (l + mm))) * np.exp(1j * theta * (l - mm))
-        amp = np.ones(M)
-        for j in range(1, k + 1):
-            amp[:M - j] *= w[j:]
-        for j in range(-k):
-            amp[j:] *= w[:M - j]
-        vals = (diag * amp)[max(-k, 0):M - max(k, 0)]
-        out[k] = out.get(k, 0.0) + vals * c
+        k = m.a_exp
+        if abs(k) < trunc.M:
+            vals = _unit_diagonal(trunc.q, trunc.M, trunc.theta, k,
+                                  m.b_exp, m.bs_exp)
+            out[k] = out.get(k, 0.0) + vals * c
     return out
 
 
@@ -248,21 +257,42 @@ def _site_gram_blocks(T, TH, M: int) -> tuple:
 
 
 def _norm_below(D: np.ndarray, U: np.ndarray, t: float) -> bool:
-    """True when t^2 I - G is positive definite, G of _site_gram_blocks:
-    its block Cholesky factorization L_k L_k^H = t^2 I - D_k - W^H W,
-    W = L_(k-1)^-1 U_(k-1), runs through (padding meets t^2 I alone).
-    The backward error of banded Cholesky, and of forming T^H T, grows
-    with the bandwidth b, not with n (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 10): about (b + 1)^2 u t^2, u = 1.1e-16, so
-    2e-13 t^2 even at b = 40, below the gap 2 delta c^2 = 2e-12 c^2 that
-    top_singular_triplet leaves between t^2 and c^2 at either end."""
-    W = np.zeros_like(D[0])
-    for A, Uk in zip(t * t * np.eye(D.shape[1]) - D, U):
-        try:
-            L = np.linalg.cholesky(A - W.conj().T @ W)
-        except np.linalg.LinAlgError:
-            return False
-        W = np.linalg.solve(L, Uk)
+    """True when t^2 I - G is positive definite, G of _site_gram_blocks.
+    While there are more blocks than block columns b, odd-even reduction
+    (Heller, SIAM J. Numer. Anal. 13, 1976) factors the even blocks A_e =
+    L_e L_e^H in one batch and leaves the odd ones their Schur complement,
+    again block tridiagonal: with R = L_e^-1 U_e and P = L_e^-1 U_(e-1)^H,
+    A_(e+1) loses R^H R, A_(e-1) loses P^H P, and P^H R couples e - 1 to
+    e + 1.  The last blocks factor in order, L_k L_k^H = A_k - W^H W, W =
+    L_(k-1)^-1 U_(k-1) (padding meets t^2 I alone).  All of it is Cholesky
+    of a symmetric permutation of t^2 I - G, so its backward error is
+    Higham's (Accuracy and Stability of Numerical Algorithms, ch. 10):
+    about (b + 1)^2 u t^2, u = 1.1e-16, for blocks factored in order, so
+    2e-13 t^2 even at b = 40, and m u t^2 once reduced, m = b (2 log2(nb /
+    b) + 1) terms per inner product, so 7e-15 t^2 for 800 blocks of 4.
+    Both lie below the gap 2 delta c^2 = 2e-12 c^2 that
+    top_singular_triplet leaves between t^2 and c^2 at either end, as does
+    the error of forming T^H T."""
+    b = D.shape[1]
+    A = t * t * np.eye(b) - D
+    try:
+        while len(A) > b:
+            L = np.linalg.cholesky(A[0::2])
+            ne, ns = len(L), len(A) // 2
+            prev = np.zeros_like(L)        # U_(e-1)^H; none left of e = 0
+            prev[1:] = U[1::2][:ne - 1].conj().transpose(0, 2, 1)
+            Y = np.linalg.solve(L, np.concatenate((U[0::2], prev), axis=2))
+            S = Y.conj().transpose(0, 2, 1) @ Y
+            A = A[1::2] - S[:ns, :b, :b]
+            A[:ne - 1] -= S[1:, b:, b:]
+            U = np.zeros_like(A)
+            U[:ne - 1] = S[1:, b:, :b]
+        W = np.zeros_like(D[0])
+        for Ak, Uk in zip(A, U):
+            L = np.linalg.cholesky(Ak - W.conj().T @ W)
+            W = np.linalg.solve(L, Uk)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
@@ -303,7 +333,9 @@ def top_singular_triplet(T, TH, candidate: float = 0.0, M: int = 0) -> tuple:
     3. the step budget runs out: sigma is the lower end of _bracket from
        ||T v||, at most delta below ||T||.
     The long sums run in numpy's own loops and PaddedRows products, the
-    bracket's in LAPACK on b x b blocks, b the bandwidth.
+    certificate's and the bracket's in LAPACK calls on b x b blocks, b
+    the bandwidth: one batched call per odd-even level, then one per
+    block left (_norm_below).
     """
     n = T.shape[1]
     steps = min(_LANCZOS_STEPS, n)

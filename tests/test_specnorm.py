@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from qsphere import (Berezin, GnsContext, UqActions, make_algebra,
                      make_algebra_float, specnorm)
@@ -576,8 +576,38 @@ def _interleaved_banded(rng, M, r, width):
         for _ in range(r)], format="csr")
 
 
-@pytest.mark.parametrize("M, r, width, partial", [
-    (2, 2, 1, True), (37, 2, 2, True), (48, 1, 3, False), (23, 3, 1, True)])
+def _sequential_norm_below(D, U, t):
+    """The reference: block Cholesky of t^2 I - G in block order."""
+    W = np.zeros_like(D[0])
+    for A, Uk in zip(t * t * np.eye(D.shape[1]) - D, U):
+        try:
+            L = np.linalg.cholesky(A - W.conj().T @ W)
+        except np.linalg.LinAlgError:
+            return False
+        W = np.linalg.solve(L, Uk)
+    return True
+
+
+def _assert_decides(D, U, sigma):
+    """_norm_below is right at sigma (1 +- r) for r down to 1e-10, and
+    decides as the block order does down to 3e-12."""
+    for r in (1e-10, -1e-10, 3e-12, -3e-12, 1e-6, -1e-6, 0.1, -0.1):
+        got = specnorm._norm_below(D, U, sigma * (1 + r))
+        assert got == (r > 0), r
+        assert got == _sequential_norm_below(D, U, sigma * (1 + r)), r
+
+
+# in order, nb blocks of b x b and the odd-even levels they run: nb = 1
+# and 2 (none); nb = b, 5 of 5 and 9 of 9 (none); b + 1, 6 of 5 and 9 of
+# 8 (one); 2b + 1, 5 of 2 and 11 of 5 (one); 8 of 6 (one); 23 and 20 of
+# 2 (three, through the odd counts 23, 11, 5 and the even 20, 10)
+REDUCTION_CASES = [
+    (1, 1, 0, False), (2, 2, 1, True), (12, 2, 1, True), (37, 2, 2, True),
+    (13, 2, 1, True), (23, 3, 1, True), (9, 1, 1, True), (26, 2, 1, True),
+    (48, 1, 3, False), (45, 1, 1, True), (40, 1, 1, False)]
+
+
+@pytest.mark.parametrize("M, r, width, partial", REDUCTION_CASES)
 def test_block_cholesky_matches_eigvalsh(M, r, width, partial):
     T = _interleaved_banded(np.random.default_rng([M, r, width]), M, r, width)
     G = (T.conj().T @ T).toarray()
@@ -595,9 +625,7 @@ def test_block_cholesky_matches_eigvalsh(M, r, width, partial):
             full[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = U[k].conj().T
     assert np.array_equal(full[:n, :n], G[np.ix_(order, order)])
     assert not full[n:].any()
-    sigma = math.sqrt(np.linalg.eigvalsh(G)[-1])
-    assert specnorm._norm_below(D, U, sigma * (1 + 1e-10))
-    assert not specnorm._norm_below(D, U, sigma * (1 - 1e-10))
+    _assert_decides(D, U, math.sqrt(np.linalg.eigvalsh(G)[-1]))
 
 
 def _scipy_site_gram_blocks(T, M):
@@ -684,8 +712,7 @@ def test_top_below_character_norm_is_bracketed(monkeypatch):
     _assert_bracketed(est.lower_bound, dense, "B + Bs")
 
 
-@pytest.mark.parametrize("M, r, width", [
-    (2, 2, 1), (37, 2, 2), (48, 1, 3), (23, 3, 1)])
+@pytest.mark.parametrize("M, r, width", [c[:3] for c in REDUCTION_CASES])
 def test_bracket_contains_the_top(M, r, width):
     T = _interleaved_banded(np.random.default_rng([M, r, width]), M, r, width)
     dense = np.linalg.svd(T.toarray(), compute_uv=False)[0]
@@ -697,6 +724,33 @@ def test_bracket_contains_the_top(M, r, width):
         assert lo <= dense * (1 + ROUNDOFF) and dense <= hi * (1 + ROUNDOFF)
         assert 0 < hi - lo <= DELTA * lo, (start, lo, hi)
     assert specnorm._bracket(0 * D, 0 * U, 0.0) == (0.0, 0.0)
+
+
+def test_reduction_on_the_800_block_rung():
+    # the M = 1600 rung of B + Bs at q = 99/100: 800 blocks of 4, so 8
+    # odd-even levels (800, 400, ..., 6) and 3 sequential blocks; its top,
+    # from LAPACK's banded Hermitian eigensolver, decides both ways and
+    # lies in every bracket
+    alg = make_algebra(99, 100)
+    mat = delta_block_matrix(UqActions(alg), parse_expression(alg, "B + Bs"),
+                             RepTruncation(0.99, 1600, 0.0))
+    D, U = specnorm._site_gram_blocks(mat, mat.adjoint(), 1600)
+    nb, b = D.shape[:2]
+    assert (nb, b) == (800, 4)
+    band = np.zeros((2 * b, nb * b), dtype=complex)     # upper band, 2b - 1
+    for i in range(b):
+        for j in range(b):
+            if i <= j:
+                band[2 * b - 1 + i - j, j::b] = D[:, i, j]
+            band[b - 1 + i - j, b + j::b] = U[:-1, i, j]
+    sigma = math.sqrt(linalg.eigvals_banded(band, select="i", select_range=(
+        nb * b - 1, nb * b - 1))[0])
+    assert sigma == pytest.approx(100 / 99, rel=2 * DELTA)
+    _assert_decides(D, U, sigma)
+    for start in (0.0, sigma / 2, sigma * (1 - 1e-6)):
+        lo, hi = specnorm._bracket(D, U, start)
+        assert lo <= sigma * (1 + ROUNDOFF) and sigma <= hi * (1 + ROUNDOFF)
+        assert 0 < hi - lo <= DELTA * lo, (start, lo, hi)
 
 
 def test_bracket_routes_never_densify(monkeypatch, nine_tenths, no_densify):
@@ -868,3 +922,42 @@ def test_shift_beyond_truncation_is_zero(half, M):
     x = alg.a ** (M + 1) + alg.b
     _assert_same_csr(represent_element(x, trunc),
                      _reference_element(alg.b, trunc))
+
+
+def test_cached_diagonal_is_read_only():
+    diag = specnorm._unit_diagonal(0.5, 8, 0.3, 1, 2, 1)
+    assert diag is specnorm._unit_diagonal(0.5, 8, 0.3, 1, 2, 1)
+    with pytest.raises(ValueError):
+        diag[0] = 0.0
+    with pytest.raises(ValueError):
+        diag *= 2.0
+
+
+def _matrix_bytes(mat):
+    adj = mat.adjoint()
+    return [a.tobytes() for a in (mat.data, mat.cols, adj.data, adj.cols)]
+
+
+def test_warm_diagonals_build_the_cold_bytes():
+    # each (q, M, theta) built cold, with an empty diagonal cache, then
+    # again after all the others in one process: every byte of both
+    # matrices and their adjoints agrees, so the cache key holds q, M and
+    # theta
+    cases = [((p, r), M, theta) for p, r in ((1, 2), (9, 10))
+             for M in (7, 12) for theta in (0.0, 0.4)]
+
+    def build(q, M, theta):
+        alg = make_algebra(*q)
+        x = (alg.a * alg.b_star + alg.a_star.scale(alg.field.from_parts(re=2))
+             + alg.b * alg.b_star * alg.b)
+        y = parse_expression(alg, "A*B + Bs*A + 3*A - B^2")
+        trunc = RepTruncation(q[0] / q[1], M, theta)
+        return (_matrix_bytes(represent_element(x, trunc))
+                + _matrix_bytes(delta_block_matrix(UqActions(alg), y, trunc)))
+
+    cold = {}
+    for case in cases:
+        specnorm._unit_diagonal.cache_clear()
+        cold[case] = build(*case)
+    for case in cases + cases[::-1]:
+        assert build(*case) == cold[case], case
