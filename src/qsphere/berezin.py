@@ -28,7 +28,7 @@ element's terms in dict order, so the order reaches every seminorm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gns import GnsContext, haar_inner
 from .qhopf import Algebra, AlgebraElement, Monomial, _accumulate
@@ -41,14 +41,12 @@ class LayerInconsistency(RuntimeError):
     so it signals a convention bug rather than bad input."""
 
 
-@dataclass
-class BerezinSpectrum:
+class BerezinSpectrum(NamedTuple):
     eigenvalues: dict          # spin n -> scalar c_{N,n}
     verified_to: int           # layer constancy checked for n <= this
 
 
-@dataclass
-class SliceCheck:
+class SliceCheck(NamedTuple):
     lip_slice: float
     bound: float
     converged: bool

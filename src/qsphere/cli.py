@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import hashlib
 import io
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import cache
 
 from . import exprs
@@ -160,6 +157,7 @@ def _artifact(cfg: SessionConfig, kind: str, payload: dict) -> dict:
 
 
 def _csv_text(header: list, rows: list) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -399,7 +397,7 @@ def _sweep_cell(cfg: SessionConfig, N: int, M: int) -> dict:
     """One sweep row: the distance-trend row at search level M, plus the
     first four transform eigenvalues."""
     from . import suites
-    row = suites.theoremb_rows(replace(cfg, search_truncation=M), [N])[0]
+    row = suites.theoremb_rows(cfg._replace(search_truncation=M), [N])[0]
     spec = Berezin(GnsContext(cfg.build_algebra())).spectrum(
         N, max_spin=max(3, N))
     cs = [float(spec.eigenvalues[n].to_complex().real) for n in range(4)]
@@ -441,6 +439,7 @@ def _write_cell(path: str, row: dict) -> None:
 def _package_digest() -> str:
     """sha256 over the names and bytes of the package's source files, so
     a sweep cell is keyed by the code that computed it."""
+    import hashlib
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
@@ -451,13 +450,14 @@ def _package_digest() -> str:
 
 
 def _cmd_sweep(ns, cfg: SessionConfig) -> int:
+    import hashlib
     q_texts = [t.strip() for t in ns.q_list.split(",") if t.strip()]
     if not q_texts:
         raise UsageError("empty --q-list")
     levels = _parse_range(ns.n_range)
     m_values = _parse_range(ns.M_range)
     try:                                 # every q checked before any cell
-        qcfgs = [replace(cfg, q_text=q_text) for q_text in q_texts]
+        qcfgs = [cfg._replace(q_text=q_text) for q_text in q_texts]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

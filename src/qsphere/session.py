@@ -17,9 +17,8 @@ a bisection point could still move a bracketed value, by at most 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import NamedTuple
 
 from .qhopf import Algebra, make_algebra, make_algebra_float
 
@@ -38,8 +37,16 @@ def parse_q(text: str) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class _Settings(NamedTuple):
+    q_text: str = "1/2"
+    scalar_mode: str = "exact"
+    precision: int = 50
+    norm_truncation: int = 200
+    search_truncation: int = 4
+    seed: int = 0
+
+
+class SessionConfig(_Settings):
     """The six settings that change a number; output and deployment
     options live on the subcommands they affect.
 
@@ -49,17 +56,15 @@ class SessionConfig:
     digits.  norm_truncation is the representation size for norm
     estimates, search_truncation the fuzzy level for distance search.
     trend_tol, the slack of the distance-trend checks, is not a setting.
+    A named tuple, so the exact layers load no `dataclasses`; every
+    construction is validated, `_make` and so `_replace` included.
     """
 
-    q_text: str = "1/2"
-    scalar_mode: str = "exact"
-    precision: int = 50
-    norm_truncation: int = 200
-    search_truncation: int = 4
-    seed: int = 0
-    trend_tol: ClassVar[float] = 1e-3
+    __slots__ = ()
+    trend_tol = 1e-3
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         parse_q(self.q_text)
         if self.scalar_mode not in ("exact", "float"):
             raise ValueError("scalar_mode must be exact or float")
@@ -69,6 +74,11 @@ class SessionConfig:
             raise ValueError("norm truncation must be at least 2")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def q(self) -> Fraction:

@@ -485,13 +485,11 @@ def test_verify_fails_a_planted_identity_failure(capsys, monkeypatch):
 
 def test_verify_warns_on_an_unconverged_slice(capsys, monkeypatch):
     # convergence bookkeeping warns and keeps the exit code at 0
-    from dataclasses import replace
-
     from qsphere.berezin import Berezin
     original = Berezin.slice_lip_check
 
     def unconverged(self, *args, **kwargs):
-        return replace(original(self, *args, **kwargs), converged=False)
+        return original(self, *args, **kwargs)._replace(converged=False)
 
     monkeypatch.setattr(Berezin, "slice_lip_check", unconverged)
     code, out, _ = run(capsys, "verify", "--q", "1/2", "--suite", "slice")

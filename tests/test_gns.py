@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import chain_ref
 from qsphere import GnsContext, UqActions, make_algebra
 from qsphere.gns import _GradedOrtho, _LittleQJacobi, haar_inner
 from qsphere.mkdist import default_probes
@@ -289,3 +290,58 @@ def test_integer_oracle_columns_match_scalar_columns(q):
                            for key, val in col.items())
             compared += sum(map(len, want.values()))
     assert compared > 1000
+
+
+# -- the oracle columns by generator steps on the chain vectors ---------------
+
+
+def _assert_generator_route_matches(q, basis):
+    # chain_ref moves each chain vector through y one generator at a
+    # time, on squared norms read off Haar products: no mono_mul, no
+    # projection column, no _LittleQJacobi
+    alg = make_algebra(*q)
+    actions = UqActions(alg)
+    norms = chain_ref.ChainNorms(alg)
+    chains: dict = {}
+    symbols = [(y, rdeg) for x in default_probes(alg)
+               for y, rdeg in zip(actions.dirac_components(x), (1, -1))]
+    symbols += [(g, rdeg) for g in (alg.a, alg.a_star, alg.b, alg.b_star)
+                for rdeg in (1, -1)]
+    compared = 0
+    for y, rdeg in symbols:
+        if y.is_zero():
+            continue
+        shift = next(iter(y.terms)).right_degree()
+        dom, cod = (chains.setdefault(r, _GradedOrtho(alg, r))
+                    for r in (rdeg, rdeg + shift))
+        sel = dom.basis_selection(basis)
+        cod.ensure_degree(max(dom.chains[k]["monos"][pos].total_degree()
+                              for k, pos in sel) + y.total_degree())
+        want = chain_ref.image_columns(norms, y, rdeg, sel)
+        got = {j: {key: ExactScalar(alg.field, *parts)
+                   for key, parts in col.items()}
+               for j, col in cod.image_columns(y, dom, sel)}
+        assert got == want
+        compared += sum(map(len, want.values()))
+    assert compared > 3000
+
+
+@pytest.mark.parametrize("q", [(1, 2), (9, 10), (1, 1)])
+def test_oracle_columns_match_the_generator_route(q):
+    _assert_generator_route_matches(q, 60)
+
+
+_LEFT_B = chain_ref.STEPS["b"]
+
+
+def test_generator_route_without_q_power_on_b_fails(monkeypatch):
+    def b_without_q_power(norms, k, r, vec, gen):
+        chain, out = _LEFT_B(norms, k, r, vec, gen)
+        if gen == "b":
+            out = {t: c / norms.q ** k for t, c in out.items()}
+        return chain, out
+
+    monkeypatch.setitem(chain_ref.STEPS, "b", b_without_q_power)
+    with pytest.raises(AssertionError):
+        _assert_generator_route_matches((1, 2), 30)
+
